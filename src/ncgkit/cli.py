@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the scheme rules over a corpus")
     add_corpus_args(p)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--provenance-check", choices=["Off", "Warn", "Error"],
                    default="Warn")
     p.add_argument("--max-phrase-tokens", type=int, default=10)
@@ -173,7 +172,7 @@ def cmd_validate(args) -> int:
     corpus, load_issues = _load(args)
     policy = ValidationPolicy(provenance_check=args.provenance_check,
                               max_phrase_tokens=args.max_phrase_tokens)
-    reports = validate_corpus(corpus, policy, jobs=max(1, args.jobs))
+    reports = validate_corpus(corpus, policy)
     if args.format == "json":
         payload = {
             "load_issues": [vars(i) for i in load_issues],

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from .errors import NotATree
 from .issues import WARNING, ValidationIssue
-from .model import CONTRIBUTION, Node, Predicate, Triple, UnitLabel, UnitTree, canonical_text
+from .model import (CONTRIBUTION, Node, PaperAnnotation, Predicate, Triple, UnitLabel,
+                    UnitTree, canonical_text)
 
 
 @dataclass
@@ -68,6 +69,13 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
 
     visit(tree.root)
     return out
+
+
+def unit_triples(paper: PaperAnnotation) -> dict[UnitLabel, list[Triple]]:
+    """Stored triples per unit; a tree the map lacks (built in memory) is flattened."""
+    stored = paper.triples or {}
+    return {unit: stored[unit] if unit in stored else flatten(paper.units[unit]).triples
+            for unit in paper.unit_labels()}
 
 
 def nest(triples: list[Triple], unit: UnitLabel) -> UnitTree:

@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .codec import flatten
+from .codec import unit_triples
 from .errors import UnknownPaper, UnknownUnitLabel
 from .model import Corpus, Node, UnitLabel, canonical_text, normalize_unit_label
 
@@ -34,12 +34,10 @@ class ComparisonTable:
 
 def _research_problem_objects(paper) -> set[str]:
     """Objects annotated under the paper's ResearchProblem unit."""
-    units = paper.units or {}
-    tree = units.get(UnitLabel.RESEARCH_PROBLEM)
-    if tree is None:
+    if UnitLabel.RESEARCH_PROBLEM not in (paper.units or {}):
         return set()
     out = set()
-    for triple in flatten(tree).triples:
+    for triple in unit_triples(paper)[UnitLabel.RESEARCH_PROBLEM]:
         try:
             if normalize_unit_label(triple.object) is UnitLabel.RESEARCH_PROBLEM:
                 continue

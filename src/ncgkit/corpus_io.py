@@ -440,9 +440,14 @@ def write_triple_lines(triples: list[Triple]) -> str:
 # corpus loading
 
 
-def _read(path: Path) -> str:
-    with open(path, encoding="utf-8-sig") as fh:
-        return fh.read()
+def _read(path: Path, location: str) -> str:
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end].hex()
+        raise FormatError(f"not valid UTF-8 ({exc.reason} 0x{bad})",
+                          path=location) from None
 
 
 def _discover_papers(manifest: CorpusManifest, task: str) -> list[str]:
@@ -505,9 +510,17 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
                                       "plaintext absent; paper skipped"))
         return None
 
+    try:
+        text = _read(text_path, loc)
+    except FormatError as exc:
+        if strict:
+            raise
+        issues.append(ValidationIssue("format-error", ERROR, loc,
+                                      f"{exc}; paper skipped"))
+        return None
     sentences: list[Sentence | None] = []
     token_count = 0
-    for i, line in enumerate(_read(text_path).splitlines(), 1):
+    for i, line in enumerate(text.splitlines(), 1):
         tokens = tuple(line.split())
         if tokens:
             sentences.append(Sentence(paper_id, i, tokens))
@@ -528,7 +541,7 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
     if sent_path.is_file():
         try:
             paper.contribution_sentence_indices = parse_sentence_indices(
-                _read(sent_path), issues=issues, location=loc)
+                _read(sent_path, loc), issues=issues, location=loc)
         except FormatError as exc:
             if strict:
                 raise
@@ -542,7 +555,7 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
     if phrase_path.is_file():
         try:
             paper.phrases = parse_phrase_file(
-                _read(phrase_path), sentences, strict=strict,
+                _read(phrase_path, loc), sentences, strict=strict,
                 offset_unit=manifest.offset_unit, issues=issues, location=loc)
         except FormatError as exc:
             if strict:
@@ -562,7 +575,7 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
             issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
             continue
         try:
-            units[unit] = parse_unit_file(_read(path), unit, issues=issues, location=loc)
+            units[unit] = parse_unit_file(_read(path, loc), unit, issues=issues, location=loc)
         except FormatError as exc:
             if strict:
                 raise
@@ -584,7 +597,7 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
             issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
             continue
         try:
-            triples[unit] = parse_triple_lines(_read(path), issues=issues, location=loc)
+            triples[unit] = parse_triple_lines(_read(path, loc), issues=issues, location=loc)
         except FormatError as exc:
             if strict:
                 raise
@@ -605,10 +618,10 @@ def _reconcile_units_and_triples(manifest: CorpusManifest, task: str,
                                  issues: list[ValidationIssue]) -> None:
     """Keep the units and triples maps covering the same unit set.
 
-    Units without a shipped triples file get flatten() output; triples
-    without a tree get nest() output where the triples form a tree.  When
-    both exist, the flattened tree must be set-equal to the file; any
-    difference is itemized as a warning, never silently dropped.
+    Triples without a tree get nest() output where they form a tree.  Every
+    tree, shipped or rebuilt, stores its flatten() output as the unit's
+    triples.  A shipped triples file must be set-equal to the flattened
+    tree; any difference is itemized as a warning, never silently dropped.
     """
     units = paper.units or {}
     triples = paper.triples if paper.triples is not None else {}
@@ -618,9 +631,7 @@ def _reconcile_units_and_triples(manifest: CorpusManifest, task: str,
             ValidationIssue(w.code, w.severity,
                             f"{task}/{paper.paper_id}/{w.location}", w.message)
             for w in flat.warnings)
-        if unit not in triples:
-            triples[unit] = flat.triples
-        else:
+        if unit in triples:
             file_keys = {t.key() for t in triples[unit]}
             tree_keys = {t.key() for t in flat.triples}
             if file_keys != tree_keys:
@@ -630,6 +641,7 @@ def _reconcile_units_and_triples(manifest: CorpusManifest, task: str,
                     "triples-file-mismatch", WARNING,
                     f"{task}/{paper.paper_id}/{unit.identifier}",
                     f"tree-only: {missing}; file-only: {extra}"))
+        triples[unit] = flat.triples
     for unit in list(triples):
         if unit not in units:
             try:
@@ -638,6 +650,8 @@ def _reconcile_units_and_triples(manifest: CorpusManifest, task: str,
                 issues.append(ValidationIssue(
                     "nest-failed", WARNING,
                     f"{task}/{paper.paper_id}/{unit.identifier}", str(exc)))
+                continue
+            triples[unit] = flatten(units[unit]).triples
     if paper.units is not None or units:
         paper.units = units
     if paper.triples is not None or triples:

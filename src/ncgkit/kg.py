@@ -166,9 +166,17 @@ def _escape_literal(text: str) -> str:
     return f'"{out}"'
 
 
+#: N-Triples ECHAR escapes (W3C N-Triples grammar, production ECHAR).
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+          '"': '"', "'": "'", "\\": "\\"}
+_ECHAR_RE = re.compile(r"\\([tbnrf\"'\\])")
+
+
 def _unescape_literal(text: str) -> str:
-    return (text.replace("\\t", "\t").replace("\\r", "\r").replace("\\n", "\n")
-            .replace('\\"', '"').replace("\\\\", "\\"))
+    """Undo every ECHAR escape in one left-to-right pass."""
+    if "\\" not in text:
+        return text
+    return _ECHAR_RE.sub(lambda m: _ECHAR[m.group(1)], text)
 
 
 def export_ntriples(graph: Graph) -> str:

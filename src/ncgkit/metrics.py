@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import flatten
+from .codec import unit_triples
 from .errors import GranularityUnavailable, MissingTotals
-from .model import Corpus, PaperAnnotation, Triple, UnitLabel, canonical_text
+from .model import Corpus, PaperAnnotation, UnitLabel, canonical_text
 
 
 def _ratio(num: float, den: float) -> float:
@@ -55,17 +55,6 @@ def f1_from_percent(p: float, r: float) -> float:
 
 # ---------------------------------------------------------------------------
 # corpus statistics
-
-
-def paper_unit_triples(paper: PaperAnnotation) -> dict[UnitLabel, list[Triple]]:
-    """Triples per unit, flattening trees and falling back to triple files."""
-    out: dict[UnitLabel, list[Triple]] = {}
-    for unit in paper.unit_labels():
-        if paper.units and unit in paper.units:
-            out[unit] = flatten(paper.units[unit]).triples
-        elif paper.triples and unit in paper.triples:
-            out[unit] = paper.triples[unit]
-    return out
 
 
 @dataclass
@@ -129,7 +118,7 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
             for span in paper.phrases or []:
                 row.ann_phrases += 1
                 row.phrase_tokens += span.token_count()
-            for triples in paper_unit_triples(paper).values():
+            for triples in unit_triples(paper).values():
                 row.ann_triples += len(triples)
         overall.add(row)
     return CorpusStats(per_task, overall)
@@ -159,10 +148,9 @@ def unit_stats(corpus: Corpus) -> UnitStats:
     """Triples and paper coverage per information unit, all 12 rows."""
     per_unit = {unit: UnitStatsRow() for unit in UnitLabel}
     for paper in corpus.papers():
-        triples = paper_unit_triples(paper)
-        for unit in paper.unit_labels():
+        for unit, triples in unit_triples(paper).items():
             per_unit[unit].n_papers += 1
-            per_unit[unit].n_triples += len(triples.get(unit, []))
+            per_unit[unit].n_triples += len(triples)
     return UnitStats(per_unit)
 
 
@@ -240,7 +228,7 @@ def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set
             return {(pid, s.sentence_index, s.start_tok, s.end_tok) for s in spans}
         return {(pid, s.sentence_index, config.fold(s.text)) for s in spans}
     items = set()
-    for unit, triples in paper_unit_triples(paper).items():
+    for unit, triples in unit_triples(paper).items():
         scope = unit if config.triple_scope == "per-unit" else None
         for t in triples:
             items.add((pid, scope, config.fold(t.subject),

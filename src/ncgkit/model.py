@@ -266,7 +266,8 @@ class PaperAnnotation:
     Layer fields are ``None`` when the corresponding file was absent on
     disk, as opposed to present-but-empty.  ``sentences`` is the full
     tokenized document when the plaintext was loaded; validators use it as
-    the provenance pool.
+    the provenance pool.  When both maps hold a unit, ``triples[u]`` is
+    ``flatten(units[u]).triples``; ``load_corpus`` guarantees this.
     """
 
     paper_id: str

@@ -2,7 +2,7 @@
 
 All findings are data (ValidationIssue), never raised: a report ``passes``
 when it contains no Error-severity issues.  Checks are deterministic and
-per-paper, so corpus validation parallelizes trivially.
+per-paper, so a paper's report does not depend on the rest of the corpus.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .codec import flatten
+from .codec import unit_triples
 from .errors import UnknownUnitLabel
 from .issues import ERROR, WARNING, ValidationIssue
 from .model import (
@@ -128,15 +128,18 @@ def validate_paper(paper: PaperAnnotation,
         _check_mandatory(paper, units, policy, issues)
     _check_encapsulation(units, issues)
     pool = _sentence_pool(paper)
+    triples = unit_triples(paper)
     for unit in sorted(units, key=lambda u: u.identifier):
-        flat = flatten(units[unit])
         if policy.duplicate_triple_check:
-            for warning in flat.warnings:
-                if warning.code == "duplicate-triple":
+            seen: set[tuple[str, str, str]] = set()
+            for triple in triples[unit]:
+                if triple.key() in seen:
                     issues.append(ValidationIssue(
-                        "duplicate-triple", ERROR, warning.location, warning.message))
+                        "duplicate-triple", ERROR, f"{unit.identifier}/{triple.subject}",
+                        f"duplicate triple {triple.key()}"))
+                seen.add(triple.key())
         if pool:
-            _check_surfaces(unit, flat.triples, pool, policy, issues)
+            _check_surfaces(unit, triples[unit], pool, policy, issues)
         _check_filler_placement(unit, units[unit], issues)
     _check_sentence_bounds(paper, issues)
     _check_phrase_length(paper, policy, issues)
@@ -261,16 +264,10 @@ def _check_phrase_length(paper: PaperAnnotation, policy: ValidationPolicy,
 
 
 def validate_corpus(corpus: Corpus,
-                    policy: ValidationPolicy | None = None,
-                    jobs: int = 1) -> list[ValidationReport]:
+                    policy: ValidationPolicy | None = None) -> list[ValidationReport]:
     """One report per paper, in corpus order."""
     policy = policy or ValidationPolicy()
-    papers = list(corpus.papers())
-    if jobs > 1 and len(papers) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda p: validate_paper(p, policy), papers))
-    return [validate_paper(paper, policy) for paper in papers]
+    return [validate_paper(paper, policy) for paper in corpus.papers()]
 
 
 def summarize_reports(reports: list[ValidationReport]) -> Counter:

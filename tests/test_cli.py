@@ -105,6 +105,32 @@ class TestValidate:
         assert all(r["passed"] for r in payload["reports"])
 
 
+class TestInvalidUtf8:
+    @pytest.mark.parametrize("role_file", [
+        "text.txt", "sentences.txt", "phrases.tsv",
+        "info-units/Model.json", "triples/Model.txt"])
+    def test_bad_byte_is_a_format_error(self, tiny_root, tmp_path, capsys, role_file):
+        paper = tiny_root / "parsing" / "p1"
+        # the fixture's phrase span is repaired only outside strict mode
+        (paper / "phrases.tsv").write_text("2\t4\t6\tthe baseline\n", encoding="utf-8")
+        target = paper / role_file
+        target.parent.mkdir(exist_ok=True)
+        body = target.read_bytes() if target.exists() else b""
+        target.write_bytes(b"\xff" + body)
+        out = tmp_path / "report.json"
+        assert run(["stats", "--manifest", str(tiny_root),
+                    "--out", str(tmp_path / "stats.tsv")]) == 0
+        assert run(["validate", "--manifest", str(tiny_root), "--format", "json",
+                    "--out", str(out)]) == 1
+        errors = [i for i in json.loads(out.read_text())["load_issues"]
+                  if i["code"] == "format-error"]
+        assert [i["location"] for i in errors] == [f"parsing/p1/{role_file}"]
+        assert "not valid UTF-8" in errors[0]["message"]
+        assert run(["stats", "--strict", "--manifest", str(tiny_root)]) == 2
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and "Traceback" not in err
+
+
 class TestScore:
     def test_self_agreement_is_all_hundred(self, tiny_root, tmp_path):
         out = tmp_path / "score.tsv"

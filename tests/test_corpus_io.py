@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,17 @@ from ncgkit import (
     SpanTextMismatch,
     Triple,
     UnitLabel,
+    compare,
+    corpus_stats,
     flatten,
     load_corpus,
     parse_phrase_file,
     parse_sentence_indices,
     parse_triple_lines,
     parse_unit_file,
+    score_all,
+    unit_stats,
+    validate_corpus,
     write_triple_lines,
     write_unit_file,
 )
@@ -311,18 +317,51 @@ class TestLoadCorpus:
     def test_triples_only_unit_gets_nested(self, tmp_path):
         make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS,
                    triples={"Baselines": "(Contribution||has||Baselines)\n"
+                                        "(Baselines||compared against||prior work)\n"
                                         "(Baselines||compared against||prior work)\n"})
         corpus, _ = load_corpus(CorpusManifest(root_path=tmp_path))
         paper = corpus.get("p")
         assert UnitLabel.BASELINES in paper.units
         assert paper.units[UnitLabel.BASELINES].unit_node.label == "Baselines"
+        # the stored list is the rebuilt tree's, so the repeated line collapses
+        stored = paper.triples[UnitLabel.BASELINES]
+        assert stored == flatten(paper.units[UnitLabel.BASELINES]).triples
+        assert len(stored) == 2
 
     def test_tree_and_file_mismatch_reported(self, tmp_path):
         make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS,
                    triples={"Results": "(Contribution||has||Results)\n"
-                                       "(Results||improves||something else)\n"})
-        _, issues = load_corpus(CorpusManifest(root_path=tmp_path))
-        assert "triples-file-mismatch" in {i.code for i in issues}
+                                       "(Results||improves||something else)\n"
+                                       "(Results||beats||the baseline)\n"})
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        paper = corpus.get("p")
+        tree_triples = flatten(paper.units[UnitLabel.RESULTS]).triples
+        assert paper.triples[UnitLabel.RESULTS] == tree_triples
+        mismatch = [i for i in issues if i.code == "triples-file-mismatch"]
+        assert len(mismatch) == 1
+        assert mismatch[0].message.endswith(
+            "file-only: [('Results', 'beats', 'the baseline'), "
+            "('Results', 'improves', 'something else')]")
+        assert corpus_stats(corpus).overall.ann_triples == 6
+        assert unit_stats(corpus).per_unit[UnitLabel.RESULTS].n_triples == len(tree_triples)
+
+    def test_consumers_never_flatten_a_loaded_corpus(self, trial_root, monkeypatch):
+        corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
+        papers = corpus.paper_ids()[:4]
+
+        def outputs():
+            return (validate_corpus(corpus), corpus_stats(corpus), unit_stats(corpus),
+                    score_all(corpus, corpus), compare(corpus, UnitLabel.RESULTS, papers))
+
+        before = outputs()
+
+        def no_flatten(tree):
+            raise AssertionError("flatten called after load")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ncgkit") and getattr(module, "flatten", None) is flatten:
+                monkeypatch.setattr(module, "flatten", no_flatten)
+        assert outputs() == before
 
     def test_strict_mode_raises_on_bad_file(self, tmp_path):
         make_paper(tmp_path, "t", "p", sentences="NaN\n", units=MINIMAL_UNITS)

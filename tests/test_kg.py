@@ -1,11 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncgkit import (
     Corpus,
+    Node,
     PaperAnnotation,
+    Predicate,
     UnitLabel,
+    UnitTree,
     UnknownStartNode,
     build_graph,
+    canonical_text,
     coin_uri,
     edge_signature,
     export_ntriples,
@@ -150,6 +156,24 @@ class TestExport:
         text = export_ntriples(graph)
         rebuilt = import_ntriples(text)
         assert edge_signature(rebuilt) == edge_signature(graph)
+
+
+#: Any character UTF-8 can encode, with the N-Triples escape letters and
+#: quotes drawn often enough to follow a backslash.
+LABEL_CHARS = st.one_of(st.sampled_from('\\"\'tbnrf'), st.characters(codec="utf-8"))
+LABELS = st.text(LABEL_CHARS, min_size=1, max_size=12).map(canonical_text).filter(bool)
+
+
+@settings(max_examples=100)
+@example([("reports", "a\\nb", False)])
+@given(st.lists(st.tuples(LABELS, LABELS, st.booleans()), min_size=1, max_size=6))
+def test_ntriples_round_trip_keeps_arbitrary_labels(edges):
+    unit_node = Node("Results")
+    for predicate, label, is_node in edges:
+        unit_node.add(Predicate.from_text(predicate), Node(label) if is_node else label)
+    tree = UnitTree.from_unit_node(UnitLabel.RESULTS, unit_node)
+    graph = build_graph(corpus_with({"p": {UnitLabel.RESULTS: tree}}))
+    assert edge_signature(import_ntriples(export_ntriples(graph))) == edge_signature(graph)
 
 
 class TestTraverse:
