@@ -61,6 +61,7 @@ from .metrics import (
 from .model import (
     CONTRIBUTION,
     Corpus,
+    DocumentLines,
     Node,
     PaperAnnotation,
     PhraseSpan,

@@ -21,6 +21,7 @@ from . import __version__
 from .compare import compare, render, table_to_dict
 from .corpus_io import (
     CorpusManifest,
+    _read,
     load_corpus,
     parse_triple_lines,
     parse_unit_file,
@@ -346,8 +347,7 @@ def _resolve_unit_path(path: Path, unit: UnitLabel, role: str) -> Path:
 def cmd_flatten(args) -> int:
     unit = normalize_unit_label(args.unit)
     path = _resolve_unit_path(Path(args.path), unit, "units")
-    tree = parse_unit_file(path.read_text(encoding="utf-8-sig"), unit,
-                           location=str(path))
+    tree = parse_unit_file(_read(path, str(path)), unit, location=str(path))
     _emit(args, write_triple_lines(flatten(tree).triples))
     return 0
 
@@ -355,8 +355,7 @@ def cmd_flatten(args) -> int:
 def cmd_nest(args) -> int:
     unit = normalize_unit_label(args.unit)
     path = _resolve_unit_path(Path(args.path), unit, "triples")
-    triples = parse_triple_lines(path.read_text(encoding="utf-8-sig"),
-                                 location=str(path))
+    triples = parse_triple_lines(_read(path, str(path)), location=str(path))
     tree = nest(triples, unit)
     _emit(args, write_unit_file(tree))
     return 0

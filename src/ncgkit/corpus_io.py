@@ -17,8 +17,11 @@ Files are UTF-8; byte-order marks are stripped.
 from __future__ import annotations
 
 import configparser
+import io
 import json
+import os
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from .issues import ERROR, WARNING, ValidationIssue
 from .model import (
     CONTRIBUTION,
     Corpus,
+    DocumentLines,
     Node,
     PaperAnnotation,
     PhraseSpan,
@@ -101,8 +105,7 @@ class CorpusManifest:
         path = Path(path)
         cp = configparser.ConfigParser()
         cp.optionxform = str  # paper ids in totals sections are case-sensitive
-        with open(path, encoding="utf-8-sig") as fh:
-            cp.read_file(fh)
+        cp.read_file(io.StringIO(_read(path, str(path))), source=str(path))
         corpus_sec = cp["corpus"] if cp.has_section("corpus") else {}
         root = Path(corpus_sec.get("root", "."))
         if not root.is_absolute():
@@ -142,10 +145,13 @@ def parse_sentence_indices(text: str, *, issues: list[ValidationIssue] | None = 
         line = raw.strip()
         if not line:
             continue
-        if not re.fullmatch(r"\d+", line) or int(line) < 1:
+        try:
+            value = int(line) if re.fullmatch(r"\d+", line) else 0
+        except ValueError:  # more digits than int() converts
+            value = 0
+        if value < 1:
             raise FormatError(f"not a positive sentence index: {line!r}",
                               path=location or None, line=lineno)
-        value = int(line)
         if value in out:
             _note(issues, "duplicate-sentence-index", WARNING,
                   f"{location}:{lineno}", f"index {value} listed more than once")
@@ -171,7 +177,7 @@ def _char_span_to_tokens(sentence: Sentence, start: int, end: int) -> tuple[int,
     return starts[start], ends[end]
 
 
-def parse_phrase_file(text: str, sentences: list[Sentence | None], *,
+def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                       strict: bool = False, offset_unit: str = "token",
                       issues: list[ValidationIssue] | None = None,
                       location: str = "") -> list[PhraseSpan]:
@@ -183,9 +189,7 @@ def parse_phrase_file(text: str, sentences: list[Sentence | None], *,
     strict mode and are otherwise repaired from the sentence tokens with a
     warning, so every returned span satisfies its invariants.
     """
-    by_index: dict[int, Sentence] = {
-        s.index: s for s in sentences if s is not None
-    }
+    by_index: dict[int, Sentence] | None = None
     spans: list[PhraseSpan] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
@@ -201,7 +205,13 @@ def parse_phrase_file(text: str, sentences: list[Sentence | None], *,
                               path=location or None, line=lineno) from None
         surface = canonical_text(cols[3])
         try:
-            sent = by_index.get(idx)
+            # a loaded paper's sentences are positional; other lists are
+            # searched by index
+            sent = sentences[idx - 1] if 0 < idx <= len(sentences) else None
+            if sent is None or sent.index != idx:
+                if by_index is None:
+                    by_index = {s.index: s for s in sentences if s is not None}
+                sent = by_index.get(idx)
             if sent is None:
                 raise SpanOutOfRange(f"no sentence with index {idx}",
                                      path=location or None, line=lineno)
@@ -255,7 +265,8 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     predicate with an empty value is kept as a dangling edge and reported.
 
     Raises:
-        FormatError: malformed JSON or a non-object at the top level.
+        FormatError: malformed or too deeply nested JSON, or a non-object
+            at the top level.
         AlternationError: a leaf string where a node's predicate map is
             required, i.e. a node label used as if it were a predicate.
     """
@@ -264,6 +275,11 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed unit file: {exc.msg}",
                           path=location or None, line=exc.lineno) from None
+    except ValueError as exc:  # a number with more digits than int() converts
+        raise FormatError(f"malformed unit file: {exc}", path=location or None) from None
+    except RecursionError:
+        raise FormatError("malformed unit file: nested too deeply",
+                          path=location or None) from None
     if not isinstance(data, dict):
         raise FormatError("unit file must be a JSON object",
                           path=location or None)
@@ -402,7 +418,14 @@ def parse_triple_lines(text: str, *, issues: list[ValidationIssue] | None = None
     The canonical delimiter is ``||``; a single ``|`` is accepted leniently
     with a warning.  A line must yield exactly three non-empty fields.
     """
-    triples: list[Triple] = []
+    return [Triple.from_key(key)
+            for key in _triple_keys(text, issues=issues, location=location)]
+
+
+def _triple_keys(text: str, *, issues: list[ValidationIssue] | None,
+                 location: str) -> list[tuple[str, str, str]]:
+    """The line parser of :func:`parse_triple_lines`, yielding canonical keys."""
+    keys: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -423,12 +446,12 @@ def parse_triple_lines(text: str, *, issues: list[ValidationIssue] | None = None
             raise FormatError(
                 f"expected 3 fields after delimiter splitting, got {len(fields)}",
                 path=location or None, line=lineno)
-        subject, pred, obj = (canonical_text(f) for f in fields)
+        key = subject, pred, obj = tuple(canonical_text(f) for f in fields)
         if not (subject and pred and obj):
             raise FormatError(f"empty field in triple line {line!r}",
                               path=location or None, line=lineno)
-        triples.append(Triple.of(subject, pred, obj))
-    return triples
+        keys.append(key)
+    return keys
 
 
 def write_triple_lines(triples: list[Triple]) -> str:
@@ -440,70 +463,93 @@ def write_triple_lines(triples: list[Triple]) -> str:
 # corpus loading
 
 
-def _read(path: Path, location: str) -> str:
+def _read(path: str | Path, location: str) -> str:
+    """A UTF-8 file's text, BOM stripped, line ends read as in text mode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start:exc.end].hex()
         raise FormatError(f"not valid UTF-8 ({exc.reason} 0x{bad})",
                           path=location) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
-def _discover_papers(manifest: CorpusManifest, task: str) -> list[str]:
-    """Find paper names by globbing the text pattern's {paper} component.
+def _rel(path: str) -> str:
+    """A path below the corpus root as pathlib spells it: no empty or "." parts."""
+    return "/".join(p for p in path.split("/") if p and p != ".") or "."
+
+
+def _scandir(root: str, rel: str) -> list[os.DirEntry]:
+    """Entries of one directory below the root; none if it cannot be listed."""
+    try:
+        with os.scandir(os.path.join(root, rel)) as entries:
+            return list(entries)
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []
+
+
+def _component_re(component: str) -> re.Pattern:
+    """Match a path component whose one placeholder was filled with NUL."""
+    return re.compile("^" + re.escape(component).replace("\x00", "(.+)") + "$")
+
+
+def _discover_papers(manifest: CorpusManifest, root: str, task: str) -> list[str]:
+    """Find paper names by listing the directory above the text pattern's {paper}.
 
     Only the path up to the {paper} component is required to exist, so a
     paper directory lacking its plaintext file is still discovered and gets
     a proper missing-text error instead of vanishing silently.
     """
-    pattern = manifest.layout["text"]
-    parts = pattern.split("/")
+    parts = manifest.layout["text"].split("/")
     paper_idx = next(i for i, p in enumerate(parts) if "{paper}" in p)
-    component = parts[paper_idx]
-    comp_re = re.compile(
-        "^" + re.escape(component.format(task=task, paper="\x00")).replace("\x00", "(.+)") + "$")
-    glob_pattern = "/".join(p.format(task=task, paper="*", Unit="*")
-                            for p in parts[:paper_idx + 1])
+    comp_re = _component_re(parts[paper_idx].format(task=task, paper="\x00"))
+    need_dir = paper_idx < len(parts) - 1
     names = set()
-    for hit in Path(manifest.root_path).glob(glob_pattern):
-        if paper_idx < len(parts) - 1 and not hit.is_dir():
-            continue
-        rel = hit.relative_to(manifest.root_path)
-        match = comp_re.match(rel.parts[paper_idx])
-        if match:
+    for entry in _scandir(root, _rel("/".join(parts[:paper_idx]).format(task=task))):
+        match = comp_re.match(entry.name)
+        if match and (not need_dir or entry.is_dir()):
             names.add(match.group(1))
     return sorted(names)
 
 
-def _glob_unit_files(manifest: CorpusManifest, role: str, task: str,
-                     paper: str) -> list[tuple[str, Path]]:
-    pattern = manifest.layout[role]
-    parts = pattern.split("/")
+def _unit_files(manifest: CorpusManifest, root: str, role: str, task: str,
+                paper: str) -> list[tuple[str, str]]:
+    """(unit name, location) of each existing per-unit file, in path order."""
+    parts = manifest.layout[role].split("/")
     unit_idx = next((i for i, p in enumerate(parts) if "{Unit}" in p), None)
     if unit_idx is None:
         return []
-    component = parts[unit_idx]
-    comp_re = re.compile(
-        "^" + re.escape(component.format(task=task, paper=paper, Unit="\x00"))
-        .replace("\x00", "(.+)") + "$")
-    glob_pattern = "/".join(p.format(task=task, paper=paper, Unit="*") for p in parts)
+    ids = {"task": task, "paper": paper}
+    comp_re = _component_re(parts[unit_idx].format(Unit="\x00", **ids))
+    parent = "/".join(parts[:unit_idx]).format(**ids)
+    rest = parts[unit_idx + 1:]
     out = []
-    for hit in sorted(Path(manifest.root_path).glob(glob_pattern)):
-        match = comp_re.match(hit.relative_to(manifest.root_path).parts[unit_idx])
-        if match:
-            out.append((match.group(1), hit))
+    for entry in sorted(_scandir(root, _rel(parent)), key=lambda e: e.name):
+        match = comp_re.match(entry.name)
+        if not match:
+            continue
+        unit = match.group(1)
+        loc = _rel("/".join([parent, entry.name] + [p.format(Unit=unit, **ids) for p in rest]))
+        if rest and not os.path.exists(os.path.join(root, loc)):
+            continue
+        out.append((unit, loc))
     return out
 
 
-def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
+def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
                 issues: list[ValidationIssue]) -> PaperAnnotation | None:
-    root = Path(manifest.root_path)
     strict = manifest.strict
 
-    text_path = manifest.resolve("text", task=task, paper=paper_id)
-    loc = str(text_path.relative_to(root))
-    if not text_path.is_file():
+    def locate(role: str) -> tuple[str, str]:
+        loc = _rel(manifest.layout[role].format(task=task, paper=paper_id))
+        return os.path.join(root, loc), loc
+
+    text_path, loc = locate("text")
+    if not os.path.isfile(text_path):
         if strict:
             raise FormatError("missing plaintext file", path=loc)
         issues.append(ValidationIssue("missing-text", ERROR, loc,
@@ -518,27 +564,19 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
         issues.append(ValidationIssue("format-error", ERROR, loc,
                                       f"{exc}; paper skipped"))
         return None
-    sentences: list[Sentence | None] = []
-    token_count = 0
-    for i, line in enumerate(text.splitlines(), 1):
-        tokens = tuple(line.split())
-        if tokens:
-            sentences.append(Sentence(paper_id, i, tokens))
-            token_count += len(tokens)
-        else:
-            sentences.append(None)
+    lines = text.splitlines()
+    token_count = sum(map(len, map(str.split, lines)))
 
     paper = PaperAnnotation(
         paper_id=paper_id,
         task=task,
-        total_sentence_count=manifest.sentence_totals.get(paper_id, len(sentences)),
+        total_sentence_count=manifest.sentence_totals.get(paper_id, len(lines)),
         total_token_count=manifest.token_totals.get(paper_id, token_count),
-        sentences=sentences,
+        sentences=DocumentLines(paper_id, lines),
     )
 
-    sent_path = manifest.resolve("sentences", task=task, paper=paper_id)
-    loc = str(sent_path.relative_to(root)) if sent_path.is_relative_to(root) else str(sent_path)
-    if sent_path.is_file():
+    sent_path, loc = locate("sentences")
+    if os.path.isfile(sent_path):
         try:
             paper.contribution_sentence_indices = parse_sentence_indices(
                 _read(sent_path, loc), issues=issues, location=loc)
@@ -550,12 +588,11 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
         issues.append(ValidationIssue("missing-sentences", WARNING, loc,
                                       "sentence-index file absent"))
 
-    phrase_path = manifest.resolve("phrases", task=task, paper=paper_id)
-    loc = str(phrase_path.relative_to(root)) if phrase_path.is_relative_to(root) else str(phrase_path)
-    if phrase_path.is_file():
+    phrase_path, loc = locate("phrases")
+    if os.path.isfile(phrase_path):
         try:
             paper.phrases = parse_phrase_file(
-                _read(phrase_path, loc), sentences, strict=strict,
+                _read(phrase_path, loc), paper.sentences, strict=strict,
                 offset_unit=manifest.offset_unit, issues=issues, location=loc)
         except FormatError as exc:
             if strict:
@@ -566,16 +603,16 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
                                       "phrase file absent"))
 
     units: dict[UnitLabel, UnitTree] = {}
-    unit_files = _glob_unit_files(manifest, "units", task, paper_id)
-    for name, path in unit_files:
-        loc = str(path.relative_to(root))
+    unit_files = _unit_files(manifest, root, "units", task, paper_id)
+    for name, loc in unit_files:
         try:
             unit = normalize_unit_label(name)
         except UnknownUnitLabel as exc:
             issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
             continue
         try:
-            units[unit] = parse_unit_file(_read(path, loc), unit, issues=issues, location=loc)
+            units[unit] = parse_unit_file(_read(os.path.join(root, loc), loc), unit,
+                                          issues=issues, location=loc)
         except FormatError as exc:
             if strict:
                 raise
@@ -587,74 +624,80 @@ def _load_paper(manifest: CorpusManifest, task: str, paper_id: str,
             "missing-units", WARNING, f"{task}/{paper_id}",
             "no information-unit files found"))
 
-    triples: dict[UnitLabel, list[Triple]] = {}
-    triple_files = _glob_unit_files(manifest, "triples", task, paper_id)
-    for name, path in triple_files:
-        loc = str(path.relative_to(root))
+    file_keys: dict[UnitLabel, list[tuple[str, str, str]]] = {}
+    triple_files = _unit_files(manifest, root, "triples", task, paper_id)
+    for name, loc in triple_files:
         try:
             unit = normalize_unit_label(name)
         except UnknownUnitLabel as exc:
             issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
             continue
         try:
-            triples[unit] = parse_triple_lines(_read(path, loc), issues=issues, location=loc)
+            file_keys[unit] = _triple_keys(_read(os.path.join(root, loc), loc),
+                                           issues=issues, location=loc)
         except FormatError as exc:
             if strict:
                 raise
             issues.append(ValidationIssue("format-error", ERROR, loc, str(exc)))
-    if triple_files:
-        paper.triples = triples
-    elif paper.units:
+    if not triple_files and paper.units:
         issues.append(ValidationIssue(
             "missing-triples", WARNING, f"{task}/{paper_id}",
             "no triples files; derived by flattening the unit trees"))
 
-    _reconcile_units_and_triples(manifest, task, paper, issues)
+    _reconcile_units_and_triples(task, paper, file_keys if triple_files else None,
+                                 issues)
     return paper
 
 
-def _reconcile_units_and_triples(manifest: CorpusManifest, task: str,
-                                 paper: PaperAnnotation,
-                                 issues: list[ValidationIssue]) -> None:
-    """Keep the units and triples maps covering the same unit set.
+def _reconcile_units_and_triples(
+        task: str, paper: PaperAnnotation,
+        file_keys: dict[UnitLabel, list[tuple[str, str, str]]] | None,
+        issues: list[ValidationIssue]) -> None:
+    """Fill ``paper.triples`` from the trees and the triples files' keys.
 
-    Triples without a tree get nest() output where they form a tree.  Every
-    tree, shipped or rebuilt, stores its flatten() output as the unit's
-    triples.  A shipped triples file must be set-equal to the flattened
-    tree; any difference is itemized as a warning, never silently dropped.
+    ``file_keys`` is None when the paper has no triples files.  Triples
+    without a tree get nest() output where they form a tree.  Every tree,
+    shipped or rebuilt, stores its flatten() output as the unit's triples.
+    A shipped triples file must be set-equal to the flattened tree; any
+    difference is itemized as a warning, never silently dropped.  Triple
+    objects are built from a file only for units without a tree.
     """
     units = paper.units or {}
-    triples = paper.triples if paper.triples is not None else {}
+    keys_by_unit = file_keys or {}
+    triples: dict[UnitLabel, list[Triple]] = dict.fromkeys(keys_by_unit)
     for unit, tree in units.items():
         flat = flatten(tree)
         issues.extend(
             ValidationIssue(w.code, w.severity,
                             f"{task}/{paper.paper_id}/{w.location}", w.message)
             for w in flat.warnings)
-        if unit in triples:
-            file_keys = {t.key() for t in triples[unit]}
+        if unit in keys_by_unit:
+            file_keys_set = set(keys_by_unit[unit])
             tree_keys = {t.key() for t in flat.triples}
-            if file_keys != tree_keys:
-                missing = sorted(tree_keys - file_keys)
-                extra = sorted(file_keys - tree_keys)
+            if file_keys_set != tree_keys:
+                missing = sorted(tree_keys - file_keys_set)
+                extra = sorted(file_keys_set - tree_keys)
                 issues.append(ValidationIssue(
                     "triples-file-mismatch", WARNING,
                     f"{task}/{paper.paper_id}/{unit.identifier}",
                     f"tree-only: {missing}; file-only: {extra}"))
         triples[unit] = flat.triples
-    for unit in list(triples):
-        if unit not in units:
-            try:
-                units[unit] = nest(triples[unit], unit)
-            except NotATree as exc:
-                issues.append(ValidationIssue(
-                    "nest-failed", WARNING,
-                    f"{task}/{paper.paper_id}/{unit.identifier}", str(exc)))
-                continue
-            triples[unit] = flatten(units[unit]).triples
+    for unit, keys in keys_by_unit.items():
+        if unit in units:
+            continue
+        listed = [Triple.from_key(key) for key in keys]
+        try:
+            units[unit] = nest(listed, unit)
+        except NotATree as exc:
+            issues.append(ValidationIssue(
+                "nest-failed", WARNING,
+                f"{task}/{paper.paper_id}/{unit.identifier}", str(exc)))
+            triples[unit] = listed
+            continue
+        triples[unit] = flatten(units[unit]).triples
     if paper.units is not None or units:
         paper.units = units
-    if paper.triples is not None or triples:
+    if file_keys is not None or triples:
         paper.triples = triples
 
 
@@ -675,17 +718,18 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
         tasks = list(manifest.task_names)
     else:
         tasks = sorted(d.name for d in root.iterdir() if d.is_dir())
+    root_dir = str(root)
     corpus = Corpus()
     seen: set[str] = set()
     for task in tasks:
         papers: list[PaperAnnotation] = []
-        for paper_id in _discover_papers(manifest, task):
+        for paper_id in _discover_papers(manifest, root_dir, task):
             if paper_id in seen:
                 issues.append(ValidationIssue(
                     "duplicate-paper-id", ERROR, f"{task}/{paper_id}",
                     "paper id already seen under another task; skipped"))
                 continue
-            paper = _load_paper(manifest, task, paper_id, issues)
+            paper = _load_paper(manifest, root_dir, task, paper_id, issues)
             if paper is not None:
                 papers.append(paper)
                 seen.add(paper_id)

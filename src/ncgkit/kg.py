@@ -218,6 +218,10 @@ def import_ntriples(text: str) -> Graph:
     Label statements restore node and predicate surface labels; quoted
     objects become literal nodes with minted URIs.  Statement order in the
     rebuilt graph is the file's line order.
+
+    Raises:
+        ValueError: a line that is not a statement of the export subset;
+            the message starts with ``line <n>:``.
     """
     raw_edges: list[tuple[str, str, str | None, str | None]] = []
     labels: dict[str, str] = {}

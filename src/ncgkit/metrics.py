@@ -246,9 +246,8 @@ def _overlap_counts(gold: PaperAnnotation, pred: PaperAnnotation,
         return out
 
     def jaccard(a, b) -> float:
-        sa = set(range(a.start_tok, a.end_tok))
-        sb = set(range(b.start_tok, b.end_tok))
-        return len(sa & sb) / len(sa | sb)
+        inter = max(0, min(a.end_tok, b.end_tok) - max(a.start_tok, b.start_tok))
+        return inter / (a.end_tok - a.start_tok + b.end_tok - b.start_tok - inter)
 
     tp = 0
     gold_by = by_sentence(gold)

@@ -2,13 +2,14 @@
 
 Everything here is an in-memory value: the twelve information-unit labels,
 tokenized sentences, phrase spans, triples, the nested unit tree, and the
-per-paper / corpus containers.  All small types are frozen; trees are built
-by parsers and treated as read-only afterwards.
+per-paper / corpus containers.  All small types are frozen and slotted;
+trees are built by parsers and treated as read-only afterwards.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,7 +88,7 @@ def normalize_unit_label(raw: str) -> UnitLabel:
         raise UnknownUnitLabel(f"not an information unit: {raw!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """One pre-tokenized plaintext line of a paper.
 
@@ -108,7 +109,48 @@ class Sentence:
         object.__setattr__(self, "text", " ".join(self.tokens))
 
 
-@dataclass(frozen=True)
+class DocumentLines(Sequence):
+    """Read-only view of a paper's plaintext lines as sentences.
+
+    Holds the raw lines and tokenizes a line only when it is read: item
+    ``i`` is ``Sentence(paper_id, i + 1, tokens)``, or None for a blank
+    line.  Nothing is cached.  It compares equal to a list of the same
+    items, such as the eager list of sentences.
+    """
+
+    __slots__ = ("paper_id", "_lines")
+
+    def __init__(self, paper_id: str, lines: list[str]) -> None:
+        self.paper_id = paper_id
+        self._lines = lines
+
+    def _sentence(self, index: int, line: str) -> Sentence | None:
+        tokens = tuple(line.split())
+        return Sentence(self.paper_id, index, tokens) if tokens else None
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._lines)))]
+        line = self._lines[index]
+        return self._sentence(index % len(self._lines) + 1, line)
+
+    def __iter__(self):
+        for index, line in enumerate(self._lines, 1):
+            yield self._sentence(index, line)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (DocumentLines, list)):
+            return NotImplemented
+        return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+@dataclass(frozen=True, slots=True)
 class PhraseSpan:
     """A scientific-term or predicate phrase inside one sentence.
 
@@ -146,7 +188,7 @@ _FILLER_TEXTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     """A relation surface string plus its filler classification.
 
@@ -175,7 +217,7 @@ class Predicate:
 HAS = Predicate.from_text("has")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """A (subject, predicate, object) surface-form statement."""
 
@@ -185,15 +227,23 @@ class Triple:
 
     def __post_init__(self) -> None:
         for part in (self.subject, self.predicate.text, self.object):
-            if not canonical_text(part):
+            # same as `not canonical_text(part)`, without building the string
+            if not part or part.isspace():
                 raise ValueError(f"empty triple field in ({self.subject!r}, "
                                  f"{self.predicate.text!r}, {self.object!r})")
 
     @classmethod
     def of(cls, subject: str, predicate: str, obj: str) -> "Triple":
         """Build a triple from raw strings, canonicalizing whitespace."""
-        return cls(canonical_text(subject), Predicate.from_text(predicate),
-                   canonical_text(obj))
+        return cls.from_key((canonical_text(subject), canonical_text(predicate),
+                             canonical_text(obj)))
+
+    @classmethod
+    def from_key(cls, key: tuple[str, str, str]) -> "Triple":
+        """Build a triple from fields that are already canonical."""
+        subject, predicate, obj = key
+        kind = _FILLER_TEXTS.get(predicate, PredicateKind.TEXTUAL)
+        return cls(subject, Predicate(predicate, kind), obj)
 
     def key(self) -> tuple[str, str, str]:
         return (self.subject, self.predicate.text, self.object)
@@ -265,9 +315,12 @@ class PaperAnnotation:
 
     Layer fields are ``None`` when the corresponding file was absent on
     disk, as opposed to present-but-empty.  ``sentences`` is the full
-    tokenized document when the plaintext was loaded; validators use it as
-    the provenance pool.  When both maps hold a unit, ``triples[u]`` is
-    ``flatten(units[u]).triples``; ``load_corpus`` guarantees this.
+    document when the plaintext was loaded, one entry per line; a loaded
+    paper holds a :class:`DocumentLines`, which tokenizes a line when it is
+    read, and a list of ``Sentence | None`` works the same.  Validators
+    ground surface forms in the contribution sentences.  When both maps
+    hold a unit, ``triples[u]`` is ``flatten(units[u]).triples``;
+    ``load_corpus`` guarantees this.
     """
 
     paper_id: str
@@ -278,7 +331,7 @@ class PaperAnnotation:
     phrases: list[PhraseSpan] | None = None
     units: dict[UnitLabel, UnitTree] | None = None
     triples: dict[UnitLabel, list[Triple]] | None = None
-    sentences: list[Sentence] | None = None
+    sentences: Sequence[Sentence | None] | None = None
 
     def unit_labels(self) -> list[UnitLabel]:
         """Top-level units of this paper, in identifier order."""

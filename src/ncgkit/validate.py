@@ -102,9 +102,12 @@ def _sentence_pool(paper: PaperAnnotation) -> list[str]:
     return pool
 
 
-def _in_pool(surface: str, pool: list[str]) -> bool:
-    needle = canonical_text(surface)
-    return any(needle in hay for hay in pool)
+def _in_pool(surface: str, haystack: str) -> bool:
+    """Whether the surface occurs inside one text of the joined pool.
+
+    Canonical text holds no newline, so a match never spans two texts.
+    """
+    return canonical_text(surface) in haystack
 
 
 def validate_paper(paper: PaperAnnotation,
@@ -128,6 +131,7 @@ def validate_paper(paper: PaperAnnotation,
         _check_mandatory(paper, units, policy, issues)
     _check_encapsulation(units, issues)
     pool = _sentence_pool(paper)
+    haystack = "\n".join(pool)
     triples = unit_triples(paper)
     for unit in sorted(units, key=lambda u: u.identifier):
         if policy.duplicate_triple_check:
@@ -139,7 +143,7 @@ def validate_paper(paper: PaperAnnotation,
                         f"duplicate triple {triple.key()}"))
                 seen.add(triple.key())
         if pool:
-            _check_surfaces(unit, triples[unit], pool, policy, issues)
+            _check_surfaces(unit, triples[unit], haystack, policy, issues)
         _check_filler_placement(unit, units[unit], issues)
     _check_sentence_bounds(paper, issues)
     _check_phrase_length(paper, policy, issues)
@@ -193,13 +197,13 @@ def _check_encapsulation(units: dict[UnitLabel, UnitTree],
                     f"Experiments or Tasks"))
 
 
-def _check_surfaces(unit: UnitLabel, triples, pool: list[str],
+def _check_surfaces(unit: UnitLabel, triples, haystack: str,
                     policy: ValidationPolicy, issues: list[ValidationIssue]) -> None:
     """Filler whitelist for predicates, provenance grounding for all parts."""
     prov_severity = (ERROR if policy.provenance_check == PROVENANCE_ERROR else WARNING)
     for triple in triples:
         if (triple.predicate.kind is PredicateKind.TEXTUAL
-                and not _in_pool(triple.predicate.text, pool)):
+                and not _in_pool(triple.predicate.text, haystack)):
             if policy.filler_whitelist_check:
                 issues.append(ValidationIssue(
                     "filler-whitelist", ERROR, f"{unit.identifier}/{triple.subject}",
@@ -216,7 +220,7 @@ def _check_surfaces(unit: UnitLabel, triples, pool: list[str],
         for role, surface in (("subject", triple.subject), ("object", triple.object)):
             if surface == "Contribution" or _normalize_or_none(surface) is not None:
                 continue
-            if not _in_pool(surface, pool):
+            if not _in_pool(surface, haystack):
                 issues.append(ValidationIssue(
                     "provenance-missing", prov_severity,
                     f"{unit.identifier}/{triple.subject}",

@@ -131,6 +131,26 @@ class TestInvalidUtf8:
         assert "not valid UTF-8" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command, body", [
+        ("flatten", b'{"has": {"Results": {"on": "caf\xe9"}}}\n'),
+        ("nest", b"(Contribution||has||Results)\n(Results||on||caf\xe9)\n"),
+    ])
+    def test_bad_byte_in_flatten_and_nest_input(self, tmp_path, capsys, command, body):
+        path = tmp_path / "unit.in"
+        path.write_bytes(body)
+        assert run([command, "--unit", "Results", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid UTF-8")
+        assert "Traceback" not in err
+
+    def test_bad_byte_in_manifest(self, tiny_root, tmp_path, capsys):
+        manifest = tmp_path / "corpus.ini"
+        manifest.write_bytes(f"[corpus]\nroot = {tiny_root}\n; caf\xe9\n".encode("latin-1"))
+        assert run(["stats", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: not valid UTF-8")
+
+
 class TestScore:
     def test_self_agreement_is_all_hundred(self, tiny_root, tmp_path):
         out = tmp_path / "score.tsv"

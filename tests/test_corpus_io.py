@@ -1,14 +1,18 @@
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgkit import (
     AlternationError,
     CorpusManifest,
+    DocumentLines,
     FormatError,
+    NcgError,
     PredicateKind,
     Sentence,
     SpanOutOfRange,
@@ -114,6 +118,32 @@ class TestPhraseFile:
         with pytest.raises(SpanOutOfRange):
             parse_phrase_file("159\t1\t5\ts expe", [sentence_159()],
                               offset_unit="char", strict=True)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c d"]), max_size=4)
+                    .map(" ".join), max_size=6).map("\n".join),
+           st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 5), st.integers(-1, 6),
+                              st.sampled_from(["a", "b c", "d a"])), max_size=5),
+           st.booleans())
+    def test_positional_lookup_matches_search_by_index(self, doc, rows, strict):
+        lines = doc.splitlines()
+        eager = [Sentence("p", i, tuple(line.split())) if line.split() else None
+                 for i, line in enumerate(lines, 1)]
+        unordered = [s for s in reversed(eager) if s is not None]
+        text = "".join(f"{i}\t{start}\t{end}\t{surface}\n"
+                       for i, start, end, surface in rows)
+
+        def outcome(sentences):
+            issues = []
+            try:
+                spans = parse_phrase_file(text, sentences, strict=strict, issues=issues)
+            except NcgError as exc:
+                return type(exc), str(exc)
+            return spans, [i.as_line() for i in issues]
+
+        lazy = outcome(DocumentLines("p", lines))
+        assert lazy == outcome(eager)
+        assert lazy == outcome(unordered)
 
     @settings(max_examples=100)
     @given(st.integers(0, 15), st.integers(1, 16))
@@ -378,6 +408,84 @@ class TestLoadCorpus:
         corpus, _ = load_corpus(manifest)
         # option keys keep their case so mixed-case paper ids resolve
         assert corpus.get("R69764").total_token_count == 123
+
+    def test_glob_metacharacters_in_ids(self, tmp_path):
+        results = {"Results": "(Contribution||has||Results)\n(Results||improves||e f)\n"}
+        make_paper(tmp_path, "t", "p[1]", units=MINIMAL_UNITS, triples=results)
+        make_paper(tmp_path, "t[1]", "p2", units=MINIMAL_UNITS, triples=results)
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert corpus.paper_ids() == ["p[1]", "p2"]
+        assert {i.code for i in issues} == {"missing-phrases"}
+        assert [i.location for i in issues] == ["t/p[1]/phrases.tsv", "t[1]/p2/phrases.tsv"]
+        for paper in corpus.papers():
+            assert len(paper.units) == 3
+            assert len(paper.triples[UnitLabel.RESULTS]) == 2
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_files_load_as_in_text_mode(self, tmp_path, newline):
+        for root in (tmp_path / "lf", tmp_path / "other"):
+            d = make_paper(root, "t", "p", text="a b c\n\nd e f\n", sentences="1\n3\n1\n",
+                           units=MINIMAL_UNITS,
+                           triples={"Results": "(Contribution||has||Results)\n"
+                                               "(Results|improves|e f)\n"})
+            (d / "phrases.tsv").write_text("3\t0\t2\td e\n1\t0\t9\tz\n", encoding="utf-8")
+            (d / "info-units" / "Baselines.json").write_text(
+                '{\n  "has": {\n    "Baselines": [\n}\n', encoding="utf-8")
+        for path in (tmp_path / "other").rglob("*"):
+            if path.is_file():
+                path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        lf, lf_issues = load_corpus(CorpusManifest(root_path=tmp_path / "lf"))
+        other, other_issues = load_corpus(CorpusManifest(root_path=tmp_path / "other"))
+        assert other == lf
+        assert other_issues == lf_issues
+        lines = [i.as_line() for i in lf_issues]
+        assert any("Baselines.json:4: malformed unit file" in line for line in lines)
+        assert {i.code for i in lf_issues} >= {
+            "format-error", "duplicate-sentence-index", "span-out-of-range",
+            "single-pipe-delimiter"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(["\r", "\r\n", "\n", "\x0b", "\x1c", "\u2028",
+                                     "\t", " ", "\ufeff", "a", "b c"])
+                    | st.text(max_size=3), max_size=12).map("".join),
+           st.booleans())
+    @example("a\r\nb\rc\x0bd\x1ce\u2028f\tg", True)
+    def test_document_lines_equal_eager_sentences(self, text, bom):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t" / "p" / "text.txt"
+            path.parent.mkdir(parents=True)
+            path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+            with open(path, encoding="utf-8-sig") as fh:
+                read = fh.read()
+            corpus, _ = load_corpus(CorpusManifest(root_path=tmp))
+        eager = [Sentence("p", i, tuple(line.split())) if line.split() else None
+                 for i, line in enumerate(read.splitlines(), 1)]
+        paper = corpus.get("p")
+        assert isinstance(paper.sentences, DocumentLines)
+        assert paper.sentences == eager and eager == paper.sentences
+        assert list(paper.sentences) == eager
+        assert [paper.sentences[i] for i in range(len(eager))] == eager
+        assert paper.sentences[1:-1] == eager[1:-1]
+        assert paper.total_sentence_count == len(eager)
+        assert paper.total_token_count == sum(len(s.tokens) for s in eager if s)
+
+    def test_trial_load_builds_no_triple_from_a_file_with_a_tree(self, trial_root,
+                                                                monkeypatch):
+        assert list(trial_root.glob("*/*/triples/*.txt"))
+        built = []
+        check_fields = Triple.__post_init__
+
+        def counting(triple):
+            built.append(triple)
+            check_fields(triple)
+
+        monkeypatch.setattr(Triple, "__post_init__", counting)
+        corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
+        stored = [t for p in corpus.papers() for ts in p.triples.values() for t in ts]
+        assert all(set(p.units) == set(p.triples) for p in corpus.papers())
+        # every Triple made at load is a flattened tree's stored one
+        assert len(built) == len(stored)
+        assert {id(t) for t in built} == {id(t) for t in stored}
 
     def test_duplicate_paper_id_across_tasks(self, tmp_path):
         make_paper(tmp_path, "t1", "p", units=MINIMAL_UNITS)

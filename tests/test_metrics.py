@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncgkit import (
     Corpus,
@@ -219,6 +221,44 @@ class TestScore:
         report = score(gold, pred, "phrases",
                        MatchConfig(phrase_match="partial-overlap"))
         assert report.micro.tp == 1  # jaccard 3/4
+
+    @given(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 6), st.integers(1, 4)),
+                    max_size=6),
+           st.lists(st.tuples(st.integers(1, 2), st.integers(0, 6), st.integers(1, 4)),
+                    max_size=6))
+    def test_partial_overlap_matches_token_set_greedy(self, gold_rows, pred_rows):
+        sentences = [Sentence("p", i, tuple("abcdefghij")) for i in (1, 2)]
+
+        def paper(rows):
+            spans = [PhraseSpan(i, start, start + length, "x") for i, start, length in rows]
+            return PaperAnnotation("p", "t", 2, 20, {1, 2}, spans, None, {}, sentences)
+
+        def reference(gold, pred):
+            # the greedy matching over token sets, pair by pair
+            tp = 0
+            for index in (1, 2):
+                g = [s for s in gold.phrases if s.sentence_index == index]
+                p = [s for s in pred.phrases if s.sentence_index == index]
+                pairs = []
+                for gi, a in enumerate(g):
+                    for pi, b in enumerate(p):
+                        sa = set(range(a.start_tok, a.end_tok))
+                        sb = set(range(b.start_tok, b.end_tok))
+                        pairs.append((len(sa & sb) / len(sa | sb), gi, pi))
+                pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+                used_g, used_p = set(), set()
+                for value, gi, pi in pairs:
+                    if value >= 0.5 and gi not in used_g and pi not in used_p:
+                        used_g.add(gi)
+                        used_p.add(pi)
+                        tp += 1
+            return tp, len(pred.phrases) - tp, len(gold.phrases) - tp
+
+        gold = Corpus({"t": [paper(gold_rows)]})
+        pred = Corpus({"t": [paper(pred_rows)]})
+        report = score(gold, pred, "phrases", MatchConfig(phrase_match="partial-overlap"))
+        expected = reference(gold.get("p"), pred.get("p"))
+        assert (report.micro.tp, report.micro.fp, report.micro.fn) == expected
 
     def test_triple_scope_modes(self):
         rows_results = [Triple.of("X", "on", "Y")]

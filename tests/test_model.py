@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncgkit import (
+    DocumentLines,
     Predicate,
     PredicateKind,
     PhraseSpan,
@@ -107,6 +108,58 @@ class TestTriple:
     def test_empty_fields_rejected(self):
         with pytest.raises(ValueError):
             Triple.of("a", "b", "   ")
+
+
+    @given(st.text())
+    @example("\x1c\x1d\x1e\x1f")
+    @example("\x85\xa0\u2028\u3000")
+    @example("\u200b")
+    @example("\ufeff")
+    def test_empty_check_is_canonical_emptiness(self, part):
+        empty = not canonical_text(part)
+        has = Predicate.from_text("has")
+        textual = part not in ("has", "name", "hasAcronym")
+        cases = [lambda: Triple(part, has, "o"), lambda: Triple("s", has, part)]
+        if textual:
+            cases.append(lambda: Triple("s", Predicate(part, PredicateKind.TEXTUAL), "o"))
+        for build in cases:
+            if empty:
+                with pytest.raises(ValueError):
+                    build()
+            else:
+                build()
+
+
+class TestDocumentLines:
+    LINES = ["a b", "", "  ", "c\td  e"]
+
+    def eager(self):
+        return [Sentence("p", 1, ("a", "b")), None, None, Sentence("p", 4, ("c", "d", "e"))]
+
+    def test_items_are_built_on_access(self):
+        lines = DocumentLines("p", list(self.LINES))
+        assert len(lines) == 4
+        assert lines[0] == Sentence("p", 1, ("a", "b"))
+        assert lines[3].text == "c d e"
+        assert lines[1] is None and lines[2] is None
+        assert lines[-1] == lines[3]
+        assert lines[1:] == self.eager()[1:]
+        assert lines[::-1] == self.eager()[::-1]
+        with pytest.raises(IndexError):
+            lines[4]
+        with pytest.raises(IndexError):
+            lines[-5]
+
+    def test_equality_with_lists_and_views(self):
+        lines = DocumentLines("p", list(self.LINES))
+        assert lines == self.eager() and self.eager() == lines
+        assert lines == DocumentLines("p", ["a  b", "", "", "c d e"])
+        assert lines != DocumentLines("q", list(self.LINES))
+        assert lines != self.eager()[:3]
+        assert lines != tuple(self.eager())
+        assert repr(lines) == repr(self.eager())
+        with pytest.raises(TypeError):
+            hash(lines)
 
 
 class TestSentence:

@@ -162,6 +162,16 @@ class TestProvenance:
         off = validate_paper(paper, ValidationPolicy(provenance_check="Off"))
         assert not any(i.code == "provenance-missing" for i in off.issues)
 
+    def test_surface_spanning_two_pool_texts_is_reported(self):
+        units = dict(GOOD_UNITS)
+        units["Results"] = {"has": {"Results": {
+            "improves": {"the performance": {"over baseline": "performance over baseline"}}}}}
+        lines = ["Our model improves the performance", "over baseline performance on benchmarks"]
+        report = validate_paper(build_paper(units, lines))
+        missing = [i.message for i in report.issues if i.code == "provenance-missing"]
+        assert any("'performance over baseline'" in m for m in missing)
+        assert not any("'the performance'" in m or "'over baseline'" in m for m in missing)
+
     def test_unit_names_are_never_provenance_checked(self):
         report = validate_paper(build_paper(GOOD_UNITS, GOOD_LINES))
         assert not any("Results" in i.message and i.code == "provenance-missing"
