@@ -56,7 +56,9 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
                     f"predicate {predicate.text!r} has no value"))
                 continue
             obj = child.label if isinstance(child, Node) else child
-            triple = Triple(node.label, predicate, canonical_text(obj))
+            canonical = canonical_text(obj)
+            # keep the tree's string rather than an equal copy
+            triple = Triple(node.label, predicate, obj if canonical == obj else canonical)
             if triple.key() in seen:
                 out.warnings.append(ValidationIssue(
                     "duplicate-triple", WARNING,

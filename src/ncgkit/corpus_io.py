@@ -21,6 +21,7 @@ import io
 import json
 import os
 import re
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,28 +101,44 @@ class CorpusManifest:
         Sections: ``[corpus]`` (root, tasks, strict, offset_unit),
         ``[layout]`` (role = pattern), ``[totals.sentences]`` and
         ``[totals.tokens]`` (paper_id = count).  A relative root is resolved
-        against the manifest file's directory.
+        against the manifest file's directory.  A count is a non-negative
+        integer: a negative sentence or token total is an error, not a
+        value.
+
+        Raises:
+            FormatError: the file is not UTF-8 or not valid INI, a total is
+                not a non-negative integer, or a ``[corpus]`` or
+                ``[layout]`` value is invalid; the message names the file
+                and, for a total, its section and key.
         """
         path = Path(path)
+        location = str(path)
         cp = configparser.ConfigParser()
         cp.optionxform = str  # paper ids in totals sections are case-sensitive
-        cp.read_file(io.StringIO(_read(path, str(path))), source=str(path))
-        corpus_sec = cp["corpus"] if cp.has_section("corpus") else {}
+        try:
+            cp.read_file(io.StringIO(_read(path, location)), source=location)
+            # dict() reads every value now, so interpolation errors surface here
+            sections = {name: dict(cp[name]) if cp.has_section(name) else {}
+                        for name in ("corpus", "layout", "totals.sentences",
+                                     "totals.tokens")}
+        except configparser.Error as exc:
+            raise FormatError(f"not a valid manifest: {canonical_text(str(exc))}",
+                              path=location) from None
+        corpus_sec = sections["corpus"]
         root = Path(corpus_sec.get("root", "."))
         if not root.is_absolute():
             root = path.parent / root
         tasks_raw = corpus_sec.get("tasks", "")
         task_names = [t.strip() for t in tasks_raw.split(",") if t.strip()] or None
-        layout = dict(cp["layout"]) if cp.has_section("layout") else {}
-        totals_s = ({k: int(v) for k, v in cp["totals.sentences"].items()}
-                    if cp.has_section("totals.sentences") else {})
-        totals_t = ({k: int(v) for k, v in cp["totals.tokens"].items()}
-                    if cp.has_section("totals.tokens") else {})
         strict = str(corpus_sec.get("strict", "false")).lower() in ("1", "true", "yes")
-        return cls(root_path=root, layout=layout, task_names=task_names,
-                   strict=strict,
-                   offset_unit=corpus_sec.get("offset_unit", "token"),
-                   sentence_totals=totals_s, token_totals=totals_t)
+        try:
+            return cls(root_path=root, layout=sections["layout"], task_names=task_names,
+                       strict=strict,
+                       offset_unit=corpus_sec.get("offset_unit", "token"),
+                       sentence_totals=_counts(sections, "totals.sentences", location),
+                       token_totals=_counts(sections, "totals.tokens", location))
+        except ValueError as exc:
+            raise FormatError(str(exc), path=location) from None
 
     def resolve(self, role: str, **kw: str) -> Path:
         return Path(self.root_path).joinpath(*self.layout[role].format(**kw).split("/"))
@@ -190,6 +207,8 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
     warning, so every returned span satisfies its invariants.
     """
     by_index: dict[int, Sentence] | None = None
+    # each referenced sentence is looked up, and so tokenized, once
+    found: dict[int, Sentence | None] = {}
     spans: list[PhraseSpan] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
@@ -205,13 +224,16 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                               path=location or None, line=lineno) from None
         surface = canonical_text(cols[3])
         try:
-            # a loaded paper's sentences are positional; other lists are
-            # searched by index
-            sent = sentences[idx - 1] if 0 < idx <= len(sentences) else None
-            if sent is None or sent.index != idx:
-                if by_index is None:
-                    by_index = {s.index: s for s in sentences if s is not None}
-                sent = by_index.get(idx)
+            sent = found.get(idx)
+            if sent is None and idx not in found:
+                # a loaded paper's sentences are positional; other lists are
+                # searched by index
+                sent = sentences[idx - 1] if 0 < idx <= len(sentences) else None
+                if sent is None or sent.index != idx:
+                    if by_index is None:
+                        by_index = {s.index: s for s in sentences if s is not None}
+                    sent = by_index.get(idx)
+                found[idx] = sent
             if sent is None:
                 raise SpanOutOfRange(f"no sentence with index {idx}",
                                      path=location or None, line=lineno)
@@ -461,6 +483,22 @@ def write_triple_lines(triples: list[Triple]) -> str:
 
 # ---------------------------------------------------------------------------
 # corpus loading
+
+
+def _counts(sections: dict[str, dict[str, str]], name: str,
+            location: str) -> dict[str, int]:
+    """The paper_id = count entries of one manifest totals section."""
+    counts: dict[str, int] = {}
+    for key, value in sections[name].items():
+        try:
+            count = int(value)
+        except ValueError:
+            count = None
+        if count is None or count < 0:
+            raise FormatError(f"[{name}] {key} = {reprlib.repr(value)}: "
+                              f"not a non-negative integer", path=location)
+        counts[key] = count
+    return counts
 
 
 def _read(path: str | Path, location: str) -> str:

@@ -4,6 +4,12 @@ Node URIs are coined deterministically from (paper, unit, path-from-root),
 so identical surface forms in different papers stay distinct by default;
 surface merging is an explicit opt-in for cross-paper aggregation.  The
 export is lexicographically sorted, making regeneration byte-stable.
+
+The graph holds each fact once: a node's URI is one string, shared by the
+``nodes`` key, the node and every edge tuple that touches it; each edge is
+one ``(subject, predicate, object)`` tuple, shared by ``edges``, the
+de-duplication set and the adjacency lists; and a label that is already
+canonical is the unit tree's own string, not a copy.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from urllib.parse import quote, unquote
 
 from .errors import UnknownStartNode
@@ -39,40 +46,57 @@ def coin_uri(paper_id: str, unit: UnitLabel | None, path: tuple[str, ...]) -> st
     slug a lowercase-hex hash, so distinct paths coin distinct URIs.
     """
     unit_part = unit.identifier if unit is not None else "-"
-    return f"ncg:{quote(paper_id, safe='')}/{unit_part}/{_hash_slug(path)}"
+    return _uri_prefix(paper_id, unit_part) + _hash_slug(path)
+
+
+def _uri_prefix(paper_id: str, unit_part: str) -> str:
+    return f"ncg:{quote(paper_id, safe='')}/{unit_part}/"
 
 
 def _root_uri(paper_id: str) -> str:
     return f"ncg:{quote(paper_id, safe='')}/{CONTRIBUTION}"
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphNode:
+    """One node: its URI, surface label and kind (RESOURCE or LITERAL).
+
+    ``uri`` is the same string object as the node's key in ``Graph.nodes``
+    and as its place in every edge tuple.
+    """
+
     uri: str
     label: str
     kind: str
-    origin: tuple[str, str | None, tuple[str, ...]] | None = None
 
 
 @dataclass
 class Graph:
     """Nodes plus ordered, de-duplicated labeled edges.
 
-    ``edges`` holds (subject uri, predicate text, object uri) in insertion
-    order; ``roots`` maps each paper to its Contribution node.
+    ``nodes`` maps each URI to its node, in insertion order.  ``edges``
+    holds (subject uri, predicate text, object uri) tuples in insertion
+    order; the same tuple objects fill the private de-duplication set and
+    the per-subject adjacency lists, so an edge costs one tuple.  ``roots``
+    maps each paper to its Contribution node.
     """
 
     nodes: dict[str, GraphNode] = field(default_factory=dict)
     edges: list[tuple[str, str, str]] = field(default_factory=list)
     roots: dict[str, GraphNode] = field(default_factory=dict)
     _edge_set: set[tuple[str, str, str]] = field(default_factory=set, repr=False)
-    _adjacency: dict[str, list[tuple[str, str]]] = field(default_factory=dict, repr=False)
+    _adjacency: dict[str, list[tuple[str, str, str]]] = field(default_factory=dict,
+                                                                repr=False)
 
-    def ensure_node(self, uri: str, label: str, kind: str,
-                    origin=None) -> GraphNode:
+    def ensure_node(self, uri: str, label: str, kind: str) -> GraphNode:
+        """The node at ``uri``, added if new; a RESOURCE kind upgrades a LITERAL.
+
+        Callers should use the returned node's ``uri``, the graph's own key
+        string, rather than their argument.
+        """
         node = self.nodes.get(uri)
         if node is None:
-            node = GraphNode(uri, label, kind, origin)
+            node = GraphNode(uri, label, kind)
             self.nodes[uri] = node
         elif kind == RESOURCE and node.kind == LITERAL:
             node.kind = RESOURCE
@@ -84,10 +108,15 @@ class Graph:
             return
         self._edge_set.add(key)
         self.edges.append(key)
-        self._adjacency.setdefault(subject_uri, []).append((predicate_text, object_uri))
+        out = self._adjacency.get(subject_uri)
+        if out is None:
+            self._adjacency[subject_uri] = [key]
+        else:
+            out.append(key)
 
     def outgoing(self, uri: str) -> list[tuple[str, str]]:
-        return self._adjacency.get(uri, [])
+        """(predicate text, object uri) of each edge leaving ``uri``, in order."""
+        return [(predicate, obj) for _, predicate, obj in self._adjacency.get(uri, ())]
 
 
 def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
@@ -101,38 +130,43 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
     if merge not in (PER_PAPER, SURFACE_MERGE):
         raise ValueError(f"merge must be {PER_PAPER!r} or {SURFACE_MERGE!r}")
     graph = Graph()
+    # surface mode: the URI of each label, hashed once per call
+    shared_uris: dict[str, str] | None = {} if merge == SURFACE_MERGE else None
     for paper in corpus.papers():
-        root = graph.ensure_node(_root_uri(paper.paper_id), CONTRIBUTION,
-                                 RESOURCE, (paper.paper_id, None, ()))
+        root = graph.ensure_node(_root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
         graph.roots[paper.paper_id] = root
         units = paper.units or {}
         for unit in sorted(units, key=lambda u: u.identifier):
-            _add_tree(graph, paper.paper_id, unit, units[unit].root,
-                      root.uri, (), merge)
+            _add_tree(graph, units[unit].root, root.uri, (),
+                      _uri_prefix(paper.paper_id, unit.identifier), shared_uris)
     return graph
 
 
-def _add_tree(graph: Graph, paper_id: str, unit: UnitLabel, node: Node,
-              node_uri: str, path: tuple[str, ...], merge: str) -> None:
+def _add_tree(graph: Graph, node: Node, node_uri: str, path: tuple[str, ...],
+              prefix: str, shared_uris: dict[str, str] | None) -> None:
+    """Add the edges below ``node``; per-paper URIs are ``prefix`` + path hash."""
     for predicate, child in node.edges:
         if child is None:
             continue
-        if isinstance(child, Node):
-            label, is_node = canonical_text(child.label), True
-        else:
-            label, is_node = canonical_text(child), False
-            if not label:
-                continue
+        is_node = isinstance(child, Node)
+        raw = child.label if is_node else child
+        label = canonical_text(raw)
+        if not (label or is_node):
+            continue
+        if label == raw:
+            label = raw  # keep the tree's string rather than an equal copy
         child_path = path + (predicate.text, label)
-        if merge == SURFACE_MERGE:
-            child_uri = f"ncg:shared/{_hash_slug((label,))}"
+        if shared_uris is None:
+            child_uri = prefix + _hash_slug(child_path)
         else:
-            child_uri = coin_uri(paper_id, unit, child_path)
-        graph.ensure_node(child_uri, label, RESOURCE if is_node else LITERAL,
-                          (paper_id, unit.identifier, child_path))
+            child_uri = shared_uris.get(label)
+            if child_uri is None:
+                child_uri = shared_uris[label] = f"ncg:shared/{_hash_slug((label,))}"
+        child_uri = graph.ensure_node(child_uri, label,
+                                      RESOURCE if is_node else LITERAL).uri
         graph.add_edge(node_uri, predicate.text, child_uri)
         if is_node:
-            _add_tree(graph, paper_id, unit, child, child_uri, child_path, merge)
+            _add_tree(graph, child, child_uri, child_path, prefix, shared_uris)
 
 
 # ---------------------------------------------------------------------------
@@ -184,32 +218,45 @@ def export_ntriples(graph: Graph) -> str:
 
     One statement per edge; literal objects are inlined as quoted strings;
     every resource (and every coined predicate) gets a label statement via
-    the fixed label predicate.  An empty graph serializes to the empty
-    string.
+    the fixed label predicate.  No line appears twice.  An empty graph
+    serializes to the empty string.
     """
     if not graph.edges and not graph.nodes:
         return ""
     predicate_uris = _predicate_uris(graph)
-    lines = set()
+    nodes = graph.nodes
+    lines = []
     for subject, predicate, obj in graph.edges:
-        obj_node = graph.nodes[obj]
+        obj_node = nodes[obj]
         if obj_node.kind == LITERAL:
             rendered = _escape_literal(obj_node.label)
         else:
             rendered = f"<{obj}>"
-        lines.add(f"<{subject}> <{predicate_uris[predicate]}> {rendered} .")
-    for node in graph.nodes.values():
+        lines.append(f"<{subject}> <{predicate_uris[predicate]}> {rendered} .")
+    for node in nodes.values():
         if node.kind == RESOURCE:
-            lines.add(f"<{node.uri}> <{LABEL_PREDICATE}> {_escape_literal(node.label)} .")
+            lines.append(f"<{node.uri}> <{LABEL_PREDICATE}> {_escape_literal(node.label)} .")
     for text, uri in predicate_uris.items():
-        lines.add(f"<{uri}> <{LABEL_PREDICATE}> {_escape_literal(text)} .")
+        lines.append(f"<{uri}> <{LABEL_PREDICATE}> {_escape_literal(text)} .")
+    lines.sort()
     header = (f"# ncgkit knowledge-graph export; namespace prefix 'ncg:'; "
               f"labels attached via <{LABEL_PREDICATE}>\n")
-    return header + "\n".join(sorted(lines)) + "\n"
+    # Edges are distinct, but a node coined by an imported file can have
+    # the URI and label of a predicate, which repeats a label line.
+    return header + "\n".join(line for line, _ in groupby(lines)) + "\n"
 
 
 _LINE_RE = re.compile(
     r'^<([^>]+)> <([^>]+)> (?:<([^>]+)>|"((?:[^"\\]|\\.)*)") \.$')
+
+#: The line breaks of ``str.splitlines``.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: One match per line of ``str.splitlines`` in the same order, plus at most
+#: one empty line at the end.
+_SPLIT_LINES_RE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
+
+_ROOT_URI_RE = re.compile(r"ncg:(.+)/Contribution")
 
 
 def import_ntriples(text: str) -> Graph:
@@ -217,7 +264,8 @@ def import_ntriples(text: str) -> Graph:
 
     Label statements restore node and predicate surface labels; quoted
     objects become literal nodes with minted URIs.  Statement order in the
-    rebuilt graph is the file's line order.
+    rebuilt graph is the file's line order.  Lines are those of
+    ``str.splitlines``, read one at a time.
 
     Raises:
         ValueError: a line that is not a statement of the export subset;
@@ -225,8 +273,9 @@ def import_ntriples(text: str) -> Graph:
     """
     raw_edges: list[tuple[str, str, str | None, str | None]] = []
     labels: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+    uris: dict[str, str] = {}
+    for lineno, raw in enumerate(_SPLIT_LINES_RE.finditer(text), 1):
+        line = raw.group(1).strip()
         if not line or line.startswith("#"):
             continue
         match = _LINE_RE.match(line)
@@ -236,24 +285,30 @@ def import_ntriples(text: str) -> Graph:
         if predicate == LABEL_PREDICATE:
             labels[subject] = _unescape_literal(obj_literal or "")
         else:
+            # one string per URI, which the graph then keys its node by
+            subject = uris.setdefault(subject, subject)
+            predicate = uris.setdefault(predicate, predicate)
+            if obj_uri is not None:
+                obj_uri = uris.setdefault(obj_uri, obj_uri)
             raw_edges.append((subject, predicate, obj_uri,
                               None if obj_literal is None else _unescape_literal(obj_literal)))
 
     graph = Graph()
     for subject, predicate, obj_uri, obj_literal in raw_edges:
         pred_text = labels.get(predicate, predicate)
-        graph.ensure_node(subject, labels.get(subject, subject), RESOURCE)
+        subject = graph.ensure_node(subject, labels.get(subject, subject), RESOURCE).uri
         if obj_uri is not None:
-            graph.ensure_node(obj_uri, labels.get(obj_uri, obj_uri), RESOURCE)
-            target = obj_uri
+            target = graph.ensure_node(obj_uri, labels.get(obj_uri, obj_uri), RESOURCE).uri
         else:
-            target = f"ncg:lit/{_hash_slug((subject, pred_text, obj_literal))}"
-            graph.ensure_node(target, obj_literal, LITERAL)
+            target = graph.ensure_node(
+                f"ncg:lit/{_hash_slug((subject, pred_text, obj_literal))}",
+                obj_literal, LITERAL).uri
         graph.add_edge(subject, pred_text, target)
     for uri, node in graph.nodes.items():
-        match = re.match(r"^ncg:(.+)/Contribution$", uri)
-        if match and node.label == CONTRIBUTION:
-            graph.roots[unquote(match.group(1))] = node
+        if node.label == CONTRIBUTION:
+            match = _ROOT_URI_RE.fullmatch(uri)
+            if match:
+                graph.roots[unquote(match.group(1))] = node
     return graph
 
 
@@ -284,16 +339,16 @@ def traverse(graph: Graph, paper_id: str, start_label: str,
     if root is None:
         raise UnknownStartNode(f"no paper {paper_id!r} in graph")
     target = canonical_text(start_label)
+    nodes, adjacency = graph.nodes, graph._adjacency
     start = None
     queue = [root.uri]
     seen = {root.uri}
-    while queue:
-        uri = queue.pop(0)
-        node = graph.nodes[uri]
+    for uri in queue:  # the loop also visits what it appends
+        node = nodes[uri]
         if node.label == target:
             start = node
             break
-        for _, obj in graph.outgoing(uri):
+        for _, _, obj in adjacency.get(uri, ()):
             if obj not in seen:
                 seen.add(obj)
                 queue.append(obj)
@@ -301,16 +356,16 @@ def traverse(graph: Graph, paper_id: str, start_label: str,
         raise UnknownStartNode(
             f"label {start_label!r} not reachable in paper {paper_id!r}")
 
+    # each depth's entries follow the previous depth's in ``results``
     results: list[tuple[tuple[str, ...], GraphNode]] = [((), start)]
-    frontier: list[tuple[tuple[str, ...], str]] = [((), start.uri)]
+    level = 0
     for _ in range(max_depth):
-        advanced: list[tuple[tuple[str, ...], str]] = []
-        for path, uri in frontier:
-            for predicate, obj in graph.outgoing(uri):
-                new_path = path + (predicate,)
-                results.append((new_path, graph.nodes[obj]))
-                advanced.append((new_path, obj))
-        frontier = advanced
-        if not frontier:
+        next_level = len(results)
+        for i in range(level, next_level):
+            path, node = results[i]
+            for _, predicate, obj in adjacency.get(node.uri, ()):
+                results.append((path + (predicate,), nodes[obj]))
+        if len(results) == next_level:
             break
+        level = next_level
     return results

@@ -255,14 +255,18 @@ def _overlap_counts(gold: PaperAnnotation, pred: PaperAnnotation,
     for index in sorted(set(gold_by) | set(pred_by)):
         g_spans = gold_by.get(index, [])
         p_spans = pred_by.get(index, [])
-        pairs = sorted(
-            ((jaccard(g, p), gi, pi)
-             for gi, g in enumerate(g_spans) for pi, p in enumerate(p_spans)),
-            key=lambda t: (-t[0], t[1], t[2]))
+        # only pairs that can match, best first, ties by position
+        pairs = []
+        for gi, g in enumerate(g_spans):
+            for pi, p in enumerate(p_spans):
+                j = jaccard(g, p)
+                if j >= 0.5:
+                    pairs.append((-j, gi, pi))
+        pairs.sort()
         used_g: set[int] = set()
         used_p: set[int] = set()
-        for score_value, gi, pi in pairs:
-            if score_value < 0.5 or gi in used_g or pi in used_p:
+        for _, gi, pi in pairs:
+            if gi in used_g or pi in used_p:
                 continue
             used_g.add(gi)
             used_p.add(pi)

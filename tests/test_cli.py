@@ -151,6 +151,47 @@ class TestInvalidUtf8:
         assert err.startswith(f"error: {manifest}: not valid UTF-8")
 
 
+class TestBadManifest:
+    """A malformed manifest INI exits 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("body, expected", [
+        ("root = {root}\n", "not a valid manifest: File contains no section headers."),
+        ("[corpus]\nroot = {root}\n[totals.tokens]\np1 = many\n",
+         "[totals.tokens] p1 = 'many': not a non-negative integer"),
+        ("[corpus]\nroot = {root}\n[totals.tokens]\np1 = 1\np1 = 2\n",
+         "not a valid manifest: While reading from"),
+        ("[corpus]\nroot = {root}\n[totals.sentences]\np1 = -3\n",
+         "[totals.sentences] p1 = '-3': not a non-negative integer"),
+        ("[corpus]\nroot = {root}\n[totals.tokens]\np1 = " + "9" * 5000 + "\n",
+         "[totals.tokens] p1 = '999999999999...9999999999999': not a non-negative integer"),
+        ("[corpus]\nroot = {root}\n[corpus]\nstrict = yes\n",
+         "not a valid manifest: While reading from"),
+        ("[corpus]\nroot = {root}\n[layout]\ntext = 50%/{{paper}}.txt\n",
+         "not a valid manifest: '%' must be followed by"),
+        ("[corpus]\nroot = {root}\noffset_unit = byte\n",
+         "offset_unit must be token or char, got 'byte'"),
+    ], ids=["no-section-header", "non-integer-total", "duplicate-option",
+            "negative-total", "huge-total", "duplicate-section", "bad-interpolation",
+            "bad-offset-unit"])
+    def test_exits_2_naming_file_and_key(self, tiny_root, tmp_path, capsys,
+                                         body, expected):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(body.format(root=tiny_root), encoding="utf-8")
+        assert run(["stats", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: {expected}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_zero_and_large_totals_are_counts(self, tiny_root, tmp_path):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(f"[corpus]\nroot = {tiny_root}\n[totals.tokens]\n"
+                            f"p1 = 0\n[totals.sentences]\np1 = {10 ** 30}\n",
+                            encoding="utf-8")
+        out = tmp_path / "stats.tsv"
+        assert run(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1].startswith("Overall\t3\t2\t")
+
+
 class TestScore:
     def test_self_agreement_is_all_hundred(self, tiny_root, tmp_path):
         out = tmp_path / "score.tsv"

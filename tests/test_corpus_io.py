@@ -13,6 +13,7 @@ from ncgkit import (
     DocumentLines,
     FormatError,
     NcgError,
+    Node,
     PredicateKind,
     Sentence,
     SpanOutOfRange,
@@ -486,6 +487,36 @@ class TestLoadCorpus:
         # every Triple made at load is a flattened tree's stored one
         assert len(built) == len(stored)
         assert {id(t) for t in built} == {id(t) for t in stored}
+
+    def test_each_referenced_sentence_is_built_once(self, trial_root, monkeypatch):
+        built = []
+        build = DocumentLines._sentence
+
+        def counting(lines, index, line):
+            built.append((lines.paper_id, index))
+            return build(lines, index, line)
+
+        monkeypatch.setattr(DocumentLines, "_sentence", counting)
+        corpus, issues = load_corpus(CorpusManifest(root_path=trial_root))
+        assert not issues
+        referenced = {(p.paper_id, s.sentence_index) for p in corpus.papers()
+                      for s in p.phrases}
+        # load tokenizes only the lines that phrases point at, each once,
+        # however many spans a line carries
+        assert sorted(built) == sorted(referenced)
+        assert sum(len(p.phrases) for p in corpus.papers()) > len(referenced)
+
+    def test_loaded_triple_objects_are_the_tree_strings(self, trial_root):
+        corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
+        objects = 0
+        for paper in corpus.papers():
+            for unit, tree in paper.units.items():
+                strings = {id(c.label if isinstance(c, Node) else c)
+                           for node in tree.nodes() for _, c in node.edges}
+                for triple in paper.triples[unit]:
+                    assert id(triple.object) in strings, triple
+                    objects += " " in triple.object
+        assert objects  # multi-word objects, which canonicalizing would copy
 
     def test_duplicate_paper_id_across_tasks(self, tmp_path):
         make_paper(tmp_path, "t1", "p", units=MINIMAL_UNITS)

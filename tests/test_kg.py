@@ -1,9 +1,14 @@
+import gc
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgkit import (
     Corpus,
+    CorpusManifest,
     Node,
     PaperAnnotation,
     Predicate,
@@ -17,12 +22,13 @@ from ncgkit import (
     export_ntriples,
     flatten,
     import_ntriples,
+    load_corpus,
     nest,
     parse_triple_lines,
     parse_unit_file,
     traverse,
 )
-from ncgkit.kg import LITERAL, RESOURCE, Graph
+from ncgkit.kg import LITERAL, RESOURCE, Graph, GraphNode
 
 
 def corpus_with(units_by_paper: dict[str, dict[UnitLabel, object]]) -> Corpus:
@@ -174,6 +180,147 @@ def test_ntriples_round_trip_keeps_arbitrary_labels(edges):
     tree = UnitTree.from_unit_node(UnitLabel.RESULTS, unit_node)
     graph = build_graph(corpus_with({"p": {UnitLabel.RESULTS: tree}}))
     assert edge_signature(import_ntriples(export_ntriples(graph))) == edge_signature(graph)
+
+
+#: Few labels and predicates, so that labels repeat, literals repeat under
+#: one predicate, and one predicate's text is the label predicate's slug.
+FEW_LABELS = st.sampled_from(["a", "b", "a b", "label", "Results", "x\\ny"])
+FEW_PREDICATES = st.sampled_from(["label", "on", "has", "in terms of", "in-terms-of"])
+
+
+def trees(depth):
+    children = st.lists(st.tuples(FEW_PREDICATES, FEW_LABELS), max_size=3)
+    if depth == 0:
+        return children.map(lambda edges: [(p, label, None) for p, label in edges])
+    return st.lists(st.tuples(FEW_PREDICATES, FEW_LABELS, st.none() | trees(depth - 1)),
+                    max_size=3)
+
+
+def as_node(label, edges):
+    node = Node(label)
+    for predicate, child_label, child in edges:
+        node.add(Predicate.from_text(predicate),
+                 child_label if child is None else as_node(child_label, child))
+    return node
+
+
+def export_lines(text):
+    return text.splitlines()[1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trees(2), min_size=1, max_size=3), st.sampled_from(["per-paper", "surface"]))
+def test_export_has_no_duplicate_line_and_round_trips(papers, merge):
+    corpus = corpus_with({
+        f"p{i}": {UnitLabel.RESULTS: UnitTree.from_unit_node(
+            UnitLabel.RESULTS, as_node("Results", edges))}
+        for i, edges in enumerate(papers)})
+    graph = build_graph(corpus, merge=merge)
+    text = export_ntriples(graph)
+    lines = export_lines(text)
+    assert len(lines) == len(set(lines))
+    assert edge_signature(import_ntriples(text)) == edge_signature(graph)
+
+
+def test_export_of_imported_graph_writes_a_repeated_label_line_once():
+    # the node <ncg:pred/a> has the URI and the label of the coined URI of
+    # predicate "a", so its label line and the predicate's are one line
+    graph = import_ntriples('<ncg:pred/a> <ncg:pred/label> "a" .\n'
+                            '<ncg:pred/a> <ncg:pred/a> <ncg:x> .\n')
+    assert export_lines(export_ntriples(graph)) == [
+        '<ncg:pred/a> <ncg:pred/a> <ncg:x> .',
+        '<ncg:pred/a> <ncg:pred/label> "a" .',
+        '<ncg:x> <ncg:pred/label> "ncg:x" .',
+    ]
+
+
+#: Every line break of ``str.splitlines``, and whitespace that is not one.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+IMPORT_LINES = [
+    '<ncg:p/Contribution> <ncg:pred/has> <ncg:p/Results/1> .',
+    '<ncg:p/Contribution> <ncg:pred/label> "Contribution" .',
+    '<ncg:p/Results/1> <ncg:pred/label> "Results" .',
+    '<ncg:p/Results/1> <ncg:pred/on> "x\\ny" .',
+    ' \t<ncg:p/Results/1> <ncg:pred/on> "z" .\x1f',
+    '<ncg:pred/on> <ncg:pred/label> "on" .',
+    "", "  ", "# comment", "not a statement", '<ncg:p/Results/1> <ncg:pred/on> "z',
+]
+
+
+def import_outcome(text):
+    try:
+        graph = import_ntriples(text)
+    except ValueError as exc:
+        return str(exc)
+    return (graph.edges, [(n.uri, n.label, n.kind) for n in graph.nodes.values()],
+            list(graph.roots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(IMPORT_LINES), st.sampled_from(LINE_BREAKS)),
+                max_size=10).map(lambda parts: "".join(a + b for a, b in parts)),
+       st.booleans())
+@example('# h\x1c\x1c<a> x\r\n', False)
+def test_import_reads_the_lines_of_splitlines(text, drop_last_break):
+    if drop_last_break:
+        text = text[:-1]
+    outcome = import_outcome(text)
+    assert outcome == import_outcome("\n".join(text.splitlines()))
+    bad = [n for n, line in enumerate(text.splitlines(), 1)
+           if line.strip() and not line.strip().startswith("#")
+           and line.strip() not in {s.strip() for s in IMPORT_LINES[:6]}]
+    if bad:
+        assert outcome.startswith(f"line {bad[0]}: ")
+    else:
+        assert isinstance(outcome, tuple)
+
+
+class TestSharing:
+    def test_node_labels_are_the_tree_strings(self, trial_root):
+        corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
+        strings = {id(c.label if isinstance(c, Node) else c)
+                   for paper in corpus.papers() for tree in paper.units.values()
+                   for node in tree.nodes() for _, c in node.edges}
+        for merge in ("per-paper", "surface"):
+            graph = build_graph(corpus, merge=merge)
+            roots = {id(root) for root in graph.roots.values()}
+            labels = [n.label for n in graph.nodes.values() if id(n) not in roots]
+            assert all(id(label) in strings for label in labels)
+            assert any(" " in label for label in labels)
+
+    def test_edges_share_one_tuple_and_the_node_uris(self, results_corpus):
+        graph = build_graph(results_corpus)
+        for edge in graph.edges:
+            subject, _, obj = edge
+            assert graph.nodes[subject].uri is subject
+            assert graph.nodes[obj].uri is obj
+            assert any(e is edge for e in graph._adjacency[subject])
+        assert not hasattr(GraphNode("u", "l", RESOURCE), "__dict__")
+
+    def test_outgoing_lists_predicate_object_pairs(self, results_corpus):
+        graph = build_graph(results_corpus)
+        for uri in graph.nodes:
+            assert graph.outgoing(uri) == [(p, o) for s, p, o in graph.edges if s == uri]
+        assert graph.outgoing("ncg:absent") == []
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                        reason="object sizes are those of CPython 3.11")
+    def test_build_graph_retained_bytes_per_edge(self, trial_root):
+        # CPython 3.11, trial corpus: about 610 bytes per edge when every
+        # node kept its tree path and a copied label and every edge two
+        # tuples, and about 310 with one tuple per edge and shared strings
+        corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = build_graph(corpus)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(graph.edges) < 400
 
 
 class TestTraverse:
