@@ -29,7 +29,7 @@ from .corpus_io import (
     write_unit_file,
 )
 from .codec import flatten, nest
-from .errors import NcgError
+from .errors import FormatError, NcgError
 from .issues import ERROR
 from .kg import PER_PAPER, SURFACE_MERGE, build_graph, export_ntriples, traverse
 from .metrics import (
@@ -41,6 +41,14 @@ from .metrics import (
 )
 from .model import UnitLabel, normalize_unit_label
 from .validate import ValidationPolicy, summarize_reports, validate_corpus
+
+
+def positive_int(value: str) -> int:
+    """An argument value that must be an integer of at least 1."""
+    number = int(value)
+    if number < 1:
+        raise ValueError(value)
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", required=True)
     p.add_argument("--papers", required=True,
                    help="comma-separated paper ids (column order)")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=positive_int, default=1)
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
     p.add_argument("--title", action="append", default=[],
                    metavar="PAPER=TITLE", help="column title override")
@@ -222,8 +230,38 @@ def cmd_stats(args) -> int:
             lines.append("\t".join(cells) + "\n")
         _emit(args, "".join(lines))
     if args.check:
-        return _check_stats(stats, json.loads(Path(args.check).read_text(encoding="utf-8")))
+        return _check_stats(stats, _read_expected(
+            args.check, {"ratio_tolerance": 0, "per_task": 2, "overall": 1}))
     return 0
+
+
+def _read_expected(path: str, depths: dict[str, int]) -> dict:
+    """The JSON object of a --check file; each key of ``depths`` it has holds
+    numbers under that many levels of objects, or FormatError names the key."""
+    try:
+        data = json.loads(_read(path, path))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not valid JSON ({exc})", path=path) from None
+    if not isinstance(data, dict):
+        raise FormatError("expected a JSON object", path=path)
+
+    def check(value, depth: int, key: str) -> None:
+        if depth:
+            if not isinstance(value, dict):
+                raise FormatError(f"{key}: expected an object, got "
+                                  f"{type(value).__name__}", path=path)
+            for name, child in value.items():
+                check(child, depth - 1, f"{key}.{name}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"{key}: expected a number, got {type(value).__name__}",
+                              path=path)
+        elif value != value:
+            raise FormatError(f"{key}: NaN equals no value", path=path)
+
+    for key, depth in depths.items():
+        if key in data:
+            check(data[key], depth, key)
+    return data
 
 
 def _check_values(actual: dict, expected: dict, tolerance: float,
@@ -272,7 +310,7 @@ def cmd_unit_stats(args) -> int:
                   for unit, r in rows]
         _emit(args, "".join(lines))
     if args.check:
-        expected = json.loads(Path(args.check).read_text(encoding="utf-8"))
+        expected = _read_expected(args.check, {"ratio_tolerance": 0, "units": 2})
         tolerance = float(expected.get("ratio_tolerance", 0.01))
         mismatches: list[str] = []
         by_name = {unit.identifier: r for unit, r in rows}

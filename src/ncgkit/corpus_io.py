@@ -22,7 +22,7 @@ import json
 import os
 import re
 import reprlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -418,15 +418,7 @@ def _predicate_object(children: list[Node | str | None]):
     labels = [c.label for c in children if isinstance(c, Node)]
     if len(labels) == len(children) and len(set(labels)) == len(labels):
         return {c.label: _node_object(c) for c in children}
-    rendered: list = []
-    for child in children:
-        if child is None:
-            rendered.append({})
-        elif isinstance(child, str):
-            rendered.append(child)
-        else:
-            rendered.append({child.label: _node_object(child)})
-    return rendered
+    return [_predicate_object([child]) for child in children]
 
 
 # ---------------------------------------------------------------------------
@@ -582,27 +574,46 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
                 issues: list[ValidationIssue]) -> PaperAnnotation | None:
     strict = manifest.strict
 
-    def locate(role: str) -> tuple[str, str]:
-        loc = _rel(manifest.layout[role].format(task=task, paper=paper_id))
-        return os.path.join(root, loc), loc
+    def locate(role: str) -> str:
+        return _rel(manifest.layout[role].format(task=task, paper=paper_id))
 
-    text_path, loc = locate("text")
-    if not os.path.isfile(text_path):
+    def parsed(loc: str, parse: Callable[..., object], *args, suffix: str = "", **kw):
+        """parse(text of the file at loc, *args, **kw); a FormatError raises in
+        strict mode and otherwise becomes a format-error issue (message +
+        suffix) and None."""
+        try:
+            return parse(_read(os.path.join(root, loc), loc), *args, **kw)
+        except FormatError as exc:
+            if strict:
+                raise
+            issues.append(ValidationIssue("format-error", ERROR, loc, f"{exc}{suffix}"))
+            return None
+
+    def per_unit(role: str, parse: Callable[..., object]) -> dict | None:
+        """Each parsed file of a per-unit role by unit; None if it has no files."""
+        files = _unit_files(manifest, root, role, task, paper_id)
+        out = {}
+        for name, loc in files:
+            try:
+                unit = normalize_unit_label(name)
+            except UnknownUnitLabel as exc:
+                issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
+                continue
+            result = parsed(loc, parse, unit, issues=issues, location=loc)
+            if result is not None:
+                out[unit] = result
+        return out if files else None
+
+    loc = locate("text")
+    if not os.path.isfile(os.path.join(root, loc)):
         if strict:
             raise FormatError("missing plaintext file", path=loc)
         issues.append(ValidationIssue("missing-text", ERROR, loc,
                                       "plaintext absent; paper skipped"))
         return None
-
-    try:
-        text = _read(text_path, loc)
-    except FormatError as exc:
-        if strict:
-            raise
-        issues.append(ValidationIssue("format-error", ERROR, loc,
-                                      f"{exc}; paper skipped"))
+    lines = parsed(loc, str.splitlines, suffix="; paper skipped")
+    if lines is None:
         return None
-    lines = text.splitlines()
     token_count = sum(map(len, map(str.split, lines)))
 
     paper = PaperAnnotation(
@@ -613,77 +624,35 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
         sentences=DocumentLines(paper_id, lines),
     )
 
-    sent_path, loc = locate("sentences")
-    if os.path.isfile(sent_path):
-        try:
-            paper.contribution_sentence_indices = parse_sentence_indices(
-                _read(sent_path, loc), issues=issues, location=loc)
-        except FormatError as exc:
-            if strict:
-                raise
-            issues.append(ValidationIssue("format-error", ERROR, loc, str(exc)))
+    loc = locate("sentences")
+    if os.path.isfile(os.path.join(root, loc)):
+        paper.contribution_sentence_indices = parsed(
+            loc, parse_sentence_indices, issues=issues, location=loc)
     else:
         issues.append(ValidationIssue("missing-sentences", WARNING, loc,
                                       "sentence-index file absent"))
 
-    phrase_path, loc = locate("phrases")
-    if os.path.isfile(phrase_path):
-        try:
-            paper.phrases = parse_phrase_file(
-                _read(phrase_path, loc), paper.sentences, strict=strict,
-                offset_unit=manifest.offset_unit, issues=issues, location=loc)
-        except FormatError as exc:
-            if strict:
-                raise
-            issues.append(ValidationIssue("format-error", ERROR, loc, str(exc)))
+    loc = locate("phrases")
+    if os.path.isfile(os.path.join(root, loc)):
+        paper.phrases = parsed(
+            loc, parse_phrase_file, paper.sentences, strict=strict,
+            offset_unit=manifest.offset_unit, issues=issues, location=loc)
     else:
         issues.append(ValidationIssue("missing-phrases", WARNING, loc,
                                       "phrase file absent"))
 
-    units: dict[UnitLabel, UnitTree] = {}
-    unit_files = _unit_files(manifest, root, "units", task, paper_id)
-    for name, loc in unit_files:
-        try:
-            unit = normalize_unit_label(name)
-        except UnknownUnitLabel as exc:
-            issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
-            continue
-        try:
-            units[unit] = parse_unit_file(_read(os.path.join(root, loc), loc), unit,
-                                          issues=issues, location=loc)
-        except FormatError as exc:
-            if strict:
-                raise
-            issues.append(ValidationIssue("format-error", ERROR, loc, str(exc)))
-    if unit_files:
-        paper.units = units
-    else:
+    paper.units = per_unit("units", parse_unit_file)
+    if paper.units is None:
         issues.append(ValidationIssue(
             "missing-units", WARNING, f"{task}/{paper_id}",
             "no information-unit files found"))
-
-    file_keys: dict[UnitLabel, list[tuple[str, str, str]]] = {}
-    triple_files = _unit_files(manifest, root, "triples", task, paper_id)
-    for name, loc in triple_files:
-        try:
-            unit = normalize_unit_label(name)
-        except UnknownUnitLabel as exc:
-            issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
-            continue
-        try:
-            file_keys[unit] = _triple_keys(_read(os.path.join(root, loc), loc),
-                                           issues=issues, location=loc)
-        except FormatError as exc:
-            if strict:
-                raise
-            issues.append(ValidationIssue("format-error", ERROR, loc, str(exc)))
-    if not triple_files and paper.units:
+    file_keys = per_unit("triples", lambda text, unit, **kw: _triple_keys(text, **kw))
+    if file_keys is None and paper.units:
         issues.append(ValidationIssue(
             "missing-triples", WARNING, f"{task}/{paper_id}",
             "no triples files; derived by flattening the unit trees"))
 
-    _reconcile_units_and_triples(task, paper, file_keys if triple_files else None,
-                                 issues)
+    _reconcile_units_and_triples(task, paper, file_keys, issues)
     return paper
 
 

@@ -20,7 +20,7 @@ ISSUE_CODES = {
     "missing-sentences": "sentence-index file absent",
     "missing-phrases": "phrase file absent",
     "missing-units": "no information-unit files found",
-    "missing-triples": "unit has no parallel triples file",
+    "missing-triples": "paper has unit files but no triples files",
     "duplicate-paper-id": "paper id occurs under more than one task",
     "format-error": "a file could not be parsed in non-strict mode",
     "unknown-unit-label": "file name does not map to an information unit",

@@ -209,10 +209,6 @@ class Predicate:
         text = canonical_text(raw)
         return cls(text, _FILLER_TEXTS.get(text, PredicateKind.TEXTUAL))
 
-    @property
-    def is_filler(self) -> bool:
-        return self.kind is not PredicateKind.TEXTUAL
-
 
 HAS = Predicate.from_text("has")
 
@@ -266,9 +262,6 @@ class Node:
 
     def add(self, predicate: Predicate, child: "Node | str | None") -> None:
         self.edges.append((predicate, child))
-
-    def child_nodes(self) -> list["Node"]:
-        return [c for _, c in self.edges if isinstance(c, Node)]
 
     def walk(self):
         """Yield this node and every descendant node, pre-order."""

@@ -48,11 +48,9 @@ class ValidationPolicy:
     is only an informational warning (0 disables).
     """
 
-    require_mandatory_units: bool = True
     allow_results_via_encapsulation: bool = True
     provenance_check: str = PROVENANCE_WARN
     filler_whitelist_check: bool = True
-    duplicate_triple_check: bool = True
     max_phrase_tokens: int = 10
 
     def __post_init__(self) -> None:
@@ -127,21 +125,19 @@ def validate_paper(paper: PaperAnnotation,
     issues = report.issues
     units = paper.units or {}
 
-    if policy.require_mandatory_units:
-        _check_mandatory(paper, units, policy, issues)
+    _check_mandatory(paper, units, policy, issues)
     _check_encapsulation(units, issues)
     pool = _sentence_pool(paper)
     haystack = "\n".join(pool)
     triples = unit_triples(paper)
     for unit in sorted(units, key=lambda u: u.identifier):
-        if policy.duplicate_triple_check:
-            seen: set[tuple[str, str, str]] = set()
-            for triple in triples[unit]:
-                if triple.key() in seen:
-                    issues.append(ValidationIssue(
-                        "duplicate-triple", ERROR, f"{unit.identifier}/{triple.subject}",
-                        f"duplicate triple {triple.key()}"))
-                seen.add(triple.key())
+        seen: set[tuple[str, str, str]] = set()
+        for triple in triples[unit]:
+            if triple.key() in seen:
+                issues.append(ValidationIssue(
+                    "duplicate-triple", ERROR, f"{unit.identifier}/{triple.subject}",
+                    f"duplicate triple {triple.key()}"))
+            seen.add(triple.key())
         if pool:
             _check_surfaces(unit, triples[unit], haystack, policy, issues)
         _check_filler_placement(unit, units[unit], issues)

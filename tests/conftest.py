@@ -1,15 +1,27 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
+
+import ncgkit
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from corpusgen import write_trial_corpus, write_unit_profile_corpus  # noqa: E402
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """`python -m ncgkit.cli` child processes import the package the tests import."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [
+            str(Path(ncgkit.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ncgkit import CorpusManifest, UnitLabel, compare, load_corpus
 from ncgkit.cli import run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -55,6 +56,31 @@ class TestStats:
                     "--out", out]) == 0
         assert run(["stats", "--manifest", str(tiny_root), "--check", str(bad),
                     "--out", out]) == 1
+
+    @pytest.mark.parametrize("command", ["stats", "unit-stats"])
+    @pytest.mark.parametrize("body, message", [
+        (b'{"overall": ', "not valid JSON (Expecting value"),
+        (b'{"overall": {}}\xff', "not valid UTF-8 (invalid start byte 0xff)"),
+        (b"[1,2]", "expected a JSON object"),
+        (b'{"overall": {"ann_triples": "x"}, "units": {"Results": {"triples": "x"}}}',
+         "expected a number, got str"),
+        (b'{"overall": [], "units": {"Results": 3}}', "expected an object, got"),
+        (b'{"ratio_tolerance": NaN}', "ratio_tolerance: NaN equals no value"),
+    ], ids=["truncated", "bad-byte", "top-level-list", "string-count", "not-an-object",
+            "nan"])
+    def test_malformed_check_file_exits_2(self, tiny_root, tmp_path, capsys,
+                                          command, body, message):
+        check = tmp_path / "expected.json"
+        check.write_bytes(body)
+        assert run([command, "--manifest", str(tiny_root), "--check", str(check),
+                    "--out", str(tmp_path / "o.tsv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {check}: ")
+        assert message in err[0]
+        if b'"x"' in body:
+            key = "overall.ann_triples" if command == "stats" else "units.Results.triples"
+            assert err[0] == f"error: {check}: {key}: expected a number, got str"
 
     def test_env_var_manifest(self, tiny_root, tmp_path, monkeypatch):
         monkeypatch.setenv("NCG_MANIFEST", str(tiny_root))
@@ -303,6 +329,15 @@ class TestCompareCommand:
                     "--format", "json", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["unit"] == "Results"
+
+    @pytest.mark.parametrize("depth", ["0", "-1", "x"])
+    def test_depth_below_one_is_usage_error(self, comparison_root, capsys, depth):
+        assert run(["compare", "--manifest", str(comparison_root), "--unit", "Results",
+                    "--papers", "machine-reading-2016", "--depth", depth]) == 2
+        assert "argument --depth" in capsys.readouterr().err
+        corpus, _ = load_corpus(CorpusManifest(root_path=comparison_root))
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            compare(corpus, UnitLabel.RESULTS, ["machine-reading-2016"], depth=0)
 
 
 class TestUsage:

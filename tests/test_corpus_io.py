@@ -14,6 +14,7 @@ from ncgkit import (
     FormatError,
     NcgError,
     Node,
+    PhraseSpan,
     PredicateKind,
     Sentence,
     SpanOutOfRange,
@@ -227,6 +228,13 @@ class TestUnitFile:
             reparsed = parse_unit_file(written, UnitLabel.RESULTS)
             assert write_unit_file(reparsed) == written
 
+    def test_write_renders_each_list_element_as_a_single_value(self):
+        text = '{"has": {"Results": {"on": [{}, "x", {"A": {}}, {"A": {"of": "y"}}]}}}'
+        tree = parse_unit_file(text, UnitLabel.RESULTS)
+        assert [c if c is None or isinstance(c, str) else c.label
+                for _, c in tree.unit_node.edges] == [None, "x", "A", "A"]
+        assert json.loads(write_unit_file(tree)) == json.loads(text)
+
 
 class TestTripleLines:
     def test_double_pipe(self):
@@ -292,6 +300,7 @@ MINIMAL_UNITS = {
     "Model": {"has": {"Model": {"name": "d"}}},
     "Results": {"has": {"Results": {"improves": "e f"}}},
 }
+MINIMAL_UNITS_LABELS = (UnitLabel.RESEARCH_PROBLEM, UnitLabel.MODEL, UnitLabel.RESULTS)
 
 
 class TestLoadCorpus:
@@ -524,3 +533,98 @@ class TestLoadCorpus:
         corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
         assert len(corpus) == 1
         assert "duplicate-paper-id" in {i.code for i in issues}
+
+
+def make_messy_corpus(root):
+    """One corpus that reaches every issue branch of loading a paper."""
+    (root / "t" / "a" / "info-units").mkdir(parents=True)  # no text.txt
+    d = make_paper(root, "t", "b", units=MINIMAL_UNITS)
+    (d / "text.txt").write_bytes(b"a b \xff\n")
+    d = make_paper(root, "t", "c", sentences=None,
+                   units={**MINIMAL_UNITS, "Objective": {"has": {"Objective": {}}}},
+                   triples={"Objective": "(Contribution||has||Objective)\n",
+                            "Model": "Model||name||d\n",
+                            "Results": "(Contribution||has||Results)\n"
+                                       "(Results||improves||g h)\n",
+                            "Tasks": "(Tasks||has||x)\n"})
+    (d / "phrases.tsv").write_text("1\t0\n", encoding="utf-8")
+    (d / "info-units" / "Baselines.json").write_text('{"has": [\n', encoding="utf-8")
+    d = make_paper(root, "t", "d", sentences="1\nNaN\n",
+                   triples={"Results": "(Contribution||has||Results)\n"
+                                       "(Results||improves||e f)\n"})
+    d = make_paper(root, "t", "e", units=MINIMAL_UNITS)
+    (d / "phrases.tsv").write_text("1\t0\t2\ta b\n", encoding="utf-8")
+    d = make_paper(root, "t", "f", units={"Objective": {"has": {"Objective": {}}}})
+    (d / "phrases.tsv").write_text("", encoding="utf-8")
+    d = make_paper(root, "t", "g")
+    (d / "phrases.tsv").write_text("", encoding="utf-8")
+
+
+class TestLoadIssues:
+    def test_every_load_issue_line_in_order(self, tmp_path):
+        make_messy_corpus(tmp_path)
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert corpus.paper_ids() == ["c", "d", "e", "f", "g"]
+        assert [i.as_line() for i in issues] == [
+            "t/a/text.txt\tmissing-text\tError\tplaintext absent; paper skipped",
+            "t/b/text.txt\tformat-error\tError\tt/b/text.txt: not valid UTF-8 "
+            "(invalid start byte 0xff); paper skipped",
+            "t/c/sentences.txt\tmissing-sentences\tWarning\tsentence-index file absent",
+            "t/c/phrases.tsv\tformat-error\tError\tt/c/phrases.tsv:1: "
+            "expected 4 tab-separated columns, got 2",
+            "t/c/info-units/Baselines.json\tformat-error\tError\t"
+            "t/c/info-units/Baselines.json:2: malformed unit file: Expecting value",
+            "t/c/info-units/Objective.json\tunknown-unit-label\tWarning\t"
+            "not an information unit: 'Objective'",
+            "t/c/triples/Model.txt\tformat-error\tError\tt/c/triples/Model.txt:1: "
+            "triple line must be wrapped in parentheses",
+            "t/c/triples/Objective.txt\tunknown-unit-label\tWarning\t"
+            "not an information unit: 'Objective'",
+            "t/c/Results\ttriples-file-mismatch\tWarning\t"
+            "tree-only: [('Results', 'improves', 'e f')]; "
+            "file-only: [('Results', 'improves', 'g h')]",
+            "t/c/Tasks\tnest-failed\tWarning\t"
+            "orphan subject 'Tasks': never introduced as an object",
+            "t/d/sentences.txt\tformat-error\tError\tt/d/sentences.txt:2: "
+            "not a positive sentence index: 'NaN'",
+            "t/d/phrases.tsv\tmissing-phrases\tWarning\tphrase file absent",
+            "t/d\tmissing-units\tWarning\tno information-unit files found",
+            "t/e\tmissing-triples\tWarning\t"
+            "no triples files; derived by flattening the unit trees",
+            "t/f/info-units/Objective.json\tunknown-unit-label\tWarning\t"
+            "not an information unit: 'Objective'",
+            "t/g\tmissing-units\tWarning\tno information-unit files found",
+        ]
+        c, d, e, f, g = corpus.papers()
+        assert c.contribution_sentence_indices is None and c.phrases is None
+        assert set(c.units) == set(MINIMAL_UNITS_LABELS)
+        assert set(c.triples) == {UnitLabel.RESULTS, UnitLabel.TASKS, *MINIMAL_UNITS_LABELS}
+        assert c.triples[UnitLabel.TASKS] == [Triple.of("Tasks", "has", "x")]
+        assert d.contribution_sentence_indices is None and d.phrases is None
+        assert set(d.units) == set(d.triples) == {UnitLabel.RESULTS}
+        assert e.contribution_sentence_indices == {1}
+        assert e.phrases == [PhraseSpan(1, 0, 2, "a b")]
+        assert set(e.units) == set(e.triples) == set(MINIMAL_UNITS_LABELS)
+        # unit files that all fail leave an empty map; no unit files leave None
+        assert (f.units, f.triples, g.units, g.triples) == ({}, None, None, None)
+
+    @pytest.mark.parametrize("rel, body, message", [
+        ("text.txt", b"a b \xff\n", "t/p/text.txt: not valid UTF-8"),
+        ("sentences.txt", b"NaN\n", "t/p/sentences.txt:1: not a positive"),
+        ("phrases.tsv", b"1\t0\n", "t/p/phrases.tsv:1: expected 4"),
+        ("info-units/Baselines.json", b"{", "t/p/info-units/Baselines.json:1: malformed"),
+        ("triples/Model.txt", b"Model||name||d\n", "t/p/triples/Model.txt:1: triple line"),
+    ])
+    def test_strict_mode_raises_for_each_file_role(self, tmp_path, rel, body, message):
+        d = make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS, triples={
+            "Results": "(Contribution||has||Results)\n(Results||improves||e f)\n"})
+        (d / "phrases.tsv").write_text("1\t0\t2\ta b\n", encoding="utf-8")
+        assert load_corpus(CorpusManifest(root_path=tmp_path, strict=True))[1] == []
+        (d / rel).write_bytes(body)
+        with pytest.raises(FormatError) as info:
+            load_corpus(CorpusManifest(root_path=tmp_path, strict=True))
+        assert str(info.value).startswith(message)
+        _, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        # a bad text.txt skips the only paper, which leaves the corpus empty
+        assert [(i.code, i.location) for i in issues if i.code != "empty-corpus"] == [
+            ("format-error", f"t/p/{rel}")]
