@@ -72,6 +72,7 @@ from .model import (
     UnitLabel,
     UnitTree,
     canonical_text,
+    lookup_unit_label,
     normalize_unit_label,
 )
 from .validate import (

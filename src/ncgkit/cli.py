@@ -51,6 +51,14 @@ def positive_int(value: str) -> int:
     return number
 
 
+def non_negative_int(value: str) -> int:
+    """An argument value that must be an integer of at least 0."""
+    number = int(value)
+    if number < 0:
+        raise ValueError(value)
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncg", description="NCG annotation toolkit")
@@ -127,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_corpus_args(p)
     p.add_argument("--paper", required=True)
     p.add_argument("--start", required=True, help="label of the start node")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=non_negative_int, default=1,
+                   help="levels below the start node (0: the start node only)")
     p.set_defaults(func=cmd_traverse)
 
     p = sub.add_parser("compare", help="tabulated comparison across papers")

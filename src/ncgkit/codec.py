@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 
 from .errors import NotATree
 from .issues import WARNING, ValidationIssue
-from .model import (CONTRIBUTION, Node, PaperAnnotation, Predicate, Triple, UnitLabel,
-                    UnitTree, canonical_text)
+from .model import CONTRIBUTION, Node, PaperAnnotation, Predicate, Triple, UnitLabel, UnitTree
 
 
 @dataclass
 class FlattenedUnit:
-    """Triples of one unit in emission order, plus codec warnings.
+    """Triples of one unit in emission order, plus dangling-predicate warnings.
 
     For a well-formed tree the first triple is (Contribution, has, <unit>).
     """
@@ -28,12 +27,6 @@ class FlattenedUnit:
     warnings: list[ValidationIssue] = field(default_factory=list)
 
 
-def _is_dangling(child: Node | str | None) -> bool:
-    if child is None:
-        return True
-    return isinstance(child, str) and not canonical_text(child)
-
-
 def flatten(tree: UnitTree) -> FlattenedUnit:
     """Emit the tree's edges as triples, pre-order.
 
@@ -41,32 +34,22 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
     child label or literal).  The Contribution root's own edge comes first,
     so a well-formed unit starts with (Contribution, has, <unit name>).
     Provenance entries emit nothing.  Empty-valued predicates emit nothing
-    and add a dangling-predicate warning.  Duplicate triples are kept and
-    reported, never silently merged.
+    and add a dangling-predicate warning.  Duplicate triples are kept, never
+    silently merged; :func:`~ncgkit.validate.validate_paper` reports them.
     """
     out = FlattenedUnit(tree.unit)
-    seen: set[tuple[str, str, str]] = set()
 
     def visit(node: Node) -> None:
         for predicate, child in node.edges:
-            if _is_dangling(child):
+            if child is None:
                 out.warnings.append(ValidationIssue(
                     "dangling-predicate", WARNING,
                     f"{tree.unit.identifier}/{node.label}",
                     f"predicate {predicate.text!r} has no value"))
                 continue
-            obj = child.label if isinstance(child, Node) else child
-            canonical = canonical_text(obj)
-            # keep the tree's string rather than an equal copy
-            triple = Triple(node.label, predicate, obj if canonical == obj else canonical)
-            if triple.key() in seen:
-                out.warnings.append(ValidationIssue(
-                    "duplicate-triple", WARNING,
-                    f"{tree.unit.identifier}/{node.label}",
-                    f"duplicate triple {triple.key()}"))
-            seen.add(triple.key())
-            out.triples.append(triple)
-            if isinstance(child, Node):
+            is_node = isinstance(child, Node)
+            out.triples.append(Triple(node.label, predicate, child.label if is_node else child))
+            if is_node:
                 visit(child)
 
     visit(tree.root)
@@ -127,7 +110,7 @@ def nest(triples: list[Triple], unit: UnitLabel) -> UnitTree:
 
 
 def _content_edges(node: Node) -> list[tuple[Predicate, Node | str]]:
-    return [(p, c) for p, c in node.edges if not _is_dangling(c)]
+    return [(p, c) for p, c in node.edges if c is not None]
 
 
 def trees_equivalent(a: Node, b: Node) -> bool:
@@ -140,7 +123,7 @@ def trees_equivalent(a: Node, b: Node) -> bool:
     def child_eq(x: Node | str, y: Node | str) -> bool:
         x_label = x.label if isinstance(x, Node) else x
         y_label = y.label if isinstance(y, Node) else y
-        if canonical_text(x_label) != canonical_text(y_label):
+        if x_label != y_label:
             return False
         x_edges = _content_edges(x) if isinstance(x, Node) else []
         y_edges = _content_edges(y) if isinstance(y, Node) else []

@@ -14,8 +14,8 @@ import io
 from dataclasses import dataclass
 
 from .codec import unit_triples
-from .errors import UnknownPaper, UnknownUnitLabel
-from .model import Corpus, Node, UnitLabel, canonical_text, normalize_unit_label
+from .errors import UnknownPaper
+from .model import Corpus, Node, UnitLabel, lookup_unit_label
 
 RESEARCH_PROBLEM_ROW = "Has research problem"
 EMPTY_TOKEN = "Empty"
@@ -36,15 +36,8 @@ def _research_problem_objects(paper) -> set[str]:
     """Objects annotated under the paper's ResearchProblem unit."""
     if UnitLabel.RESEARCH_PROBLEM not in (paper.units or {}):
         return set()
-    out = set()
-    for triple in unit_triples(paper)[UnitLabel.RESEARCH_PROBLEM]:
-        try:
-            if normalize_unit_label(triple.object) is UnitLabel.RESEARCH_PROBLEM:
-                continue
-        except UnknownUnitLabel:
-            pass
-        out.add(triple.object)
-    return out
+    return {triple.object for triple in unit_triples(paper)[UnitLabel.RESEARCH_PROBLEM]
+            if lookup_unit_label(triple.object) is not UnitLabel.RESEARCH_PROBLEM}
 
 
 def compare(corpus: Corpus, unit: UnitLabel, paper_ids: list[str],
@@ -105,12 +98,9 @@ def _paper_rows(paper, unit: UnitLabel, depth: int) -> dict[str, set[str]]:
             for predicate, child in node.edges:
                 if child is None:
                     continue
-                label = child.label if isinstance(child, Node) else child
-                label = canonical_text(label)
-                if not label:
-                    continue
-                out.setdefault(canonical_text(predicate.text), set()).add(label)
-                if isinstance(child, Node):
+                is_node = isinstance(child, Node)
+                out.setdefault(predicate.text, set()).add(child.label if is_node else child)
+                if is_node:
                     advanced.append(child)
         frontier = advanced
     return out

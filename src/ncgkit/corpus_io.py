@@ -49,6 +49,7 @@ from .model import (
     UnitLabel,
     UnitTree,
     canonical_text,
+    lookup_unit_label,
     normalize_unit_label,
 )
 
@@ -200,8 +201,8 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                       location: str = "") -> list[PhraseSpan]:
     """Parse a 4-column TSV of phrase spans, validating against the sentences.
 
-    The surface text must equal the covered tokens joined by spaces (both
-    sides whitespace-normalized).  Out-of-range spans raise in strict mode
+    The surface text must equal the covered tokens joined by spaces, once
+    its whitespace is canonical.  Out-of-range spans raise in strict mode
     and are dropped with an error issue otherwise; text mismatches raise in
     strict mode and are otherwise repaired from the sentence tokens with a
     warning, so every returned span satisfies its invariants.
@@ -222,7 +223,6 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
         except ValueError:
             raise FormatError(f"non-integer span fields: {cols[:3]}",
                               path=location or None, line=lineno) from None
-        surface = canonical_text(cols[3])
         try:
             sent = found.get(idx)
             if sent is None and idx not in found:
@@ -251,15 +251,17 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                 raise
             _note(issues, "span-out-of-range", ERROR, f"{location}:{lineno}", str(exc))
             continue
+        span = PhraseSpan(idx, start_tok, end_tok, cols[3])
         covered = " ".join(sent.tokens[start_tok:end_tok])
-        if surface != covered:
+        if span.text != covered:
             if strict:
                 raise SpanTextMismatch(
-                    f"surface {surface!r} != covered tokens {covered!r}",
+                    f"surface {span.text!r} != covered tokens {covered!r}",
                     path=location or None, line=lineno)
             _note(issues, "span-text-mismatch", WARNING, f"{location}:{lineno}",
-                  f"surface {surface!r} repaired to {covered!r}")
-        spans.append(PhraseSpan(idx, start_tok, end_tok, covered))
+                  f"surface {span.text!r} repaired to {covered!r}")
+            span = PhraseSpan(idx, start_tok, end_tok, covered)
+        spans.append(span)
     return spans
 
 
@@ -313,12 +315,9 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     content_edges = [(p, c) for p, c in root.edges if c is not None]
     if len(content_edges) == 1:
         pred, child = content_edges[0]
-        if isinstance(child, Node) and pred.text == "has":
-            try:
-                if normalize_unit_label(child.label) is unit:
-                    unit_node = child
-            except UnknownUnitLabel:
-                pass
+        if (isinstance(child, Node) and pred.text == "has"
+                and lookup_unit_label(child.label) is unit):
+            unit_node = child
     if unit_node is None:
         _note(issues, "root-not-unit", WARNING, location or unit.identifier,
               f"top level is not a single has-edge to a {unit.display} node")
@@ -331,10 +330,9 @@ def _fill_predicates(node: Node, mapping: dict, location: str) -> None:
         if key == PROVENANCE_KEY:
             node.provenance.extend(_provenance_strings(value))
             continue
-        pred_text = canonical_text(key)
-        if not pred_text:
+        if not key or key.isspace():
             raise FormatError("empty predicate key", path=location or None)
-        _add_predicate_value(node, Predicate.from_text(pred_text), value, location)
+        _add_predicate_value(node, Predicate.from_text(key), value, location)
 
 
 def _add_predicate_value(node: Node, predicate: Predicate, value, location: str) -> None:
@@ -343,8 +341,7 @@ def _add_predicate_value(node: Node, predicate: Predicate, value, location: str)
         node.add(predicate, None)
         return
     if isinstance(value, str):
-        literal = canonical_text(value)
-        node.add(predicate, literal if literal else None)
+        node.add(predicate, value)  # a blank literal dangles
         return
     if isinstance(value, (int, float, bool)):
         node.add(predicate, json.dumps(value))
@@ -364,20 +361,19 @@ def _add_predicate_value(node: Node, predicate: Predicate, value, location: str)
             if key == PROVENANCE_KEY:
                 node.provenance.extend(_provenance_strings(child_value))
                 continue
-            label = canonical_text(key)
-            if not label:
+            if not key or key.isspace():
                 raise FormatError("empty node label", path=location or None)
-            child = Node(label)
+            child = Node(key)
             node.add(predicate, child)
             if isinstance(child_value, dict):
                 _fill_predicates(child, child_value, location)
             elif isinstance(child_value, str) or child_value is None:
                 raise AlternationError(
-                    f"node {label!r} maps to a leaf value; a predicate map is "
+                    f"node {child.label!r} maps to a leaf value; a predicate map is "
                     f"required at node depth", path=location or None)
             else:
                 raise AlternationError(
-                    f"node {label!r} maps to {type(child_value).__name__}; "
+                    f"node {child.label!r} maps to {type(child_value).__name__}; "
                     f"a predicate map is required at node depth",
                     path=location or None)
         return
@@ -432,14 +428,27 @@ def parse_triple_lines(text: str, *, issues: list[ValidationIssue] | None = None
     The canonical delimiter is ``||``; a single ``|`` is accepted leniently
     with a warning.  A line must yield exactly three non-empty fields.
     """
-    return [Triple.from_key(key)
-            for key in _triple_keys(text, issues=issues, location=location)]
+    return _triples(_triple_fields(text, issues=issues, location=location))
 
 
-def _triple_keys(text: str, *, issues: list[ValidationIssue] | None,
-                 location: str) -> list[tuple[str, str, str]]:
-    """The line parser of :func:`parse_triple_lines`, yielding canonical keys."""
-    keys: list[tuple[str, str, str]] = []
+def _triples(lines: list[tuple[str, str, str]]) -> list[Triple]:
+    """A triple per line's fields; lines with equal predicate text share one
+    Predicate."""
+    predicates: dict[str, Predicate] = {}
+    out = []
+    for subject, text, obj in lines:
+        predicate = predicates.get(text)
+        if predicate is None:
+            predicate = predicates[text] = Predicate.from_text(text)
+        out.append(Triple(subject, predicate, obj))
+    return out
+
+
+def _triple_fields(text: str, *, issues: list[ValidationIssue] | None,
+                   location: str) -> list[tuple[str, str, str]]:
+    """The line parser of :func:`parse_triple_lines`: each line's three
+    fields, as written."""
+    lines: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -460,12 +469,11 @@ def _triple_keys(text: str, *, issues: list[ValidationIssue] | None,
             raise FormatError(
                 f"expected 3 fields after delimiter splitting, got {len(fields)}",
                 path=location or None, line=lineno)
-        key = subject, pred, obj = tuple(canonical_text(f) for f in fields)
-        if not (subject and pred and obj):
+        if any(not field or field.isspace() for field in fields):
             raise FormatError(f"empty field in triple line {line!r}",
                               path=location or None, line=lineno)
-        keys.append(key)
-    return keys
+        lines.append(tuple(fields))
+    return lines
 
 
 def write_triple_lines(triples: list[Triple]) -> str:
@@ -646,40 +654,42 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
         issues.append(ValidationIssue(
             "missing-units", WARNING, f"{task}/{paper_id}",
             "no information-unit files found"))
-    file_keys = per_unit("triples", lambda text, unit, **kw: _triple_keys(text, **kw))
-    if file_keys is None and paper.units:
+    file_lines = per_unit("triples", lambda text, unit, **kw: _triple_fields(text, **kw))
+    if file_lines is None and paper.units:
         issues.append(ValidationIssue(
             "missing-triples", WARNING, f"{task}/{paper_id}",
             "no triples files; derived by flattening the unit trees"))
 
-    _reconcile_units_and_triples(task, paper, file_keys, issues)
+    _reconcile_units_and_triples(task, paper, file_lines, issues)
     return paper
 
 
 def _reconcile_units_and_triples(
         task: str, paper: PaperAnnotation,
-        file_keys: dict[UnitLabel, list[tuple[str, str, str]]] | None,
+        file_lines: dict[UnitLabel, list[tuple[str, str, str]]] | None,
         issues: list[ValidationIssue]) -> None:
-    """Fill ``paper.triples`` from the trees and the triples files' keys.
+    """Fill ``paper.triples`` from the trees and the triples files' lines.
 
-    ``file_keys`` is None when the paper has no triples files.  Triples
-    without a tree get nest() output where they form a tree.  Every tree,
-    shipped or rebuilt, stores its flatten() output as the unit's triples.
-    A shipped triples file must be set-equal to the flattened tree; any
+    ``file_lines`` holds each file's fields as written, and is None when
+    the paper has no triples files.  Triples without a tree get nest()
+    output where they form a tree.  Every tree, shipped or rebuilt, stores
+    its flatten() output as the unit's triples.  A shipped triples file
+    must be set-equal to the flattened tree, compared by canonical key; any
     difference is itemized as a warning, never silently dropped.  Triple
     objects are built from a file only for units without a tree.
     """
     units = paper.units or {}
-    keys_by_unit = file_keys or {}
-    triples: dict[UnitLabel, list[Triple]] = dict.fromkeys(keys_by_unit)
+    lines_by_unit = file_lines or {}
+    triples: dict[UnitLabel, list[Triple]] = dict.fromkeys(lines_by_unit)
     for unit, tree in units.items():
         flat = flatten(tree)
         issues.extend(
             ValidationIssue(w.code, w.severity,
                             f"{task}/{paper.paper_id}/{w.location}", w.message)
             for w in flat.warnings)
-        if unit in keys_by_unit:
-            file_keys_set = set(keys_by_unit[unit])
+        if unit in lines_by_unit:
+            file_keys_set = {tuple(map(canonical_text, fields))
+                             for fields in lines_by_unit[unit]}
             tree_keys = {t.key() for t in flat.triples}
             if file_keys_set != tree_keys:
                 missing = sorted(tree_keys - file_keys_set)
@@ -689,10 +699,10 @@ def _reconcile_units_and_triples(
                     f"{task}/{paper.paper_id}/{unit.identifier}",
                     f"tree-only: {missing}; file-only: {extra}"))
         triples[unit] = flat.triples
-    for unit, keys in keys_by_unit.items():
+    for unit, lines in lines_by_unit.items():
         if unit in units:
             continue
-        listed = [Triple.from_key(key) for key in keys]
+        listed = _triples(lines)
         try:
             units[unit] = nest(listed, unit)
         except NotATree as exc:
@@ -704,7 +714,7 @@ def _reconcile_units_and_triples(
         triples[unit] = flatten(units[unit]).triples
     if paper.units is not None or units:
         paper.units = units
-    if file_keys is not None or triples:
+    if file_lines is not None or triples:
         paper.triples = triples
 
 

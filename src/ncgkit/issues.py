@@ -33,8 +33,8 @@ ISSUE_CODES = {
     "triples-file-mismatch": "triples file is not set-equal to the flattened tree",
     # codec
     "dangling-predicate": "predicate with an empty value emits no triple",
-    "duplicate-triple": "identical triple produced more than once",
     # validation
+    "duplicate-triple": "identical triple produced more than once",
     "mandatory-unit-missing": "a mandatory information unit is absent",
     "approach-model-both": "both Approach and Model are annotated",
     "encapsulation-violation": "sub-unit node outside Experiments/Tasks",

@@ -8,8 +8,8 @@ export is lexicographically sorted, making regeneration byte-stable.
 The graph holds each fact once: a node's URI is one string, shared by the
 ``nodes`` key, the node and every edge tuple that touches it; each edge is
 one ``(subject, predicate, object)`` tuple, shared by ``edges``, the
-de-duplication set and the adjacency lists; and a label that is already
-canonical is the unit tree's own string, not a copy.
+de-duplication set and the adjacency lists; and a label is the unit tree's
+own string, not a copy.
 """
 
 from __future__ import annotations
@@ -149,12 +149,7 @@ def _add_tree(graph: Graph, node: Node, node_uri: str, path: tuple[str, ...],
         if child is None:
             continue
         is_node = isinstance(child, Node)
-        raw = child.label if is_node else child
-        label = canonical_text(raw)
-        if not (label or is_node):
-            continue
-        if label == raw:
-            label = raw  # keep the tree's string rather than an equal copy
+        label = child.label if is_node else child
         child_path = path + (predicate.text, label)
         if shared_uris is None:
             child_uri = prefix + _hash_slug(child_path)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .codec import unit_triples
 from .errors import GranularityUnavailable, MissingTotals
-from .model import Corpus, PaperAnnotation, UnitLabel, canonical_text
+from .model import Corpus, PaperAnnotation, UnitLabel
 
 
 def _ratio(num: float, den: float) -> float:
@@ -196,7 +196,7 @@ class MatchConfig:
             raise ValueError(f"bad macro_mode: {self.macro_mode!r}")
 
     def fold(self, text: str) -> str:
-        text = canonical_text(text)
+        """The matching form of a model text, which is already canonical."""
         return text.casefold() if self.text_fold == "casefold" else text
 
 

@@ -4,6 +4,11 @@ Everything here is an in-memory value: the twelve information-unit labels,
 tokenized sentences, phrase spans, triples, the nested unit tree, and the
 per-paper / corpus containers.  All small types are frozen and slotted;
 trees are built by parsers and treated as read-only afterwards.
+
+Surface text is canonical by construction: node labels, literal children,
+predicate texts, triple fields and phrase texts pass through
+:func:`canonical_text` when their value is built, so consumers compare them
+as they are.  A string that is already canonical is kept, not copied.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ def canonical_text(raw: str) -> str:
 
     Case and every non-whitespace character are preserved: the scheme keeps
     surface forms verbatim, including tokenizer oddities like "–" or "?".
+    A string that is already canonical is returned itself, not a copy.
     """
-    return " ".join(raw.split())
+    text = " ".join(raw.split())
+    return raw if text == raw else text
 
 
 class UnitLabel(Enum):
@@ -69,23 +76,29 @@ for _alias, _label in _UNIT_ALIASES.items():
     _UNIT_LOOKUP[_alias] = _label
 
 
+def lookup_unit_label(raw: str) -> UnitLabel | None:
+    """The unit a surface name denotes, or None when it names none.
+
+    Matching ignores case and all whitespace, so ``Experimental Setup``
+    and ``experimentalsetup`` both resolve.  ``method``/``application`` fold
+    into Approach and ``system``/``architecture`` into Model.
+    """
+    return _UNIT_LOOKUP.get("".join(raw.split()).lower())
+
+
 def normalize_unit_label(raw: str) -> UnitLabel:
     """Map a surface unit name onto one of the 12 canonical labels.
 
-    Matching ignores case and internal whitespace, so ``Experimental Setup``
-    and ``experimentalsetup`` both resolve.  ``method``/``application`` fold
-    into Approach and ``system``/``architecture`` into Model.
+    Matching is that of :func:`lookup_unit_label`.
 
     Raises:
         UnknownUnitLabel: the name matches no canonical unit or alias.
     """
-    key = re.sub(r"\s+", "", raw).lower()
-    if not key:
-        raise UnknownUnitLabel("empty unit name")
-    try:
-        return _UNIT_LOOKUP[key]
-    except KeyError:
-        raise UnknownUnitLabel(f"not an information unit: {raw!r}") from None
+    unit = lookup_unit_label(raw)
+    if unit is None:
+        raise UnknownUnitLabel(f"not an information unit: {raw!r}" if raw.strip()
+                               else "empty unit name")
+    return unit
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,9 +167,10 @@ class DocumentLines(Sequence):
 class PhraseSpan:
     """A scientific-term or predicate phrase inside one sentence.
 
-    Token offsets are 0-based, start inclusive, end exclusive.  ``text`` must
-    equal the covered tokens joined by single spaces; parsers enforce this
-    against the referenced sentence.
+    Token offsets are 0-based, start inclusive, end exclusive.  ``text`` is
+    canonical (a canonical argument is kept) and must equal the covered
+    tokens joined by single spaces; parsers enforce this against the
+    referenced sentence.
     """
 
     sentence_index: int
@@ -169,6 +183,7 @@ class PhraseSpan:
             raise ValueError(
                 f"bad span offsets [{self.start_tok}, {self.end_tok})"
             )
+        object.__setattr__(self, "text", canonical_text(self.text))
 
     def token_count(self) -> int:
         return self.end_tok - self.start_tok
@@ -192,6 +207,7 @@ _FILLER_TEXTS = {
 class Predicate:
     """A relation surface string plus its filler classification.
 
+    ``text`` is canonical; a canonical argument is kept, not copied.
     Exactly ``has``, ``name``, and ``hasAcronym`` are fillers; every other
     text is Textual.  The pairing is checked on construction.
     """
@@ -200,6 +216,7 @@ class Predicate:
     kind: PredicateKind
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "text", canonical_text(self.text))
         expected = _FILLER_TEXTS.get(self.text, PredicateKind.TEXTUAL)
         if self.kind is not expected:
             raise ValueError(f"predicate {self.text!r} must have kind {expected}")
@@ -215,31 +232,27 @@ HAS = Predicate.from_text("has")
 
 @dataclass(frozen=True, slots=True)
 class Triple:
-    """A (subject, predicate, object) surface-form statement."""
+    """A (subject, predicate, object) surface-form statement.
+
+    ``subject`` and ``object`` are canonical, as the predicate's text is; a
+    canonical argument is kept, not copied.  No field may be empty.
+    """
 
     subject: str
     predicate: Predicate
     object: str
 
     def __post_init__(self) -> None:
-        for part in (self.subject, self.predicate.text, self.object):
-            # same as `not canonical_text(part)`, without building the string
-            if not part or part.isspace():
-                raise ValueError(f"empty triple field in ({self.subject!r}, "
-                                 f"{self.predicate.text!r}, {self.object!r})")
+        object.__setattr__(self, "subject", canonical_text(self.subject))
+        object.__setattr__(self, "object", canonical_text(self.object))
+        if not (self.subject and self.predicate.text and self.object):
+            raise ValueError(f"empty triple field in ({self.subject!r}, "
+                             f"{self.predicate.text!r}, {self.object!r})")
 
     @classmethod
     def of(cls, subject: str, predicate: str, obj: str) -> "Triple":
-        """Build a triple from raw strings, canonicalizing whitespace."""
-        return cls.from_key((canonical_text(subject), canonical_text(predicate),
-                             canonical_text(obj)))
-
-    @classmethod
-    def from_key(cls, key: tuple[str, str, str]) -> "Triple":
-        """Build a triple from fields that are already canonical."""
-        subject, predicate, obj = key
-        kind = _FILLER_TEXTS.get(predicate, PredicateKind.TEXTUAL)
-        return cls(subject, Predicate(predicate, kind), obj)
+        """Build a triple from three strings, classifying the predicate."""
+        return cls(subject, Predicate.from_text(predicate), obj)
 
     def key(self) -> tuple[str, str, str]:
         return (self.subject, self.predicate.text, self.object)
@@ -249,8 +262,10 @@ class Triple:
 class Node:
     """One labeled node of a unit tree.
 
-    ``provenance`` holds the "from sentence" strings attached to this node;
-    they are metadata and never become triples.  An edge child is a Node, a
+    ``label`` is canonical and never empty; a canonical argument is kept,
+    not copied.  ``provenance`` holds the "from sentence" strings attached
+    to this node; they are metadata and never become triples.  An edge
+    child, as :meth:`add` stores it, is a Node, a canonical non-empty
     literal string, or None for a predicate whose value was empty in the
     source file (a dangling predicate).  Edge order is the order of
     appearance in the source file.
@@ -260,7 +275,15 @@ class Node:
     provenance: list[str] = field(default_factory=list)
     edges: list[tuple[Predicate, "Node | str | None"]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.label = canonical_text(self.label)
+        if not self.label:
+            raise ValueError("empty node label")
+
     def add(self, predicate: Predicate, child: "Node | str | None") -> None:
+        """Append an edge; a literal is canonicalized, and a blank one dangles."""
+        if isinstance(child, str):
+            child = canonical_text(child) or None
         self.edges.append((predicate, child))
 
     def walk(self):

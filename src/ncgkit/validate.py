@@ -11,7 +11,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .codec import unit_triples
-from .errors import UnknownUnitLabel
 from .issues import ERROR, WARNING, ValidationIssue
 from .model import (
     Corpus,
@@ -20,7 +19,7 @@ from .model import (
     UnitLabel,
     UnitTree,
     canonical_text,
-    normalize_unit_label,
+    lookup_unit_label,
 )
 
 #: Units that may appear as internal nodes only inside Experiments or Tasks.
@@ -40,17 +39,14 @@ PROVENANCE_ERROR = "Error"
 
 @dataclass
 class ValidationPolicy:
-    """Which checks run and how hard they bite.
+    """How hard the provenance and phrase-length checks bite.
 
-    Defaults follow the scheme's own reading: Results may be satisfied by a
-    node nested inside Experiments or Tasks, provenance mismatches warn
+    Defaults follow the scheme's own reading: provenance mismatches warn
     rather than fail, and a phrase longer than ``max_phrase_tokens`` tokens
     is only an informational warning (0 disables).
     """
 
-    allow_results_via_encapsulation: bool = True
     provenance_check: str = PROVENANCE_WARN
-    filler_whitelist_check: bool = True
     max_phrase_tokens: int = 10
 
     def __post_init__(self) -> None:
@@ -72,27 +68,20 @@ class ValidationReport:
                        for i in self.issues)
 
 
-def _normalize_or_none(label: str) -> UnitLabel | None:
-    try:
-        return normalize_unit_label(label)
-    except UnknownUnitLabel:
-        return None
-
-
 def _tree_contains_node(tree: UnitTree, unit: UnitLabel) -> bool:
     """True if any node below the unit node carries the unit's name."""
     top = tree.unit_node
     for node in tree.nodes():
         if node is tree.root or node is top:
             continue
-        if _normalize_or_none(node.label) is unit:
+        if lookup_unit_label(node.label) is unit:
             return True
     return False
 
 
 def _sentence_pool(paper: PaperAnnotation) -> list[str]:
     """Canonical texts a surface form may be grounded in."""
-    pool = [canonical_text(t) for t in paper.contribution_texts()]
+    pool = paper.contribution_texts()  # sentence texts are single-space joins
     if paper.units:
         for tree in paper.units.values():
             for node in tree.nodes():
@@ -100,20 +89,12 @@ def _sentence_pool(paper: PaperAnnotation) -> list[str]:
     return pool
 
 
-def _in_pool(surface: str, haystack: str) -> bool:
-    """Whether the surface occurs inside one text of the joined pool.
-
-    Canonical text holds no newline, so a match never spans two texts.
-    """
-    return canonical_text(surface) in haystack
-
-
 def validate_paper(paper: PaperAnnotation,
                    policy: ValidationPolicy | None = None) -> ValidationReport:
     """Run every scheme check over one paper.
 
     Checks: mandatory units (ResearchProblem; exactly one of Approach or
-    Model; Results, top-level or nested in an encapsulating unit),
+    Model; Results, top-level or nested in Experiments or Tasks),
     encapsulation of sub-units, the has/name/hasAcronym filler whitelist,
     provenance grounding of surface forms, duplicate triples, sentence
     index bounds, and the optional phrase-length lint.  The two
@@ -125,9 +106,11 @@ def validate_paper(paper: PaperAnnotation,
     issues = report.issues
     units = paper.units or {}
 
-    _check_mandatory(paper, units, policy, issues)
+    _check_mandatory(paper, units, issues)
     _check_encapsulation(units, issues)
     pool = _sentence_pool(paper)
+    # canonical text holds no newline, so a surface found in the joined
+    # pool lies inside one text
     haystack = "\n".join(pool)
     triples = unit_triples(paper)
     for unit in sorted(units, key=lambda u: u.identifier):
@@ -147,7 +130,7 @@ def validate_paper(paper: PaperAnnotation,
 
 
 def _check_mandatory(paper: PaperAnnotation, units: dict[UnitLabel, UnitTree],
-                     policy: ValidationPolicy, issues: list[ValidationIssue]) -> None:
+                     issues: list[ValidationIssue]) -> None:
     where = paper.paper_id
     if UnitLabel.RESEARCH_PROBLEM not in units:
         issues.append(ValidationIssue(
@@ -163,11 +146,9 @@ def _check_mandatory(paper: PaperAnnotation, units: dict[UnitLabel, UnitTree],
             "approach-model-both", WARNING, where,
             "both Approach and Model annotated; the scheme expects one"))
 
-    results_ok = UnitLabel.RESULTS in units
-    if not results_ok and policy.allow_results_via_encapsulation:
-        results_ok = any(
-            _tree_contains_node(units[enc], UnitLabel.RESULTS)
-            for enc in ENCAPSULATING_UNITS if enc in units)
+    results_ok = UnitLabel.RESULTS in units or any(
+        _tree_contains_node(units[enc], UnitLabel.RESULTS)
+        for enc in ENCAPSULATING_UNITS if enc in units)
     if not results_ok:
         issues.append(ValidationIssue(
             "mandatory-unit-missing", ERROR, where,
@@ -184,7 +165,7 @@ def _check_encapsulation(units: dict[UnitLabel, UnitTree],
         for node in tree.nodes():
             if node is tree.root or node is top:
                 continue
-            nested = _normalize_or_none(node.label)
+            nested = lookup_unit_label(node.label)
             if nested in SUB_UNIT_LABELS:
                 issues.append(ValidationIssue(
                     "encapsulation-violation", ERROR,
@@ -199,24 +180,17 @@ def _check_surfaces(unit: UnitLabel, triples, haystack: str,
     prov_severity = (ERROR if policy.provenance_check == PROVENANCE_ERROR else WARNING)
     for triple in triples:
         if (triple.predicate.kind is PredicateKind.TEXTUAL
-                and not _in_pool(triple.predicate.text, haystack)):
-            if policy.filler_whitelist_check:
-                issues.append(ValidationIssue(
-                    "filler-whitelist", ERROR, f"{unit.identifier}/{triple.subject}",
-                    f"predicate {triple.predicate.text!r} not found in any "
-                    f"annotated sentence and not a filler"))
-            elif policy.provenance_check != PROVENANCE_OFF:
-                issues.append(ValidationIssue(
-                    "provenance-missing", prov_severity,
-                    f"{unit.identifier}/{triple.subject}",
-                    f"predicate {triple.predicate.text!r} not found in any "
-                    f"source sentence"))
+                and triple.predicate.text not in haystack):
+            issues.append(ValidationIssue(
+                "filler-whitelist", ERROR, f"{unit.identifier}/{triple.subject}",
+                f"predicate {triple.predicate.text!r} not found in any "
+                f"annotated sentence and not a filler"))
         if policy.provenance_check == PROVENANCE_OFF:
             continue
         for role, surface in (("subject", triple.subject), ("object", triple.object)):
-            if surface == "Contribution" or _normalize_or_none(surface) is not None:
+            if surface == "Contribution" or lookup_unit_label(surface) is not None:
                 continue
-            if not _in_pool(surface, haystack):
+            if surface not in haystack:
                 issues.append(ValidationIssue(
                     "provenance-missing", prov_severity,
                     f"{unit.identifier}/{triple.subject}",
@@ -230,7 +204,7 @@ def _check_filler_placement(unit: UnitLabel, tree: UnitTree,
         for predicate, _child in node.edges:
             if predicate.kind in (PredicateKind.FILLER_NAME,
                                   PredicateKind.FILLER_HAS_ACRONYM):
-                subject_unit = _normalize_or_none(node.label)
+                subject_unit = lookup_unit_label(node.label)
                 if subject_unit not in (UnitLabel.APPROACH, UnitLabel.MODEL):
                     issues.append(ValidationIssue(
                         "filler-placement", WARNING,

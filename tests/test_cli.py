@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -129,6 +130,21 @@ class TestValidate:
                     "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert all(r["passed"] for r in payload["reports"])
+
+
+    def test_repeated_leaf_is_one_duplicate_triple_line(self, comparison_root, tmp_path):
+        root = tmp_path / "corpus"
+        shutil.copytree(comparison_root, root)
+        unit_file = root / "papers" / "dilated-cnn-2017" / "info-units" / "ResearchProblem.json"
+        tree = json.loads(unit_file.read_text(encoding="utf-8"))
+        tree["has"]["Research Problem"]["has"].append("NER")
+        unit_file.write_text(json.dumps(tree), encoding="utf-8")
+        out = tmp_path / "report.tsv"
+        assert run(["validate", "--manifest", str(root), "--out", str(out)]) == 1
+        lines = [line for line in out.read_text().splitlines()
+                 if "\tduplicate-triple\t" in line]
+        assert len(lines) == 1
+        assert lines[0].startswith("dilated-cnn-2017\tduplicate-triple\tError\t")
 
 
 class TestInvalidUtf8:
@@ -299,6 +315,17 @@ class TestKgCommands:
         assert lines[0] == ".\tResults"
         assert "improves over\tthe baseline" in lines
         assert "improves over/on\tCoNLL" in lines
+
+    def test_traverse_negative_depth_is_usage_error(self, tiny_root, capsys):
+        assert run(["traverse", "--manifest", str(tiny_root), "--paper", "p1",
+                    "--start", "Results", "--depth", "-1"]) == 2
+        assert "argument --depth" in capsys.readouterr().err
+
+    def test_traverse_depth_zero_prints_the_start_node(self, tiny_root, tmp_path):
+        out = tmp_path / "walk.tsv"
+        assert run(["traverse", "--manifest", str(tiny_root), "--paper", "p1",
+                    "--start", "Results", "--depth", "0", "--out", str(out)]) == 0
+        assert out.read_text() == ".\tResults\n"
 
     def test_traverse_unknown_paper(self, tiny_root):
         assert run(["traverse", "--manifest", str(tiny_root), "--paper", "nope",

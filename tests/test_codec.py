@@ -77,12 +77,26 @@ class TestFlatten:
         assert [w.code for w in flat.warnings] == ["dangling-predicate"]
 
     def test_duplicate_triples_kept_and_reported(self):
+        # kept here; validate_paper is the one place that reports them
         node = Node("Results")
         node.add(Predicate.from_text("on"), "CoNLL")
         node.add(Predicate.from_text("on"), "CoNLL")
         flat = flatten(UnitTree.from_unit_node(UnitLabel.RESULTS, node))
         assert len(flat.triples) == 3
-        assert [w.code for w in flat.warnings] == ["duplicate-triple"]
+        assert flat.warnings == []
+
+    def test_non_canonical_label_is_one_string_per_node(self):
+        inner = Node("on  CoNLL ")
+        inner.add(Predicate.from_text("F1"), " 91.2\t")
+        node = Node("Results")
+        node.add(Predicate.from_text("on"), inner)
+        tree = UnitTree.from_unit_node(UnitLabel.RESULTS, node)
+        assert [t.key() for t in flatten(tree).triples] == [
+            ("Contribution", "has", "Results"),
+            ("Results", "on", "on CoNLL"),
+            ("on CoNLL", "F1", "91.2"),
+        ]
+        assert roundtrip_check(tree)
 
     def test_provenance_never_becomes_a_triple(self):
         node = Node("Results", provenance=["some sentence"])

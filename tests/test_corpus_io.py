@@ -385,6 +385,17 @@ class TestLoadCorpus:
         assert corpus_stats(corpus).overall.ann_triples == 6
         assert unit_stats(corpus).per_unit[UnitLabel.RESULTS].n_triples == len(tree_triples)
 
+    def test_file_fields_are_compared_with_the_tree_canonically(self, tmp_path):
+        make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS,
+                   triples={"Results": "( Contribution ||has||\tResults)\n"
+                                       "(Results|| improves ||e  f )\n",
+                            "Code": "(Contribution||has|| Code )\n"
+                                    "( Code||url  is|| x\ty )\n"})
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert "triples-file-mismatch" not in {i.code for i in issues}
+        assert [t.key() for t in corpus.get("p").triples[UnitLabel.CODE]] == [
+            ("Contribution", "has", "Code"), ("Code", "url is", "x y")]
+
     def test_consumers_never_flatten_a_loaded_corpus(self, trial_root, monkeypatch):
         corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
         papers = corpus.paper_ids()[:4]

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncgkit import (
     DocumentLines,
+    Node,
     Predicate,
     PredicateKind,
     PhraseSpan,
@@ -12,6 +15,7 @@ from ncgkit import (
     UnitLabel,
     UnknownUnitLabel,
     canonical_text,
+    lookup_unit_label,
     normalize_unit_label,
 )
 
@@ -61,6 +65,31 @@ class TestNormalizeUnitLabel:
         label = normalize_unit_label(scrambled)
         assert normalize_unit_label(label.display) is label
         assert normalize_unit_label(label.identifier) is label
+
+
+#: Every unit name and alias, keyed by its lowercase spelling.
+REGEX_LOOKUP = {**{name.lower(): normalize_unit_label(name) for name in CANONICAL_NAMES},
+                **{alias: normalize_unit_label(alias)
+                   for alias in ("method", "application", "system", "architecture")}}
+
+
+def spaced_names():
+    """Unit names and aliases in any case, with any whitespace anywhere."""
+    pieces = st.one_of(st.sampled_from(sorted(REGEX_LOOKUP) + ["Research Problem"]),
+                       st.text(max_size=3))
+    return st.lists(st.one_of(pieces, st.text(" \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2028\u3000")),
+                    max_size=4).map("".join)
+
+
+@given(st.one_of(spaced_names(), st.text()))
+def test_lookup_unit_label_matches_the_regex_key(raw):
+    expected = REGEX_LOOKUP.get(re.sub(r"\s+", "", raw).lower())
+    assert lookup_unit_label(raw) is expected
+    if expected is None:
+        with pytest.raises(UnknownUnitLabel):
+            normalize_unit_label(raw)
+    else:
+        assert normalize_unit_label(raw) is expected
 
 
 class TestCanonicalText:
@@ -128,6 +157,31 @@ class TestTriple:
                     build()
             else:
                 build()
+
+
+class TestCanonicalFields:
+    def test_fields_are_canonical_and_canonical_strings_are_kept(self):
+        clean = "".join(["on ", "CoNLL"])  # a string object of its own
+        has = Predicate.from_text("has")
+        node = Node(" on\t CoNLL ")
+        node.add(has, "\u3000F1  score\n")
+        node.add(has, " \t")
+        node.add(has, clean)
+        assert node.label == "on CoNLL"
+        assert node.edges[:2] == [(has, "F1 score"), (has, None)]
+        assert node.edges[2][1] is clean
+        assert Node(clean).label is clean
+        assert Predicate(" has\n", PredicateKind.FILLER_HAS).text == "has"
+        assert Predicate(clean, PredicateKind.TEXTUAL).text is clean
+        triple = Triple(" a  b", has, clean)
+        assert triple.key() == ("a b", "has", "on CoNLL") and triple.object is clean
+        assert PhraseSpan(1, 0, 2, "on\n CoNLL").text == "on CoNLL"
+        assert PhraseSpan(1, 0, 2, clean).text is clean
+
+    def test_blank_node_label_is_rejected(self):
+        for label in ("", " \t "):
+            with pytest.raises(ValueError):
+                Node(label)
 
 
 class TestDocumentLines:

@@ -67,20 +67,6 @@ class TestMandatoryUnits:
         report = validate_paper(build_paper(units, lines))
         assert report.passed
 
-    def test_encapsulation_can_be_disabled(self):
-        units = {
-            "ResearchProblem": GOOD_UNITS["ResearchProblem"],
-            "Model": GOOD_UNITS["Model"],
-            "Experiments": {"has": {"Experiments": {
-                "includes": {"Results": {"improves the performance":
-                                         "over baseline performance"}}}}},
-        }
-        lines = GOOD_LINES + ["The experiments includes several runs"]
-        policy = ValidationPolicy(allow_results_via_encapsulation=False)
-        report = validate_paper(build_paper(units, lines), policy)
-        assert not report.passed
-        assert any(i.code == "mandatory-unit-missing" for i in report.issues)
-
     def test_missing_research_problem(self):
         units = {k: v for k, v in GOOD_UNITS.items() if k != "ResearchProblem"}
         report = validate_paper(build_paper(units, GOOD_LINES))
@@ -185,8 +171,7 @@ class TestDuplicatesAndBounds:
         paper = build_paper(units, GOOD_LINES)
         tree = parse_unit_file(results_unit_text, UnitLabel.RESULTS)
         paper.units[UnitLabel.RESULTS] = tree
-        report = validate_paper(paper, ValidationPolicy(provenance_check="Off",
-                                                         filler_whitelist_check=False))
+        report = validate_paper(paper, ValidationPolicy(provenance_check="Off"))
         assert not any(i.code == "duplicate-triple" for i in report.issues)
 
     def test_duplicate_triple_is_an_error(self):
