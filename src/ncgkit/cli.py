@@ -338,8 +338,11 @@ def cmd_unit_stats(args) -> int:
 
 
 def cmd_score(args) -> int:
-    gold, _ = load_corpus(_manifest_from(args.gold))
-    pred, _ = load_corpus(_manifest_from(args.pred))
+    gold, gold_issues = load_corpus(_manifest_from(args.gold))
+    pred, pred_issues = load_corpus(_manifest_from(args.pred))
+    for side, issues in (("gold", gold_issues), ("pred", pred_issues)):
+        for issue in issues:
+            print(f"{side}: {issue.as_line()}", file=sys.stderr)
     config = MatchConfig(
         phrase_match=args.phrase_match,
         triple_scope=args.triple_scope,

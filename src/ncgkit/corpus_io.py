@@ -619,10 +619,13 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
         issues.append(ValidationIssue("missing-text", ERROR, loc,
                                       "plaintext absent; paper skipped"))
         return None
-    lines = parsed(loc, str.splitlines, suffix="; paper skipped")
-    if lines is None:
+    text = parsed(loc, str, suffix="; paper skipped")
+    if text is None:
         return None
-    token_count = sum(map(len, map(str.split, lines)))
+    # every str.splitlines break is whitespace to str.split, so counting on
+    # the whole text equals the sum of the per-line counts
+    lines = text.splitlines()
+    token_count = len(text.split())
 
     paper = PaperAnnotation(
         paper_id=paper_id,

@@ -14,9 +14,11 @@ as they are.  A string that is already canonical is kept, not copied.
 from __future__ import annotations
 
 import re
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 from .errors import UnknownUnitLabel
 
@@ -125,34 +127,49 @@ class Sentence:
 class DocumentLines(Sequence):
     """Read-only view of a paper's plaintext lines as sentences.
 
-    Holds the raw lines and tokenizes a line only when it is read: item
-    ``i`` is ``Sentence(paper_id, i + 1, tokens)``, or None for a blank
-    line.  Nothing is cached.  It compares equal to a list of the same
-    items, such as the eager list of sentences.
+    Holds the lines' UTF-8 encoding as one ``bytes`` object plus an array of
+    line-end offsets into it, so a paper costs one object and 8 bytes per
+    line instead of one ``str`` per line.  UTF-8, not one ``str``, because
+    a ``str`` stores every character as wide as its widest: one character
+    above U+00FF would double the whole paper.  A line is sliced out,
+    decoded and tokenized only when it is read: item ``i`` is
+    ``Sentence(paper_id, i + 1, tokens)``, or None for a blank line.
+    Nothing is cached.  Any list of strings round-trips exactly, lines
+    holding break characters or lone surrogates included.  It compares
+    equal to a list of the same items, such as the eager list of sentences.
     """
 
-    __slots__ = ("paper_id", "_lines")
+    __slots__ = ("paper_id", "_data", "_ends")
 
     def __init__(self, paper_id: str, lines: list[str]) -> None:
         self.paper_id = paper_id
-        self._lines = lines
+        encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
+        self._data = b"".join(encoded)
+        self._ends = array("Q", accumulate(map(len, encoded)))
 
     def _sentence(self, index: int, line: str) -> Sentence | None:
         tokens = tuple(line.split())
         return Sentence(self.paper_id, index, tokens) if tokens else None
 
+    def _line(self, start: int, end: int) -> str:
+        return self._data[start:end].decode("utf-8", "surrogatepass")
+
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self._ends)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self._lines)))]
-        line = self._lines[index]
-        return self._sentence(index % len(self._lines) + 1, line)
+            return [self[i] for i in range(*index.indices(len(self._ends)))]
+        end = self._ends[index]
+        index %= len(self._ends)
+        start = self._ends[index - 1] if index else 0
+        return self._sentence(index + 1, self._line(start, end))
 
     def __iter__(self):
-        for index, line in enumerate(self._lines, 1):
-            yield self._sentence(index, line)
+        start = 0
+        for index, end in enumerate(self._ends, 1):
+            yield self._sentence(index, self._line(start, end))
+            start = end
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (DocumentLines, list)):
@@ -209,22 +226,25 @@ class Predicate:
 
     ``text`` is canonical; a canonical argument is kept, not copied.
     Exactly ``has``, ``name``, and ``hasAcronym`` are fillers; every other
-    text is Textual.  The pairing is checked on construction.
+    text is Textual.  A given ``kind`` is checked against the text on
+    construction; an omitted one is the text's.
     """
 
     text: str
-    kind: PredicateKind
+    kind: PredicateKind = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "text", canonical_text(self.text))
         expected = _FILLER_TEXTS.get(self.text, PredicateKind.TEXTUAL)
-        if self.kind is not expected:
+        if self.kind is None:
+            object.__setattr__(self, "kind", expected)
+        elif self.kind is not expected:
             raise ValueError(f"predicate {self.text!r} must have kind {expected}")
 
     @classmethod
     def from_text(cls, raw: str) -> "Predicate":
-        text = canonical_text(raw)
-        return cls(text, _FILLER_TEXTS.get(text, PredicateKind.TEXTUAL))
+        """The predicate of a surface string, canonicalized once and classified."""
+        return cls(raw)
 
 
 HAS = Predicate.from_text("has")
@@ -332,8 +352,9 @@ class PaperAnnotation:
     Layer fields are ``None`` when the corresponding file was absent on
     disk, as opposed to present-but-empty.  ``sentences`` is the full
     document when the plaintext was loaded, one entry per line; a loaded
-    paper holds a :class:`DocumentLines`, which tokenizes a line when it is
-    read, and a list of ``Sentence | None`` works the same.  Validators
+    paper holds a :class:`DocumentLines`, which keeps the text as one UTF-8
+    ``bytes`` with line-end offsets and tokenizes a line when it is read,
+    and a list of ``Sentence | None`` works the same.  Validators
     ground surface forms in the contribution sentences.  When both maps
     hold a unit, ``triples[u]`` is ``flatten(units[u]).triples``;
     ``load_corpus`` guarantees this.

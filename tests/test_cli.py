@@ -251,6 +251,34 @@ class TestScore:
         header = out.read_text().splitlines()[0].split("\t")
         assert len(header) == 1 + 4 * 3
 
+    def test_load_issues_go_to_stderr_by_side(self, tmp_path, capsys):
+        gold = os.path.join(DATA, "comparison_corpus")
+        pred = tmp_path / "pred"
+        shutil.copytree(gold, pred)
+        target = pred / "papers" / "dilated-cnn-2017" / "sentences.txt"
+        target.write_bytes(b"\xff" + target.read_bytes())
+        args = ["score", "--granularity", "sentences", "--gold", gold]
+        assert run(args + ["--pred", gold]) == 0
+        clean = capsys.readouterr()
+        assert run(args + ["--pred", str(pred)]) == 0
+        broken = capsys.readouterr()
+        # stdout is the table alone; the unreadable pred file costs recall
+        micro = next(l for l in broken.out.splitlines() if l.startswith("micro"))
+        assert micro.split("\t")[1:3] == ["100.00", "75.00"]
+        assert len(broken.out.splitlines()) == len(clean.out.splitlines())
+        bad = "papers/dilated-cnn-2017/sentences.txt\tformat-error\tError\t"
+        assert [line for line in broken.err.splitlines() if "format-error" in line] == [
+            f"pred: {bad}papers/dilated-cnn-2017/sentences.txt: "
+            "not valid UTF-8 (invalid start byte 0xff)"]
+        assert "format-error" not in clean.err
+        expected = "".join(f"{side}: {issue.as_line()}\n"
+                           for side, root in (("gold", gold), ("pred", pred))
+                           for issue in load_corpus(CorpusManifest(root_path=root))[1])
+        assert broken.err == expected
+        assert run(["score", "--granularity", "sentences", "--gold", str(pred),
+                    "--pred", gold]) == 0
+        assert f"gold: {bad}" in capsys.readouterr().err
+
 
 class TestFlattenNest:
     def test_flatten_nested_results_unit(self, tmp_path):

@@ -1,6 +1,8 @@
+import gc
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -490,6 +492,24 @@ class TestLoadCorpus:
         assert paper.total_sentence_count == len(eager)
         assert paper.total_token_count == sum(len(s.tokens) for s in eager if s)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.permutations(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                            "\x85", "\u2028", "\u2029"]),
+           st.lists(st.text(max_size=4), min_size=12, max_size=12))
+    def test_token_count_is_the_sum_over_lines(self, breaks, pieces):
+        # every break of str.splitlines, each between two drawn pieces
+        text = "".join(p + b for p, b in zip(pieces, breaks + [""]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t" / "p" / "text.txt"
+            path.parent.mkdir(parents=True)
+            path.write_bytes(text.encode("utf-8"))
+            with open(path, encoding="utf-8-sig") as fh:
+                read = fh.read()
+            corpus, _ = load_corpus(CorpusManifest(root_path=tmp))
+        paper = corpus.get("p")
+        assert paper.total_token_count == sum(len(line.split()) for line in read.splitlines())
+        assert paper.total_sentence_count == len(read.splitlines())
+
     def test_trial_load_builds_no_triple_from_a_file_with_a_tree(self, trial_root,
                                                                 monkeypatch):
         assert list(trial_root.glob("*/*/triples/*.txt"))
@@ -537,6 +557,28 @@ class TestLoadCorpus:
                     assert id(triple.object) in strings, triple
                     objects += " " in triple.object
         assert objects  # multi-word objects, which canonicalizing would copy
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                        reason="object sizes are those of CPython 3.11")
+    def test_document_lines_retained_bytes_per_line(self, trial_root):
+        # CPython 3.11, trial corpus: about 83 bytes per line when each line
+        # was a str of its own in a list, and about 34 with one str per
+        # paper and an 8-byte end offset per line
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
+            gc.collect()
+            loaded = tracemalloc.get_traced_memory()[0]
+            lines = 0
+            for paper in corpus.papers():
+                lines += len(paper.sentences)
+                paper.sentences = None
+            gc.collect()
+            retained = loaded - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / lines < 60
 
     def test_duplicate_paper_id_across_tasks(self, tmp_path):
         make_paper(tmp_path, "t1", "p", units=MINIMAL_UNITS)

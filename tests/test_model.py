@@ -1,4 +1,7 @@
+import gc
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -18,6 +21,9 @@ from ncgkit import (
     lookup_unit_label,
     normalize_unit_label,
 )
+
+#: Every line break of ``str.splitlines``.
+BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 CANONICAL_NAMES = [
     "ResearchProblem", "Approach", "Model", "Code", "Dataset",
@@ -127,6 +133,18 @@ class TestPredicate:
         with pytest.raises(ValueError):
             Predicate("on", PredicateKind.FILLER_HAS)
 
+    def test_from_text_canonicalizes_once(self, monkeypatch):
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return canonical_text(raw)
+
+        monkeypatch.setattr("ncgkit.model.canonical_text", counting)
+        predicate = Predicate.from_text(" has\n")
+        assert calls == [" has\n"]
+        assert (predicate.text, predicate.kind) == ("has", PredicateKind.FILLER_HAS)
+
 
 class TestTriple:
     def test_of_canonicalizes(self):
@@ -144,10 +162,11 @@ class TestTriple:
     @example("\x85\xa0\u2028\u3000")
     @example("\u200b")
     @example("\ufeff")
+    @example(" has")
     def test_empty_check_is_canonical_emptiness(self, part):
         empty = not canonical_text(part)
         has = Predicate.from_text("has")
-        textual = part not in ("has", "name", "hasAcronym")
+        textual = canonical_text(part) not in ("has", "name", "hasAcronym")
         cases = [lambda: Triple(part, has, "o"), lambda: Triple("s", has, part)]
         if textual:
             cases.append(lambda: Triple("s", Predicate(part, PredicateKind.TEXTUAL), "o"))
@@ -214,6 +233,43 @@ class TestDocumentLines:
         assert repr(lines) == repr(self.eager())
         with pytest.raises(TypeError):
             hash(lines)
+
+    @given(st.lists(st.text() | st.text(st.sampled_from("ab \t\ud800\udfff" + BREAKS)),
+                    max_size=8),
+           st.integers(-10, 10), st.slices(10))
+    @example([], 0, slice(None))
+    @example(["", "a\nb", "\r\n", " c\ud800 ", "\u2013 \U0001d465"], -1, slice(None, None, -2))
+    def test_matches_the_eager_list(self, raw, index, window):
+        lines = DocumentLines("p", list(raw))
+        eager = [Sentence("p", i, tuple(line.split())) if line.split() else None
+                 for i, line in enumerate(raw, 1)]
+        assert len(lines) == len(eager)
+        assert list(lines) == eager
+        assert lines == eager and eager == lines
+        assert repr(lines) == repr(eager)
+        assert lines[window] == eager[window]
+        if -len(eager) <= index < len(eager):
+            assert lines[index] == eager[index]
+        for outside in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                lines[outside]
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython",
+                        reason="measures CPython allocations")
+    def test_one_wide_character_does_not_widen_the_paper(self):
+        def retained(raw):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                lines = DocumentLines("p", raw)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        plain = ["adding features"] * 200
+        # one str holding all of the text would store every character in
+        # four bytes here, and in two for a character such as "\u2013"
+        assert retained(plain + ["\U0001d465"]) < 1.1 * retained(plain + ["x"])
 
 
 class TestSentence:
