@@ -3,10 +3,13 @@
 Subcommands cover the whole pipeline: validate, stats, unit-stats, score,
 flatten, nest, build-kg, traverse, compare.  Corpus-reading commands take
 ``--manifest`` (falling back to the NCG_MANIFEST environment variable); a
-directory passed as manifest means "default layout rooted here".  Outputs
-are byte-identical across runs; version headers appear only with
-``--verbose``.  Exit codes: 0 success, 1 validation errors or ``--check``
-mismatch, 2 usage or format error.
+directory passed as manifest means "default layout rooted here".  Every
+corpus load writes each load issue to stderr as ``<side>: <issue line>``,
+where the side is ``gold`` or ``pred`` for score and ``corpus`` otherwise;
+a ``--check`` file is read before the corpus.  Outputs are byte-identical
+across runs; version headers appear only with ``--verbose``.  Exit codes:
+0 success, 1 validation errors or ``--check`` mismatch, 2 usage or format
+error.
 """
 
 from __future__ import annotations
@@ -162,24 +165,19 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _manifest_from(path_or_none: str | None) -> CorpusManifest:
-    if not path_or_none:
+def _load(path: str | None, strict: bool = False, side: str = "corpus") -> tuple:
+    """load_corpus of a manifest INI file or a default-layout root directory,
+    writing each load issue to stderr as ``<side>: <issue line>``."""
+    if not path:
         raise NcgError("no manifest given: pass --manifest or set NCG_MANIFEST")
-    path = Path(path_or_none)
-    if path.is_dir():
-        return CorpusManifest(root_path=path)
-    return CorpusManifest.from_ini(path)
-
-
-def _load(args) -> tuple:
-    manifest = _manifest_from(args.manifest)
-    if getattr(args, "strict", False):
+    path = Path(path)
+    manifest = CorpusManifest(root_path=path) if path.is_dir() else CorpusManifest.from_ini(path)
+    if strict:
         manifest.strict = True
-    return load_corpus(manifest)
-
-
-def _fmt_ratio(value: float) -> str:
-    return f"{value:.4f}"
+    corpus, issues = load_corpus(manifest)
+    for issue in issues:
+        print(f"{side}: {issue.as_line()}", file=sys.stderr)
+    return corpus, issues
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,7 @@ def _fmt_ratio(value: float) -> str:
 
 
 def cmd_validate(args) -> int:
-    corpus, load_issues = _load(args)
+    corpus, load_issues = _load(args.manifest, args.strict)
     policy = ValidationPolicy(provenance_check=args.provenance_check,
                               max_phrase_tokens=args.max_phrase_tokens)
     reports = validate_corpus(corpus, policy)
@@ -223,30 +221,35 @@ def _stats_row_dict(row) -> dict:
 
 
 def cmd_stats(args) -> int:
-    corpus, _ = _load(args)
-    stats = corpus_stats(corpus)
-    if args.format == "json":
-        payload = {"per_task": {t: _stats_row_dict(r) for t, r in stats.per_task.items()},
-                   "overall": _stats_row_dict(stats.overall)}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["task\t" + "\t".join(_STATS_COLUMNS) + "\n"]
-        for task, row in list(stats.per_task.items()) + [("Overall", stats.overall)]:
-            cells = [task]
-            for name in _STATS_COLUMNS:
-                value = getattr(row, name)
-                cells.append(str(value) if isinstance(value, int) else _fmt_ratio(value))
-            lines.append("\t".join(cells) + "\n")
-        _emit(args, "".join(lines))
-    if args.check:
-        return _check_stats(stats, _read_expected(
-            args.check, {"ratio_tolerance": 0, "per_task": 2, "overall": 1}))
-    return 0
+    expected = _read_expected(args.check, {"ratio_tolerance": 0, "per_task": 2, "overall": 1})
+    stats = corpus_stats(_load(args.manifest, args.strict)[0])
+    per_task = {task: _stats_row_dict(row) for task, row in stats.per_task.items()}
+    overall = _stats_row_dict(stats.overall)
+    tolerance = float(expected.get("ratio_tolerance", 0.005))
+    failures = _check(per_task, expected.get("per_task", {}), tolerance,
+                      "per_task.{}: task missing")
+    if "overall" in expected:
+        failures += _check({"overall": overall}, {"overall": expected["overall"]},
+                           tolerance, "")
+    return _table(args, "task", [*per_task.items(), ("Overall", overall)],
+                  {"per_task": per_task, "overall": overall}, failures)
 
 
-def _read_expected(path: str, depths: dict[str, int]) -> dict:
-    """The JSON object of a --check file; each key of ``depths`` it has holds
-    numbers under that many levels of objects, or FormatError names the key."""
+def cmd_unit_stats(args) -> int:
+    expected = _read_expected(args.check, {"ratio_tolerance": 0, "units": 2})
+    rows = {unit.identifier: {"triples": r.n_triples, "papers": r.n_papers, "ratio": r.ratio}
+            for unit, r in unit_stats(_load(args.manifest, args.strict)[0]).sorted_rows()}
+    failures = _check(rows, expected.get("units", {}),
+                      float(expected.get("ratio_tolerance", 0.01)), "units.{}: unknown unit")
+    return _table(args, "unit", list(rows.items()), rows, failures)
+
+
+def _read_expected(path: str | None, depths: dict[str, int]) -> dict:
+    """The JSON object of a --check file ({} without one); each key of
+    ``depths`` it has holds numbers under that many levels of objects, or
+    FormatError names the key."""
+    if not path:
+        return {}
     try:
         data = json.loads(_read(path, path))
     except (ValueError, RecursionError) as exc:
@@ -273,76 +276,54 @@ def _read_expected(path: str, depths: dict[str, int]) -> dict:
     return data
 
 
-def _check_values(actual: dict, expected: dict, tolerance: float,
-                  context: str, mismatches: list[str]) -> None:
-    for key, want in expected.items():
-        got = actual.get(key)
-        if got is None:
-            mismatches.append(f"{context}.{key}: missing in computed output")
-        elif isinstance(want, float) or isinstance(got, float):
-            if abs(float(got) - float(want)) > tolerance:
-                mismatches.append(f"{context}.{key}: got {got}, want {want} "
-                                  f"(tolerance {tolerance})")
-        elif int(got) != int(want):
-            mismatches.append(f"{context}.{key}: got {got}, want {want}")
-
-
-def _check_stats(stats, expected: dict) -> int:
-    tolerance = float(expected.get("ratio_tolerance", 0.005))
-    mismatches: list[str] = []
-    for task, fields in expected.get("per_task", {}).items():
-        row = stats.per_task.get(task)
+def _check(rows: dict[str, dict], expected_rows: dict[str, dict], tolerance: float,
+           absent_message: str) -> list[str]:
+    """A line for each expected value the computed rows do not match; an
+    expected row with no computed row gets ``absent_message.format(name)``."""
+    mismatches = []
+    for name, fields in expected_rows.items():
+        row = rows.get(name)
         if row is None:
-            mismatches.append(f"per_task.{task}: task missing")
+            mismatches.append(absent_message.format(name))
             continue
-        _check_values(_stats_row_dict(row), fields, tolerance, task, mismatches)
-    if "overall" in expected:
-        _check_values(_stats_row_dict(stats.overall), expected["overall"],
-                      tolerance, "overall", mismatches)
-    for line in mismatches:
-        print(f"CHECK FAIL {line}", file=sys.stderr)
-    return 1 if mismatches else 0
+        for key, want in fields.items():
+            got = row.get(key)
+            if got is None:
+                mismatches.append(f"{name}.{key}: missing in computed output")
+            elif isinstance(want, float) or isinstance(got, float):
+                if abs(float(got) - float(want)) > tolerance:
+                    mismatches.append(f"{name}.{key}: got {got}, want {want} "
+                                      f"(tolerance {tolerance})")
+            elif int(got) != int(want):
+                mismatches.append(f"{name}.{key}: got {got}, want {want}")
+    return mismatches
 
 
-def cmd_unit_stats(args) -> int:
-    corpus, _ = _load(args)
-    stats = unit_stats(corpus)
-    rows = stats.sorted_rows()
+def _tsv(first: str, rows: list[tuple[str, dict]]) -> str:
+    """A header of ``first`` and the field names, then one line per row; an
+    int is written as is, a float to four decimals."""
+    lines = ["\t".join([first, *rows[0][1]]) + "\n"]
+    for name, row in rows:
+        cells = [str(v) if isinstance(v, int) else f"{v:.4f}" for v in row.values()]
+        lines.append("\t".join([name, *cells]) + "\n")
+    return "".join(lines)
+
+
+def _table(args, first: str, rows: list[tuple[str, dict]], payload: dict,
+           failures: list[str]) -> int:
+    """Emit the rows as TSV or the payload as JSON, then each --check failure."""
     if args.format == "json":
-        payload = {unit.identifier: {"triples": r.n_triples, "papers": r.n_papers,
-                                     "ratio": r.ratio}
-                   for unit, r in rows}
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        lines = ["unit\ttriples\tpapers\tratio\n"]
-        lines += [f"{unit.identifier}\t{r.n_triples}\t{r.n_papers}\t{_fmt_ratio(r.ratio)}\n"
-                  for unit, r in rows]
-        _emit(args, "".join(lines))
-    if args.check:
-        expected = _read_expected(args.check, {"ratio_tolerance": 0, "units": 2})
-        tolerance = float(expected.get("ratio_tolerance", 0.01))
-        mismatches: list[str] = []
-        by_name = {unit.identifier: r for unit, r in rows}
-        for name, fields in expected.get("units", {}).items():
-            row = by_name.get(name)
-            if row is None:
-                mismatches.append(f"units.{name}: unknown unit")
-                continue
-            actual = {"triples": row.n_triples, "papers": row.n_papers,
-                      "ratio": row.ratio}
-            _check_values(actual, fields, tolerance, name, mismatches)
-        for line in mismatches:
-            print(f"CHECK FAIL {line}", file=sys.stderr)
-        return 1 if mismatches else 0
-    return 0
+        _emit(args, _tsv(first, rows))
+    for line in failures:
+        print(f"CHECK FAIL {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_score(args) -> int:
-    gold, gold_issues = load_corpus(_manifest_from(args.gold))
-    pred, pred_issues = load_corpus(_manifest_from(args.pred))
-    for side, issues in (("gold", gold_issues), ("pred", pred_issues)):
-        for issue in issues:
-            print(f"{side}: {issue.as_line()}", file=sys.stderr)
+    gold, _ = _load(args.gold, side="gold")
+    pred, _ = _load(args.pred, side="pred")
     config = MatchConfig(
         phrase_match=args.phrase_match,
         triple_scope=args.triple_scope,
@@ -412,14 +393,14 @@ def cmd_nest(args) -> int:
 
 
 def cmd_build_kg(args) -> int:
-    corpus, _ = _load(args)
+    corpus, _ = _load(args.manifest, args.strict)
     graph = build_graph(corpus, merge=args.merge)
     _emit(args, export_ntriples(graph))
     return 0
 
 
 def cmd_traverse(args) -> int:
-    corpus, _ = _load(args)
+    corpus, _ = _load(args.manifest, args.strict)
     graph = build_graph(corpus)
     results = traverse(graph, args.paper, args.start, args.depth)
     lines = []
@@ -430,7 +411,7 @@ def cmd_traverse(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    corpus, _ = _load(args)
+    corpus, _ = _load(args.manifest, args.strict)
     unit = normalize_unit_label(args.unit)
     paper_ids = [p.strip() for p in args.papers.split(",") if p.strip()]
     titles = {}

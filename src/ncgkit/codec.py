@@ -11,20 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotATree
-from .issues import WARNING, ValidationIssue
 from .model import CONTRIBUTION, Node, PaperAnnotation, Predicate, Triple, UnitLabel, UnitTree
 
 
 @dataclass
 class FlattenedUnit:
-    """Triples of one unit in emission order, plus dangling-predicate warnings.
+    """Triples of one unit in emission order.
 
     For a well-formed tree the first triple is (Contribution, has, <unit>).
     """
 
     unit: UnitLabel
     triples: list[Triple] = field(default_factory=list)
-    warnings: list[ValidationIssue] = field(default_factory=list)
 
 
 def flatten(tree: UnitTree) -> FlattenedUnit:
@@ -33,19 +31,16 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
     Each edge (node, predicate, child) becomes (node.label, predicate,
     child label or literal).  The Contribution root's own edge comes first,
     so a well-formed unit starts with (Contribution, has, <unit name>).
-    Provenance entries emit nothing.  Empty-valued predicates emit nothing
-    and add a dangling-predicate warning.  Duplicate triples are kept, never
-    silently merged; :func:`~ncgkit.validate.validate_paper` reports them.
+    Provenance entries and empty-valued (dangling) predicates emit nothing;
+    :func:`~ncgkit.corpus_io.parse_unit_file` reports the latter.  Duplicate
+    triples are kept, never silently merged;
+    :func:`~ncgkit.validate.validate_paper` reports them.
     """
     out = FlattenedUnit(tree.unit)
 
     def visit(node: Node) -> None:
         for predicate, child in node.edges:
             if child is None:
-                out.warnings.append(ValidationIssue(
-                    "dangling-predicate", WARNING,
-                    f"{tree.unit.identifier}/{node.label}",
-                    f"predicate {predicate.text!r} has no value"))
                 continue
             is_node = isinstance(child, Node)
             out.triples.append(Triple(node.label, predicate, child.label if is_node else child))

@@ -33,10 +33,9 @@ class ComparisonTable:
 
 
 def _research_problem_objects(paper) -> set[str]:
-    """Objects annotated under the paper's ResearchProblem unit."""
-    if UnitLabel.RESEARCH_PROBLEM not in (paper.units or {}):
-        return set()
-    return {triple.object for triple in unit_triples(paper)[UnitLabel.RESEARCH_PROBLEM]
+    """Objects of the paper's ResearchProblem triples, with or without a tree."""
+    return {triple.object
+            for triple in unit_triples(paper).get(UnitLabel.RESEARCH_PROBLEM, ())
             if lookup_unit_label(triple.object) is not UnitLabel.RESEARCH_PROBLEM}
 
 

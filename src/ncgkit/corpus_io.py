@@ -286,7 +286,8 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     from the implicit Contribution root, whose edges are the file's
     top-level keys.  ``from sentence`` keys (exact, case-sensitive) attach
     provenance to the nearest enclosing node wherever they appear.  A
-    predicate with an empty value is kept as a dangling edge and reported.
+    predicate with an empty value is kept as a dangling edge and reported
+    as ``dangling-predicate``, pre-order.
 
     Raises:
         FormatError: malformed or too deeply nested JSON, or a non-object
@@ -311,6 +312,15 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     root = Node(CONTRIBUTION)
     _fill_predicates(root, data, location)
 
+    def note_dangling(node: Node) -> None:
+        for predicate, child in node.edges:
+            if child is None:
+                _note(issues, "dangling-predicate", WARNING, location or unit.identifier,
+                      f"predicate {predicate.text!r} of {node.label!r} has no value")
+            elif isinstance(child, Node):
+                note_dangling(child)
+
+    note_dangling(root)
     unit_node = None
     content_edges = [(p, c) for p, c in root.edges if c is not None]
     if len(content_edges) == 1:
@@ -686,10 +696,6 @@ def _reconcile_units_and_triples(
     triples: dict[UnitLabel, list[Triple]] = dict.fromkeys(lines_by_unit)
     for unit, tree in units.items():
         flat = flatten(tree)
-        issues.extend(
-            ValidationIssue(w.code, w.severity,
-                            f"{task}/{paper.paper_id}/{w.location}", w.message)
-            for w in flat.warnings)
         if unit in lines_by_unit:
             file_keys_set = {tuple(map(canonical_text, fields))
                              for fields in lines_by_unit[unit]}

@@ -31,7 +31,6 @@ ISSUE_CODES = {
     "root-not-unit": "unit file's top node does not match the unit name",
     "nest-failed": "triples file could not be arranged as a tree",
     "triples-file-mismatch": "triples file is not set-equal to the flattened tree",
-    # codec
     "dangling-predicate": "predicate with an empty value emits no triple",
     # validation
     "duplicate-triple": "identical triple produced more than once",

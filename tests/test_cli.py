@@ -83,6 +83,44 @@ class TestStats:
             key = "overall.ann_triples" if command == "stats" else "units.Results.triples"
             assert err[0] == f"error: {check}: {key}: expected a number, got str"
 
+    @pytest.mark.parametrize("command, expected, lines", [
+        ("stats",
+         {"per_task": {"nope": {"total_ius": 1},
+                       "parsing": {"total_ius": 4, "avg_ann_sentences": 0.99,
+                                   "avg_ann_phrase_toks": 0.1176, "ann_triples": 7}},
+          "overall": {"ann_phrases": 2, "avg_toks_per_phrase": 2.01, "bogus": 1}},
+         ["per_task.nope: task missing",
+          "parsing.total_ius: got 3, want 4",
+          "parsing.avg_ann_sentences: got 1.0, want 0.99 (tolerance 0.005)",
+          "overall.ann_phrases: got 1, want 2",
+          "overall.avg_toks_per_phrase: got 2.0, want 2.01 (tolerance 0.005)",
+          "overall.bogus: missing in computed output"]),
+        ("stats",
+         {"ratio_tolerance": 0.001, "overall": {"avg_ann_phrase_toks": 0.1165}},
+         ["overall.avg_ann_phrase_toks: got 0.11764705882352941, want 0.1165 "
+          "(tolerance 0.001)"]),
+        ("stats",
+         {"ratio_tolerance": 0, "overall": {"avg_ann_sentences": 0.9999}},
+         ["overall.avg_ann_sentences: got 1.0, want 0.9999 (tolerance 0.0)"]),
+        ("unit-stats",
+         {"units": {"Objective": {"triples": 1},
+                    "Results": {"triples": 4, "ratio": 3.009, "papers": 1},
+                    "Model": {"ratio": 2.011}}},
+         ["units.Objective: unknown unit",
+          "Results.triples: got 3, want 4",
+          "Model.ratio: got 2.0, want 2.011 (tolerance 0.01)"]),
+    ], ids=["stats-default-tolerance", "stats-explicit-tolerance",
+            "stats-zero-tolerance", "unit-stats-default-tolerance"])
+    def test_check_mismatch_lines(self, tiny_root, tmp_path, capsys,
+                                  command, expected, lines):
+        check = tmp_path / "expected.json"
+        check.write_text(json.dumps(expected), encoding="utf-8")
+        assert run([command, "--manifest", str(tiny_root), "--check", str(check),
+                    "--out", str(tmp_path / "o.tsv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("CHECK ")] == [
+            f"CHECK FAIL {line}" for line in lines]
+
     def test_env_var_manifest(self, tiny_root, tmp_path, monkeypatch):
         monkeypatch.setenv("NCG_MANIFEST", str(tiny_root))
         out = tmp_path / "stats.tsv"
@@ -103,6 +141,23 @@ class TestUnitStats:
         assert len(lines) == 13  # all twelve units, zero rows included
         results_row = next(l for l in lines if l.startswith("Results\t"))
         assert results_row.split("\t")[:3] == ["Results", "3", "1"]
+
+    def test_both_tables_write_ints_as_is_and_ratios_to_four_places(self, tiny_root,
+                                                                   tmp_path):
+        out = tmp_path / "o.tsv"
+        assert run(["stats", "--manifest", str(tiny_root), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "task\ttotal_ius\tann_sentences\tavg_ann_sentences\tann_phrases\t"
+            "avg_toks_per_phrase\tavg_ann_phrase_toks\tann_triples\n"
+            "parsing\t3\t2\t1.0000\t1\t2.0000\t0.1176\t7\n"
+            "Overall\t3\t2\t1.0000\t1\t2.0000\t0.1176\t7\n")
+        assert run(["unit-stats", "--manifest", str(tiny_root), "--out", str(out)]) == 0
+        empty = ["AblationAnalysis", "Approach", "Baselines", "Code", "Dataset",
+                 "ExperimentalSetup", "Experiments", "Hyperparameters", "Tasks"]
+        assert out.read_text() == (
+            "unit\ttriples\tpapers\tratio\n"
+            "Results\t3\t1\t3.0000\nModel\t2\t1\t2.0000\nResearchProblem\t2\t1\t2.0000\n"
+            + "".join(f"{unit}\t0\t0\t0.0000\n" for unit in empty))
 
 
 class TestValidate:
@@ -278,6 +333,35 @@ class TestScore:
         assert run(["score", "--granularity", "sentences", "--gold", str(pred),
                     "--pred", gold]) == 0
         assert f"gold: {bad}" in capsys.readouterr().err
+
+
+class TestLoadIssuesOnStderr:
+    """Every corpus command writes each load issue to stderr as ``corpus: <line>``."""
+
+    @pytest.mark.parametrize("command, extra, code", [
+        ("validate", [], 1),
+        ("stats", [], 0),
+        ("unit-stats", [], 0),
+        ("build-kg", [], 0),
+        ("traverse", ["--paper", "machine-reading-2016", "--start", "Results"], 0),
+        ("compare", ["--unit", "Results",
+                     "--papers", "dilated-cnn-2017,machine-reading-2016"], 0),
+    ])
+    def test_each_command_reports_every_issue_in_order(
+            self, comparison_root, tmp_path, capsys, command, extra, code):
+        root = tmp_path / "corpus"
+        shutil.copytree(comparison_root, root)
+        target = root / "papers" / "dilated-cnn-2017" / "sentences.txt"
+        target.write_bytes(b"\xff" + target.read_bytes())
+        issues = load_corpus(CorpusManifest(root_path=root))[1]
+        assert "format-error" in {i.code for i in issues}
+        out = tmp_path / "out"
+        assert run([command, "--manifest", str(root), *extra, "--out", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        expected = [f"corpus: {issue.as_line()}" for issue in issues]
+        assert [line for line in err if line.startswith("corpus: ")] == expected
+        if command != "validate":  # validate adds its summary lines
+            assert err == expected
 
 
 class TestFlattenNest:

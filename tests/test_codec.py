@@ -17,6 +17,7 @@ from ncgkit import (
     parse_unit_file,
     roundtrip_check,
     trees_equivalent,
+    write_unit_file,
 )
 
 
@@ -47,7 +48,10 @@ class TestFlatten:
             ("F1 measure", "in", "GENIA dataset"),
             ("GENIA dataset", "achieves", "comparable results"),
         ]
-        assert not flat.warnings
+        issues = []
+        parse_unit_file(write_unit_file(hoisted_results_tree()), UnitLabel.RESULTS,
+                        issues=issues)
+        assert issues == []
 
     def test_sentence_159_phrases(self):
         adding = Node("adding features")
@@ -72,18 +76,27 @@ class TestFlatten:
     def test_dangling_predicate_emits_nothing_plus_warning(self):
         node = Node("Stack - LSTM")
         node.add(Predicate.from_text("to represent"), None)
-        flat = flatten(UnitTree.from_unit_node(UnitLabel.MODEL, node))
+        tree = UnitTree.from_unit_node(UnitLabel.MODEL, node)
+        flat = flatten(tree)
         assert len(flat.triples) == 1
-        assert [w.code for w in flat.warnings] == ["dangling-predicate"]
+        # the parser is the one place that reports a dangling predicate
+        issues = []
+        parse_unit_file(write_unit_file(tree), UnitLabel.MODEL, issues=issues,
+                        location="Model.json")
+        assert [i.as_line() for i in issues if i.code == "dangling-predicate"] == [
+            "Model.json\tdangling-predicate\tWarning\t"
+            "predicate 'to represent' of 'Stack - LSTM' has no value"]
 
     def test_duplicate_triples_kept_and_reported(self):
         # kept here; validate_paper is the one place that reports them
         node = Node("Results")
         node.add(Predicate.from_text("on"), "CoNLL")
         node.add(Predicate.from_text("on"), "CoNLL")
-        flat = flatten(UnitTree.from_unit_node(UnitLabel.RESULTS, node))
-        assert len(flat.triples) == 3
-        assert flat.warnings == []
+        tree = UnitTree.from_unit_node(UnitLabel.RESULTS, node)
+        assert len(flatten(tree).triples) == 3
+        issues = []
+        parse_unit_file(write_unit_file(tree), UnitLabel.RESULTS, issues=issues)
+        assert issues == []
 
     def test_non_canonical_label_is_one_string_per_node(self):
         inner = Node("on  CoNLL ")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ncgkit import (
@@ -6,6 +8,7 @@ from ncgkit import (
     UnknownPaper,
     build_graph,
     compare,
+    corpus_stats,
     load_corpus,
     render,
     table_to_dict,
@@ -26,6 +29,26 @@ def survey_corpus(comparison_root):
 @pytest.fixture(scope="module")
 def survey_table(survey_corpus):
     return compare(survey_corpus, UnitLabel.RESULTS, PAPERS, depth=1)
+
+
+def test_research_problem_row_reads_the_stored_triples(tmp_path):
+    paper = tmp_path / "t" / "p"
+    (paper / "info-units").mkdir(parents=True)
+    (paper / "triples").mkdir()
+    (paper / "text.txt").write_text("We study chunking on CoNLL .\n", encoding="utf-8")
+    (paper / "sentences.txt").write_text("1\n", encoding="utf-8")
+    (paper / "info-units" / "Results.json").write_text(
+        json.dumps({"has": {"Results": {"on": "CoNLL"}}}), encoding="utf-8")
+    # a ResearchProblem triples file that does not nest keeps its triples
+    (paper / "triples" / "ResearchProblem.txt").write_text(
+        "(Contribution||has||Research Problem)\n(Orphan||has||NER)\n"
+        "(Research Problem||has||chunking)\n", encoding="utf-8")
+    corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+    assert "nest-failed" in {i.code for i in issues}
+    overall = corpus_stats(corpus).overall
+    assert (overall.total_ius, overall.ann_triples) == (2, 5)
+    table = compare(corpus, UnitLabel.RESULTS, ["p"])
+    assert table.cell("Has research problem", "p") == ["NER", "chunking"]
 
 
 class TestSurveyReproduction:

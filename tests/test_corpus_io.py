@@ -1,5 +1,6 @@
 import gc
 import json
+import shutil
 import sys
 import tempfile
 import tracemalloc
@@ -23,8 +24,10 @@ from ncgkit import (
     SpanTextMismatch,
     Triple,
     UnitLabel,
+    build_graph,
     compare,
     corpus_stats,
+    export_ntriples,
     flatten,
     load_corpus,
     parse_phrase_file,
@@ -192,8 +195,7 @@ class TestUnitFile:
         assert stack.provenance  # provenance from inside the incorporate value
         dangling = [p.text for p, c in stack.edges if c is None]
         assert dangling == ["to represent", "has"]
-        flat = flatten(tree)
-        assert [w.code for w in flat.warnings] == ["dangling-predicate"] * 2
+        assert [i.code for i in issues] == ["dangling-predicate"] * 2 + ["root-not-unit"]
         # the fragment's top level is employ -> Stack - LSTM, not has -> Model
         assert "root-not-unit" in {i.code for i in issues}
 
@@ -432,6 +434,55 @@ class TestLoadCorpus:
         # option keys keep their case so mixed-case paper ids resolve
         assert corpus.get("R69764").total_token_count == 123
 
+    def test_custom_layout_loads_like_the_default(self, comparison_root, tmp_path):
+        default = tmp_path / "default"
+        shutil.copytree(comparison_root, default)
+        papers = sorted((default / "papers").iterdir())
+        # every role gets files: one phrase per paper, and a Results triples
+        # file for all papers but the last (its missing-triples warning stays)
+        for paper in papers:
+            first = int((paper / "sentences.txt").read_text(encoding="utf-8").split()[0])
+            line = (paper / "text.txt").read_text(encoding="utf-8").splitlines()[first - 1]
+            (paper / "phrases.tsv").write_text(
+                f"{first}\t0\t2\t{' '.join(line.split()[:2])}\n", encoding="utf-8")
+        for paper in papers[:-1]:
+            tree = parse_unit_file((paper / "info-units" / "Results.json").read_text(
+                encoding="utf-8"), UnitLabel.RESULTS)
+            (paper / "triples").mkdir()
+            (paper / "triples" / "Results.txt").write_text(
+                write_triple_lines(flatten(tree).triples), encoding="utf-8")
+        layout = {"text": "{task}/{paper}.d/plain.txt",
+                  "sentences": "{task}/{paper}.d/contribution-lines.txt",
+                  "phrases": "{task}/{paper}.d/spans.tsv",
+                  "units": "{task}/{paper}.d/units/{Unit}/tree.json",
+                  "triples": "{task}/{paper}.d/flat/{Unit}.lines"}
+        custom = tmp_path / "custom"
+        base = CorpusManifest(root_path=default)
+        for paper in papers:
+            ids = {"task": "papers", "paper": paper.name}
+            pairs = [(base.resolve(role, **ids), layout[role].format(**ids))
+                     for role in ("text", "sentences", "phrases")]
+            for role, folder, suffix in (("units", "info-units", ".json"),
+                                         ("triples", "triples", ".txt")):
+                pairs += [(path, layout[role].format(Unit=path.stem, **ids))
+                          for path in (paper / folder).glob(f"*{suffix}")]
+            for source, target in pairs:
+                (custom / target).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(source, custom / target)
+        manifest = tmp_path / "custom.ini"
+        manifest.write_text("[corpus]\nroot = custom\n\n[layout]\n" + "".join(
+            f"{role} = {pattern}\n" for role, pattern in layout.items()), encoding="utf-8")
+
+        want, want_issues = load_corpus(base)
+        got, got_issues = load_corpus(CorpusManifest.from_ini(manifest))
+        assert got.paper_ids() == want.paper_ids() == [p.name for p in papers]
+        assert [i.code for i in got_issues] == [i.code for i in want_issues] == [
+            "missing-triples"]
+        assert corpus_stats(got) == corpus_stats(want)
+        assert corpus_stats(want).overall.ann_phrases == len(papers)
+        assert all(set(p.triples) == set(p.units) for p in got.papers())
+        assert export_ntriples(build_graph(got)) == export_ntriples(build_graph(want))
+
     def test_glob_metacharacters_in_ids(self, tmp_path):
         results = {"Results": "(Contribution||has||Results)\n(Results||improves||e f)\n"}
         make_paper(tmp_path, "t", "p[1]", units=MINIMAL_UNITS, triples=results)
@@ -660,6 +711,14 @@ class TestLoadIssues:
         assert set(e.units) == set(e.triples) == set(MINIMAL_UNITS_LABELS)
         # unit files that all fail leave an empty map; no unit files leave None
         assert (f.units, f.triples, g.units, g.triples) == ({}, None, None, None)
+
+    def test_dangling_predicate_is_reported_at_its_unit_file(self, tmp_path):
+        results = {"has": {"Results": {"improves": "e f", "on": {}, "by": " "}}}
+        make_paper(tmp_path, "t", "p", units={**MINIMAL_UNITS, "Results": results})
+        _, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert [i.as_line() for i in issues if i.code == "dangling-predicate"] == [
+            f"t/p/info-units/Results.json\tdangling-predicate\tWarning\t"
+            f"predicate {p!r} of 'Results' has no value" for p in ("on", "by")]
 
     @pytest.mark.parametrize("rel, body, message", [
         ("text.txt", b"a b \xff\n", "t/p/text.txt: not valid UTF-8"),
