@@ -112,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold", choices=["none", "casefold"], default="none")
     p.add_argument("--macro-mode", choices=["harmonic-pr", "mean-f1"],
                    default="harmonic-pr")
+    p.add_argument("--strict", action="store_true",
+                   help="fail on recoverable format deviations in either corpus")
     p.add_argument("--out")
     p.set_defaults(func=cmd_score)
 
@@ -322,8 +324,8 @@ def _table(args, first: str, rows: list[tuple[str, dict]], payload: dict,
 
 
 def cmd_score(args) -> int:
-    gold, _ = _load(args.gold, side="gold")
-    pred, _ = _load(args.pred, side="pred")
+    gold, _ = _load(args.gold, args.strict, side="gold")
+    pred, _ = _load(args.pred, args.strict, side="pred")
     config = MatchConfig(
         phrase_match=args.phrase_match,
         triple_scope=args.triple_scope,

@@ -251,17 +251,18 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                 raise
             _note(issues, "span-out-of-range", ERROR, f"{location}:{lineno}", str(exc))
             continue
-        span = PhraseSpan(idx, start_tok, end_tok, cols[3])
         covered = " ".join(sent.tokens[start_tok:end_tok])
-        if span.text != covered:
-            if strict:
-                raise SpanTextMismatch(
-                    f"surface {span.text!r} != covered tokens {covered!r}",
-                    path=location or None, line=lineno)
-            _note(issues, "span-text-mismatch", WARNING, f"{location}:{lineno}",
-                  f"surface {span.text!r} repaired to {covered!r}")
-            span = PhraseSpan(idx, start_tok, end_tok, covered)
-        spans.append(span)
+        surface = cols[3]
+        if surface != covered:
+            surface = canonical_text(surface)
+            if surface != covered:
+                if strict:
+                    raise SpanTextMismatch(
+                        f"surface {surface!r} != covered tokens {covered!r}",
+                        path=location or None, line=lineno)
+                _note(issues, "span-text-mismatch", WARNING, f"{location}:{lineno}",
+                      f"surface {surface!r} repaired to {covered!r}")
+        spans.append(PhraseSpan(idx, start_tok, end_tok, covered))
     return spans
 
 
@@ -479,10 +480,12 @@ def _triple_fields(text: str, *, issues: list[ValidationIssue] | None,
             raise FormatError(
                 f"expected 3 fields after delimiter splitting, got {len(fields)}",
                 path=location or None, line=lineno)
-        if any(not field or field.isspace() for field in fields):
+        subject, predicate, obj = fields
+        if (not subject or subject.isspace() or not predicate or predicate.isspace()
+                or not obj or obj.isspace()):
             raise FormatError(f"empty field in triple line {line!r}",
                               path=location or None, line=lineno)
-        lines.append(tuple(fields))
+        lines.append((subject, predicate, obj))
     return lines
 
 
@@ -697,12 +700,15 @@ def _reconcile_units_and_triples(
     for unit, tree in units.items():
         flat = flatten(tree)
         if unit in lines_by_unit:
-            file_keys_set = {tuple(map(canonical_text, fields))
-                             for fields in lines_by_unit[unit]}
             tree_keys = {t.key() for t in flat.triples}
-            if file_keys_set != tree_keys:
-                missing = sorted(tree_keys - file_keys_set)
-                extra = sorted(file_keys_set - tree_keys)
+            # tree keys are canonical, so fields as written that equal them
+            # are canonical too
+            file_keys = set(lines_by_unit[unit])
+            if file_keys != tree_keys:
+                file_keys = {tuple(map(canonical_text, fields)) for fields in file_keys}
+            if file_keys != tree_keys:
+                missing = sorted(tree_keys - file_keys)
+                extra = sorted(file_keys - tree_keys)
                 issues.append(ValidationIssue(
                     "triples-file-mismatch", WARNING,
                     f"{task}/{paper.paper_id}/{unit.identifier}",

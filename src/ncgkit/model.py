@@ -2,8 +2,12 @@
 
 Everything here is an in-memory value: the twelve information-unit labels,
 tokenized sentences, phrase spans, triples, the nested unit tree, and the
-per-paper / corpus containers.  All small types are frozen and slotted;
-trees are built by parsers and treated as read-only afterwards.
+per-paper / corpus containers.  The value types :class:`Sentence`,
+:class:`PhraseSpan`, :class:`Predicate` and :class:`Triple` are frozen,
+slotted dataclasses with their own ``__init__``: it checks and
+canonicalises the arguments, then writes each slot once through its slot
+descriptor.  :class:`Node` is slotted and mutable; trees are built by
+parsers and treated as read-only afterwards.
 
 Surface text is canonical by construction: node labels, literal children,
 predicate texts, triple fields and phrase texts pass through
@@ -16,7 +20,7 @@ from __future__ import annotations
 import re
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate
 
@@ -31,7 +35,15 @@ def canonical_text(raw: str) -> str:
     Case and every non-whitespace character are preserved: the scheme keeps
     surface forms verbatim, including tokenizer oddities like "–" or "?".
     A string that is already canonical is returned itself, not a copy.
+
+    The definition is ``" ".join(raw.split())``.  Most strings are already
+    canonical, and a C-level check finds them without splitting: a
+    printable string with no double space and no space at either end is
+    returned as it is.  That is exact because every character ``str.split``
+    breaks on, other than the space, is unprintable.
     """
+    if raw.isprintable() and "  " not in raw and raw[:1] != " " and raw[-1:] != " ":
+        return raw
     text = " ".join(raw.split())
     return raw if text == raw else text
 
@@ -103,7 +115,16 @@ def normalize_unit_label(raw: str) -> UnitLabel:
     return unit
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls: type) -> tuple:
+    """Each field's slot ``__set__``, in field order.
+
+    A frozen value's ``__init__`` writes each slot once through these,
+    after checking and canonicalising its arguments.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Sentence:
     """One pre-tokenized plaintext line of a paper.
 
@@ -116,12 +137,19 @@ class Sentence:
     tokens: tuple[str, ...]
     text: str = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"sentence index must be >= 1, got {self.index}")
-        if not self.tokens:
+    def __init__(self, paper_id: str, index: int, tokens: tuple[str, ...]) -> None:
+        if index < 1:
+            raise ValueError(f"sentence index must be >= 1, got {index}")
+        if not tokens:
             raise ValueError("sentence has no tokens")
-        object.__setattr__(self, "text", " ".join(self.tokens))
+        set_paper_id, set_index, set_tokens, set_text = _SENTENCE_SLOTS
+        set_paper_id(self, paper_id)
+        set_index(self, index)
+        set_tokens(self, tokens)
+        set_text(self, " ".join(tokens))
+
+
+_SENTENCE_SLOTS = _slot_setters(Sentence)
 
 
 class DocumentLines(Sequence):
@@ -180,7 +208,7 @@ class DocumentLines(Sequence):
         return repr(list(self))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PhraseSpan:
     """A scientific-term or predicate phrase inside one sentence.
 
@@ -195,15 +223,21 @@ class PhraseSpan:
     end_tok: int
     text: str
 
-    def __post_init__(self) -> None:
-        if self.start_tok < 0 or self.start_tok >= self.end_tok:
-            raise ValueError(
-                f"bad span offsets [{self.start_tok}, {self.end_tok})"
-            )
-        object.__setattr__(self, "text", canonical_text(self.text))
+    def __init__(self, sentence_index: int, start_tok: int, end_tok: int,
+                 text: str) -> None:
+        if start_tok < 0 or start_tok >= end_tok:
+            raise ValueError(f"bad span offsets [{start_tok}, {end_tok})")
+        set_sentence_index, set_start_tok, set_end_tok, set_text = _PHRASE_SPAN_SLOTS
+        set_sentence_index(self, sentence_index)
+        set_start_tok(self, start_tok)
+        set_end_tok(self, end_tok)
+        set_text(self, canonical_text(text))
 
     def token_count(self) -> int:
         return self.end_tok - self.start_tok
+
+
+_PHRASE_SPAN_SLOTS = _slot_setters(PhraseSpan)
 
 
 class PredicateKind(Enum):
@@ -220,7 +254,7 @@ _FILLER_TEXTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Predicate:
     """A relation surface string plus its filler classification.
 
@@ -231,15 +265,18 @@ class Predicate:
     """
 
     text: str
-    kind: PredicateKind = None  # type: ignore[assignment]
+    kind: PredicateKind
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "text", canonical_text(self.text))
-        expected = _FILLER_TEXTS.get(self.text, PredicateKind.TEXTUAL)
-        if self.kind is None:
-            object.__setattr__(self, "kind", expected)
-        elif self.kind is not expected:
-            raise ValueError(f"predicate {self.text!r} must have kind {expected}")
+    def __init__(self, text: str, kind: PredicateKind | None = None) -> None:
+        text = canonical_text(text)
+        expected = _FILLER_TEXTS.get(text, PredicateKind.TEXTUAL)
+        if kind is None:
+            kind = expected
+        elif kind is not expected:
+            raise ValueError(f"predicate {text!r} must have kind {expected}")
+        set_text, set_kind = _PREDICATE_SLOTS
+        set_text(self, text)
+        set_kind(self, kind)
 
     @classmethod
     def from_text(cls, raw: str) -> "Predicate":
@@ -247,10 +284,12 @@ class Predicate:
         return cls(raw)
 
 
+_PREDICATE_SLOTS = _slot_setters(Predicate)
+
 HAS = Predicate.from_text("has")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Triple:
     """A (subject, predicate, object) surface-form statement.
 
@@ -262,12 +301,16 @@ class Triple:
     predicate: Predicate
     object: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subject", canonical_text(self.subject))
-        object.__setattr__(self, "object", canonical_text(self.object))
-        if not (self.subject and self.predicate.text and self.object):
-            raise ValueError(f"empty triple field in ({self.subject!r}, "
-                             f"{self.predicate.text!r}, {self.object!r})")
+    def __init__(self, subject: str, predicate: Predicate, object: str) -> None:
+        subject = canonical_text(subject)
+        object = canonical_text(object)
+        if not (subject and predicate.text and object):
+            raise ValueError(f"empty triple field in ({subject!r}, "
+                             f"{predicate.text!r}, {object!r})")
+        set_subject, set_predicate, set_object = _TRIPLE_SLOTS
+        set_subject(self, subject)
+        set_predicate(self, predicate)
+        set_object(self, object)
 
     @classmethod
     def of(cls, subject: str, predicate: str, obj: str) -> "Triple":
@@ -278,7 +321,10 @@ class Triple:
         return (self.subject, self.predicate.text, self.object)
 
 
-@dataclass
+_TRIPLE_SLOTS = _slot_setters(Triple)
+
+
+@dataclass(slots=True)
 class Node:
     """One labeled node of a unit tree.
 

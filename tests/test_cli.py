@@ -335,6 +335,25 @@ class TestScore:
         assert f"gold: {bad}" in capsys.readouterr().err
 
 
+    def test_strict_exits_2_naming_the_broken_file(self, tmp_path, capsys):
+        gold = os.path.join(DATA, "comparison_corpus")
+        pred = tmp_path / "pred"
+        shutil.copytree(gold, pred)
+        target = pred / "papers" / "dilated-cnn-2017" / "sentences.txt"
+        target.write_bytes(b"\xff" + target.read_bytes())
+        args = ["score", "--granularity", "sentences", "--gold", gold, "--pred", str(pred)]
+        assert run(args) == 0
+        lenient = capsys.readouterr()
+        micro = next(l for l in lenient.out.splitlines() if l.startswith("micro"))
+        assert micro.split("\t")[1:3] == ["100.00", "75.00"]
+        assert run(args + ["--strict"]) == 2
+        strict = capsys.readouterr()
+        assert strict.out == ""
+        assert [line for line in strict.err.splitlines() if line.startswith("error:")] == [
+            "error: papers/dilated-cnn-2017/sentences.txt: "
+            "not valid UTF-8 (invalid start byte 0xff)"]
+
+
 class TestLoadIssuesOnStderr:
     """Every corpus command writes each load issue to stderr as ``corpus: <line>``."""
 

@@ -109,6 +109,28 @@ class TestPhraseFile:
         assert spans[0].text == "adding features"
         assert [(i.code, i.severity) for i in issues] == [("span-text-mismatch", WARNING)]
 
+    def test_mismatch_messages_name_the_canonical_surface(self):
+        line = "159\t2\t4\tadding  feature"
+        issues = []
+        spans = parse_phrase_file(line, [sentence_159()], issues=issues,
+                                  location="p/phrases.tsv")
+        assert spans == [PhraseSpan(159, 2, 4, "adding features")]
+        assert [i.as_line() for i in issues] == [
+            "p/phrases.tsv:1\tspan-text-mismatch\tWarning\t"
+            "surface 'adding feature' repaired to 'adding features'"]
+        with pytest.raises(SpanTextMismatch) as info:
+            parse_phrase_file(line, [sentence_159()], strict=True, location="p/phrases.tsv")
+        assert str(info.value) == ("p/phrases.tsv:1: surface 'adding feature' "
+                                   "!= covered tokens 'adding features'")
+
+    def test_surface_differing_only_by_whitespace_is_kept(self):
+        line = "159\t2\t4\t adding \u3000 features\xa0"
+        for strict in (False, True):
+            issues = []
+            spans = parse_phrase_file(line, [sentence_159()], strict=strict, issues=issues)
+            assert spans == [PhraseSpan(159, 2, 4, "adding features")]
+            assert issues == []
+
     def test_column_count_enforced(self):
         with pytest.raises(FormatError):
             parse_phrase_file("159\t2\t4", [sentence_159()])
@@ -400,6 +422,16 @@ class TestLoadCorpus:
         assert [t.key() for t in corpus.get("p").triples[UnitLabel.CODE]] == [
             ("Contribution", "has", "Code"), ("Code", "url is", "x y")]
 
+    def test_mismatch_lists_canonical_keys(self, tmp_path):
+        make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS,
+                   triples={"Results": "(Contribution||has|| Results)\n"
+                                       "(Results||improves||e \t f)\n"
+                                       "(Results||beats||the  baseline )\n"})
+        _, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert [i.as_line() for i in issues if i.code == "triples-file-mismatch"] == [
+            "t/p/Results\ttriples-file-mismatch\tWarning\t"
+            "tree-only: []; file-only: [('Results', 'beats', 'the baseline')]"]
+
     def test_consumers_never_flatten_a_loaded_corpus(self, trial_root, monkeypatch):
         corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
         papers = corpus.paper_ids()[:4]
@@ -565,13 +597,13 @@ class TestLoadCorpus:
                                                                 monkeypatch):
         assert list(trial_root.glob("*/*/triples/*.txt"))
         built = []
-        check_fields = Triple.__post_init__
+        init = Triple.__init__
 
-        def counting(triple):
+        def counting(triple, *args, **kwargs):
             built.append(triple)
-            check_fields(triple)
+            init(triple, *args, **kwargs)
 
-        monkeypatch.setattr(Triple, "__post_init__", counting)
+        monkeypatch.setattr(Triple, "__init__", counting)
         corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
         stored = [t for p in corpus.papers() for ts in p.triples.values() for t in ts]
         assert all(set(p.units) == set(p.triples) for p in corpus.papers())

@@ -1,7 +1,10 @@
+import copy
 import gc
+import pickle
 import re
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given
@@ -24,6 +27,11 @@ from ncgkit import (
 
 #: Every line break of ``str.splitlines``.
 BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: Every character ``str.split`` breaks on.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
+              "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
+              "\u205f\u3000")
 
 CANONICAL_NAMES = [
     "ResearchProblem", "Approach", "Model", "Code", "Dataset",
@@ -114,6 +122,25 @@ class TestCanonicalText:
         assert canonical_text(once) == once
         assert once.split(" ") == canonical_text(once).split(" ")
         assert once.split() == text.split()
+
+    def test_every_break_but_the_space_is_unprintable(self):
+        # the fast check keeps a printable string, so it is exact only if
+        # no printable character other than the space is one split breaks on
+        every = "".join(map(chr, range(0x110000)))
+        assert "".join(c for c in every if c.isspace()) == WHITESPACE
+        assert "".join(every.split()) == every.translate(dict.fromkeys(map(ord, WHITESPACE)))
+        assert [c for c in WHITESPACE if c.isprintable()] == [" "]
+
+    @given(st.text() | st.text(st.sampled_from("ab" + WHITESPACE)))
+    @example(" a")
+    @example("a ")
+    @example("a  b")
+    @example("a\u3000b")
+    def test_is_split_and_join(self, raw):
+        text = " ".join(raw.split())
+        assert canonical_text(raw) == text
+        if text == raw:
+            assert canonical_text(raw) is raw
 
 
 class TestPredicate:
@@ -293,3 +320,89 @@ class TestPhraseSpan:
 
     def test_token_count(self):
         assert PhraseSpan(1, 2, 4, "adding features").token_count() == 2
+
+
+HAS = Predicate("has")
+IMPROVES = Predicate("improves")
+IMPROVES_REPR = "Predicate(text='improves', kind=<PredicateKind.TEXTUAL: 'Textual'>)"
+
+#: Per value type: positional arguments, the exact repr, a change for
+#: ``dataclasses.replace`` and the fields it must yield.
+VALUES = {
+    Sentence: (("p", 3, ("adding", "features")),
+               "Sentence(paper_id='p', index=3, tokens=('adding', 'features'), "
+               "text='adding features')",
+               {"tokens": ("on", "CoNLL")}, {"tokens": ("on", "CoNLL"), "text": "on CoNLL"}),
+    PhraseSpan: ((159, 2, 4, "adding features"),
+                 "PhraseSpan(sentence_index=159, start_tok=2, end_tok=4, "
+                 "text='adding features')",
+                 {"text": " on\tCoNLL\n"}, {"text": "on CoNLL"}),
+    Predicate: (("improves", PredicateKind.TEXTUAL), IMPROVES_REPR,
+                {"text": "\u3000beats  "}, {"text": "beats", "kind": PredicateKind.TEXTUAL}),
+    Triple: (("Results", IMPROVES, "F1 score"),
+             f"Triple(subject='Results', predicate={IMPROVES_REPR}, object='F1 score')",
+             {"subject": " Our\nmodel "}, {"subject": "Our model", "object": "F1 score"}),
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+class TestValueTypes:
+    def value(self, cls):
+        return cls(*VALUES[cls][0])
+
+    def test_fields_cannot_be_assigned(self, cls):
+        value = self.value(cls)
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, f.name)
+        assert not hasattr(value, "__dict__")
+
+    def test_equality_hash_and_repr_are_field_wise(self, cls):
+        args, expected_repr, change, _ = VALUES[cls]
+        value = self.value(cls)
+        twin = cls(*copy.deepcopy(args))
+        assert value == twin and value is not twin
+        assert hash(value) == hash(twin)
+        assert hash(value) == hash(tuple(getattr(value, f.name) for f in fields(cls)))
+        assert repr(value) == expected_repr
+        assert replace(value, **change) != value
+
+    def test_pickle_and_copies_round_trip(self, cls):
+        value = self.value(cls)
+        clones = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones + [copy.copy(value), copy.deepcopy(value)]:
+            assert type(clone) is cls
+            assert clone == value and hash(clone) == hash(value)
+            assert repr(clone) == repr(value)
+            with pytest.raises(FrozenInstanceError):
+                setattr(clone, fields(cls)[0].name, None)
+
+    def test_keywords_and_replace_build_through_the_checks(self, cls):
+        args, _, change, expected = VALUES[cls]
+        names = [f.name for f in fields(cls) if f.init]
+        assert cls(**dict(zip(names, args))) == self.value(cls)
+        changed = replace(self.value(cls), **change)
+        assert {name: getattr(changed, name) for name in expected} == expected
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PhraseSpan(1, 2, 2, "x"), "bad span offsets [2, 2)"),
+    (lambda: PhraseSpan(1, -1, 2, "x"), "bad span offsets [-1, 2)"),
+    (lambda: Triple("a", Predicate("b"), " \t"), "empty triple field in ('a', 'b', '')"),
+    (lambda: Triple("\u3000", HAS, "o"), "empty triple field in ('', 'has', 'o')"),
+    (lambda: Sentence("p", 0, ("x",)), "sentence index must be >= 1, got 0"),
+    (lambda: Sentence("p", 1, ()), "sentence has no tokens"),
+    (lambda: Predicate("has", PredicateKind.TEXTUAL),
+     "predicate 'has' must have kind PredicateKind.FILLER_HAS"),
+    (lambda: Predicate(" on\n", PredicateKind.FILLER_HAS),
+     "predicate 'on' must have kind PredicateKind.TEXTUAL"),
+    (lambda: replace(Triple("s", HAS, "o"), object=""), "empty triple field in ('s', 'has', '')"),
+], ids=["empty-span", "negative-start", "empty-object", "blank-subject", "index-0",
+        "no-tokens", "filler-as-textual", "textual-as-filler", "replace"])
+def test_value_type_errors(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
