@@ -39,7 +39,6 @@ from .kg import (
     Graph,
     GraphNode,
     build_graph,
-    coin_uri,
     edge_signature,
     export_ntriples,
     import_ntriples,

@@ -6,10 +6,10 @@ flatten, nest, build-kg, traverse, compare.  Corpus-reading commands take
 directory passed as manifest means "default layout rooted here".  Every
 corpus load writes each load issue to stderr as ``<side>: <issue line>``,
 where the side is ``gold`` or ``pred`` for score and ``corpus`` otherwise;
-a ``--check`` file is read before the corpus.  Outputs are byte-identical
-across runs; version headers appear only with ``--verbose``.  Exit codes:
-0 success, 1 validation errors or ``--check`` mismatch, 2 usage or format
-error.
+a ``--check`` file is read before the corpus.  ``score`` without
+``--granularity`` scores each granularity both corpora have files for.
+Outputs are byte-identical across runs.  Exit codes: 0 success, 1
+validation errors or ``--check`` mismatch, 2 usage or format error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
 from .compare import compare, render, table_to_dict
 from .corpus_io import (
     CorpusManifest,
@@ -40,6 +39,7 @@ from .metrics import (
     MatchConfig,
     corpus_stats,
     score,
+    score_all,
     unit_stats,
 )
 from .model import UnitLabel, normalize_unit_label
@@ -65,8 +65,6 @@ def non_negative_int(value: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncg", description="NCG annotation toolkit")
-    parser.add_argument("--verbose", action="store_true",
-                        help="include version headers in output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_corpus_args(p: argparse.ArgumentParser) -> None:
@@ -103,15 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predicted manifest or root")
     p.add_argument("--granularity",
                    choices=list(GRANULARITIES), default=None,
-                   help="score one granularity (default: all four)")
+                   help="score one granularity (default: all both corpora have)")
     p.add_argument("--phrase-match",
                    choices=["exact-text", "exact-span", "partial-overlap"],
                    default="exact-text")
     p.add_argument("--triple-scope", choices=["per-unit", "per-paper"],
                    default="per-unit")
     p.add_argument("--fold", choices=["none", "casefold"], default="none")
-    p.add_argument("--macro-mode", choices=["harmonic-pr", "mean-f1"],
-                   default="harmonic-pr")
     p.add_argument("--strict", action="store_true",
                    help="fail on recoverable format deviations in either corpus")
     p.add_argument("--out")
@@ -133,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_corpus_args(p)
     p.add_argument("--merge", choices=[PER_PAPER, SURFACE_MERGE],
                    default=PER_PAPER)
-    p.add_argument("--format", choices=["nt"], default="nt")
     p.set_defaults(func=cmd_build_kg)
 
     p = sub.add_parser("traverse", help="walk a paper's graph branch")
@@ -159,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text: str) -> None:
-    if args.verbose:
-        text = f"# ncgkit {__version__}\n" + text
     if getattr(args, "out", None):
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -329,36 +322,21 @@ def cmd_score(args) -> int:
     config = MatchConfig(
         phrase_match=args.phrase_match,
         triple_scope=args.triple_scope,
-        text_fold=None if args.fold == "none" else args.fold,
-        macro_mode=args.macro_mode)
-    granularities = [args.granularity] if args.granularity else list(GRANULARITIES)
-    reports = {g: score(gold, pred, g, config) for g in granularities}
-
-    tasks: list[str] = []
-    for report in reports.values():
-        for task in report.per_task:
-            if task not in tasks:
-                tasks.append(task)
-    header = ["task"]
-    for g in granularities:
-        header += [f"{g}_P", f"{g}_R", f"{g}_F1"]
+        text_fold=None if args.fold == "none" else args.fold)
+    if args.granularity:
+        reports = [score(gold, pred, args.granularity, config)]
+    else:
+        reports = list(score_all(gold, pred, config).values())
+        if not reports:
+            raise NcgError("no granularity has files in both corpora")
+    # every report lists the same tasks in the same order
+    rows = [(task, [r.per_task[task] for r in reports]) for task in reports[0].per_task]
+    rows += [("micro", [r.micro for r in reports]), ("macro", [r.macro for r in reports])]
+    header = ["task"] + [f"{r.granularity}_{m}" for r in reports for m in ("P", "R", "F1")]
     lines = ["\t".join(header) + "\n"]
-    for row_name in tasks + ["micro", "macro"]:
-        cells = [row_name]
-        for g in granularities:
-            report = reports[g]
-            if row_name == "micro":
-                value = report.micro
-            elif row_name == "macro":
-                value = report.macro
-            else:
-                value = report.per_task.get(row_name)
-            if value is None:
-                cells += ["-", "-", "-"]
-            else:
-                cells += [f"{value.precision:.2f}", f"{value.recall:.2f}",
-                          f"{value.f1:.2f}"]
-        lines.append("\t".join(cells) + "\n")
+    for name, values in rows:
+        cells = [f"{x:.2f}" for v in values for x in (v.precision, v.recall, v.f1)]
+        lines.append("\t".join([name, *cells]) + "\n")
     _emit(args, "".join(lines))
     return 0
 

@@ -343,7 +343,7 @@ def _fill_predicates(node: Node, mapping: dict, location: str) -> None:
             continue
         if not key or key.isspace():
             raise FormatError("empty predicate key", path=location or None)
-        _add_predicate_value(node, Predicate.from_text(key), value, location)
+        _add_predicate_value(node, Predicate(key), value, location)
 
 
 def _add_predicate_value(node: Node, predicate: Predicate, value, location: str) -> None:
@@ -450,7 +450,7 @@ def _triples(lines: list[tuple[str, str, str]]) -> list[Triple]:
     for subject, text, obj in lines:
         predicate = predicates.get(text)
         if predicate is None:
-            predicate = predicates[text] = Predicate.from_text(text)
+            predicate = predicates[text] = Predicate(text)
         out.append(Triple(subject, predicate, obj))
     return out
 

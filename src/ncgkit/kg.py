@@ -38,19 +38,11 @@ def _hash_slug(parts: tuple[str, ...]) -> str:
     return digest[:16]
 
 
-def coin_uri(paper_id: str, unit: UnitLabel | None, path: tuple[str, ...]) -> str:
-    """Deterministic URI for a node position.
-
-    ``path`` is the alternating predicate/label path from the Contribution
-    root.  The scheme is ``ncg:<paper>/<unit>/<slug-of-path-hash>`` with the
-    slug a lowercase-hex hash, so distinct paths coin distinct URIs.
-    """
-    unit_part = unit.identifier if unit is not None else "-"
-    return _uri_prefix(paper_id, unit_part) + _hash_slug(path)
-
-
-def _uri_prefix(paper_id: str, unit_part: str) -> str:
-    return f"ncg:{quote(paper_id, safe='')}/{unit_part}/"
+def _uri_prefix(paper_id: str, unit: UnitLabel) -> str:
+    """The per-paper URI of a node is this prefix plus the lowercase-hex
+    :func:`_hash_slug` of its alternating predicate/label path from the
+    Contribution root: ``ncg:<quoted paper>/<unit>/<slug>``."""
+    return f"ncg:{quote(paper_id, safe='')}/{unit.identifier}/"
 
 
 def _root_uri(paper_id: str) -> str:
@@ -138,7 +130,7 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
         units = paper.units or {}
         for unit in sorted(units, key=lambda u: u.identifier):
             _add_tree(graph, units[unit].root, root.uri, (),
-                      _uri_prefix(paper.paper_id, unit.identifier), shared_uris)
+                      _uri_prefix(paper.paper_id, unit), shared_uris)
     return graph
 
 

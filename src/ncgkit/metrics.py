@@ -175,15 +175,12 @@ class MatchConfig:
     exact-span (token offsets must agree), or partial-overlap (greedy token
     Jaccard >= 0.5).  ``triple_scope``: per-unit keeps triples within their
     information unit; per-paper pools them.  ``text_fold`` optionally case
-    folds text before comparison.  ``macro_mode``: harmonic-pr (default)
-    computes macro F1 as the harmonic mean of task-averaged P and R;
-    mean-f1 averages per-task F1 instead.
+    folds text before comparison.
     """
 
     phrase_match: str = "exact-text"
     triple_scope: str = "per-unit"
     text_fold: str | None = None
-    macro_mode: str = "harmonic-pr"
 
     def __post_init__(self) -> None:
         if self.phrase_match not in ("exact-text", "exact-span", "partial-overlap"):
@@ -192,8 +189,6 @@ class MatchConfig:
             raise ValueError(f"bad triple_scope: {self.triple_scope!r}")
         if self.text_fold not in (None, "casefold"):
             raise ValueError(f"bad text_fold: {self.text_fold!r}")
-        if self.macro_mode not in ("harmonic-pr", "mean-f1"):
-            raise ValueError(f"bad macro_mode: {self.macro_mode!r}")
 
     def fold(self, text: str) -> str:
         """The matching form of a model text, which is already canonical."""
@@ -217,21 +212,22 @@ def _layer_present(paper: PaperAnnotation, granularity: str) -> bool:
 
 
 def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set:
-    pid = paper.paper_id
+    """The paper's items at one granularity; only one paper's sets are
+    ever compared, so no key holds the paper id."""
     if granularity == "units":
-        return {(pid, unit) for unit in paper.unit_labels()}
+        return set(paper.unit_labels())
     if granularity == "sentences":
-        return {(pid, i) for i in (paper.contribution_sentence_indices or set())}
+        return set(paper.contribution_sentence_indices or ())
     if granularity == "phrases":
         spans = paper.phrases or []
         if config.phrase_match == "exact-span":
-            return {(pid, s.sentence_index, s.start_tok, s.end_tok) for s in spans}
-        return {(pid, s.sentence_index, config.fold(s.text)) for s in spans}
+            return {(s.sentence_index, s.start_tok, s.end_tok) for s in spans}
+        return {(s.sentence_index, config.fold(s.text)) for s in spans}
     items = set()
     for unit, triples in unit_triples(paper).items():
         scope = unit if config.triple_scope == "per-unit" else None
         for t in triples:
-            items.add((pid, scope, config.fold(t.subject),
+            items.add((scope, config.fold(t.subject),
                        config.fold(t.predicate.text), config.fold(t.object)))
     return items
 
@@ -334,11 +330,11 @@ def score(gold: Corpus, pred: Corpus, granularity: str,
     per_task = {task: prf(*counts[task]) for task in task_order}
     totals = [sum(counts[t][i] for t in task_order) for i in range(3)]
     micro = prf(*totals)
-    macro = _macro(per_task, totals, config)
+    macro = _macro(per_task, totals)
     return AgreementReport(granularity, per_task, micro, macro)
 
 
-def _macro(per_task: dict[str, PRF], totals: list[int], config: MatchConfig) -> PRF:
+def _macro(per_task: dict[str, PRF], totals: list[int]) -> PRF:
     # Tasks with no items on either side carry no signal and would drag the
     # average to 0 through the zero-denominator convention; skip them so
     # self-agreement stays at 100 everywhere.
@@ -348,11 +344,7 @@ def _macro(per_task: dict[str, PRF], totals: list[int], config: MatchConfig) -> 
     n = len(active)
     p = sum(v.precision for v in active) / n
     r = sum(v.recall for v in active) / n
-    if config.macro_mode == "mean-f1":
-        f1 = sum(v.f1 for v in active) / n
-    else:
-        f1 = f1_from_percent(p, r)
-    return PRF(p, r, f1, *totals)
+    return PRF(p, r, f1_from_percent(p, r), *totals)
 
 
 def score_all(gold: Corpus, pred: Corpus,

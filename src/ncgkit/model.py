@@ -259,34 +259,23 @@ class Predicate:
     """A relation surface string plus its filler classification.
 
     ``text`` is canonical; a canonical argument is kept, not copied.
-    Exactly ``has``, ``name``, and ``hasAcronym`` are fillers; every other
-    text is Textual.  A given ``kind`` is checked against the text on
-    construction; an omitted one is the text's.
+    ``kind`` is derived from the text: exactly ``has``, ``name``, and
+    ``hasAcronym`` are fillers; every other text is Textual.
     """
 
     text: str
-    kind: PredicateKind
+    kind: PredicateKind = field(init=False)
 
-    def __init__(self, text: str, kind: PredicateKind | None = None) -> None:
+    def __init__(self, text: str) -> None:
         text = canonical_text(text)
-        expected = _FILLER_TEXTS.get(text, PredicateKind.TEXTUAL)
-        if kind is None:
-            kind = expected
-        elif kind is not expected:
-            raise ValueError(f"predicate {text!r} must have kind {expected}")
         set_text, set_kind = _PREDICATE_SLOTS
         set_text(self, text)
-        set_kind(self, kind)
-
-    @classmethod
-    def from_text(cls, raw: str) -> "Predicate":
-        """The predicate of a surface string, canonicalized once and classified."""
-        return cls(raw)
+        set_kind(self, _FILLER_TEXTS.get(text, PredicateKind.TEXTUAL))
 
 
 _PREDICATE_SLOTS = _slot_setters(Predicate)
 
-HAS = Predicate.from_text("has")
+HAS = Predicate("has")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -315,7 +304,7 @@ class Triple:
     @classmethod
     def of(cls, subject: str, predicate: str, obj: str) -> "Triple":
         """Build a triple from three strings, classifying the predicate."""
-        return cls(subject, Predicate.from_text(predicate), obj)
+        return cls(subject, Predicate(predicate), obj)
 
     def key(self) -> tuple[str, str, str]:
         return (self.subject, self.predicate.text, self.object)

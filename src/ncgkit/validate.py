@@ -99,45 +99,50 @@ def validate_paper(paper: PaperAnnotation,
     provenance grounding of surface forms, duplicate triples, sentence
     index bounds, and the optional phrase-length lint.  The two
     text-grounding checks need source text and are skipped when the paper
-    carries neither contribution sentences nor provenance strings.
+    carries neither contribution sentences nor provenance strings.  Unit
+    presence and the triple checks cover every unit of
+    :func:`~ncgkit.codec.unit_triples`, tree or not; encapsulation, filler
+    placement and nested Results read the trees.
     """
     policy = policy or ValidationPolicy()
     report = ValidationReport(paper.paper_id)
     issues = report.issues
     units = paper.units or {}
+    by_unit = unit_triples(paper)  # in identifier order
 
-    _check_mandatory(paper, units, issues)
+    _check_mandatory(paper, by_unit, units, issues)
     _check_encapsulation(units, issues)
     pool = _sentence_pool(paper)
     # canonical text holds no newline, so a surface found in the joined
     # pool lies inside one text
     haystack = "\n".join(pool)
-    triples = unit_triples(paper)
-    for unit in sorted(units, key=lambda u: u.identifier):
+    for unit, triples in by_unit.items():
         seen: set[tuple[str, str, str]] = set()
-        for triple in triples[unit]:
+        for triple in triples:
             if triple.key() in seen:
                 issues.append(ValidationIssue(
                     "duplicate-triple", ERROR, f"{unit.identifier}/{triple.subject}",
                     f"duplicate triple {triple.key()}"))
             seen.add(triple.key())
         if pool:
-            _check_surfaces(unit, triples[unit], haystack, policy, issues)
-        _check_filler_placement(unit, units[unit], issues)
+            _check_surfaces(unit, triples, haystack, policy, issues)
+        if unit in units:
+            _check_filler_placement(unit, units[unit], issues)
     _check_sentence_bounds(paper, issues)
     _check_phrase_length(paper, policy, issues)
     return report
 
 
-def _check_mandatory(paper: PaperAnnotation, units: dict[UnitLabel, UnitTree],
+def _check_mandatory(paper: PaperAnnotation, present, units: dict[UnitLabel, UnitTree],
                      issues: list[ValidationIssue]) -> None:
+    """Unit presence from ``present``; Results nested in a tree from ``units``."""
     where = paper.paper_id
-    if UnitLabel.RESEARCH_PROBLEM not in units:
+    if UnitLabel.RESEARCH_PROBLEM not in present:
         issues.append(ValidationIssue(
             "mandatory-unit-missing", ERROR, where, "no ResearchProblem unit"))
 
-    has_approach = UnitLabel.APPROACH in units
-    has_model = UnitLabel.MODEL in units
+    has_approach = UnitLabel.APPROACH in present
+    has_model = UnitLabel.MODEL in present
     if not has_approach and not has_model:
         issues.append(ValidationIssue(
             "mandatory-unit-missing", ERROR, where, "neither Approach nor Model"))
@@ -146,7 +151,7 @@ def _check_mandatory(paper: PaperAnnotation, units: dict[UnitLabel, UnitTree],
             "approach-model-both", WARNING, where,
             "both Approach and Model annotated; the scheme expects one"))
 
-    results_ok = UnitLabel.RESULTS in units or any(
+    results_ok = UnitLabel.RESULTS in present or any(
         _tree_contains_node(units[enc], UnitLabel.RESULTS)
         for enc in ENCAPSULATING_UNITS if enc in units)
     if not results_ok:

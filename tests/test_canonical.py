@@ -90,7 +90,7 @@ def paper_specs(draw):
 
 def predicate(spelling, side):
     # built directly, so the Predicate constructor is what canonicalises
-    return Predicate(spelling[side], Predicate.from_text(spelling[0]).kind)
+    return Predicate(spelling[side])
 
 
 def build(spec, side: int, paper_id: str) -> PaperAnnotation:
@@ -106,7 +106,7 @@ def build(spec, side: int, paper_id: str) -> PaperAnnotation:
 
     problem = Node("Research Problem")
     for value in spec["problem"]:
-        problem.add(Predicate.from_text("has"), value[side])
+        problem.add(Predicate("has"), value[side])
     units = {
         UnitLabel.RESEARCH_PROBLEM: UnitTree.from_unit_node(UnitLabel.RESEARCH_PROBLEM, problem),
         UnitLabel.RESULTS: UnitTree.from_unit_node(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from ncgkit import CorpusManifest, UnitLabel, compare, load_corpus
-from ncgkit.cli import run
+from ncgkit.cli import build_parser, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -306,6 +307,38 @@ class TestScore:
         header = out.read_text().splitlines()[0].split("\t")
         assert len(header) == 1 + 4 * 3
 
+    def test_default_scores_the_granularities_both_corpora_have(self, capsys):
+        corpus = os.path.join(DATA, "comparison_corpus")  # no phrase files
+        assert run(["score", "--gold", corpus, "--pred", corpus]) == 0
+        lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert lines[0] == ["task"] + [f"{g}_{m}" for g in ("units", "sentences", "triples")
+                                       for m in ("P", "R", "F1")]
+        assert [row[0] for row in lines[-2:]] == ["micro", "macro"]
+        assert {cell for row in lines[1:] for cell in row[1:]} == {"100.00"}
+        assert run(["score", "--gold", corpus, "--pred", corpus,
+                    "--granularity", "phrases"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: gold corpus has no phrases files"]
+
+    def test_nothing_to_score_exits_2(self, tmp_path, capsys):
+        gold = tmp_path / "gold" / "t" / "p1"
+        (gold / "info-units").mkdir(parents=True)
+        (gold / "text.txt").write_text("On X .\n", encoding="utf-8")
+        (gold / "info-units" / "Results.json").write_text(
+            json.dumps({"has": {"Results": {"on": "X"}}}), encoding="utf-8")
+        pred = tmp_path / "pred" / "t" / "p1"
+        pred.mkdir(parents=True)
+        (pred / "text.txt").write_text("On X .\n", encoding="utf-8")
+        (pred / "sentences.txt").write_text("1\n", encoding="utf-8")
+        assert run(["score", "--gold", str(tmp_path / "gold"),
+                    "--pred", str(tmp_path / "pred")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: no granularity has files in both corpora"]
+
     def test_load_issues_go_to_stderr_by_side(self, tmp_path, capsys):
         gold = os.path.join(DATA, "comparison_corpus")
         pred = tmp_path / "pred"
@@ -464,7 +497,7 @@ class TestKgCommands:
 
     def test_build_kg_accepts_nt_format(self, tiny_root, tmp_path):
         out = tmp_path / "g.nt"
-        assert run(["build-kg", "--manifest", str(tiny_root), "--format", "nt",
+        assert run(["build-kg", "--manifest", str(tiny_root),
                     "--merge", "surface", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0].startswith("#")
 
@@ -507,3 +540,28 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    def test_option_strings_of_every_subcommand(self):
+        """The whole command-line surface: a new option must be added here."""
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+
+        def names(p):
+            return [" ".join(a.option_strings) or a.dest for a in p._actions
+                    if not isinstance(a, argparse._HelpAction)]
+
+        corpus = ["--manifest", "--strict", "--out"]
+        assert names(parser) == ["command"]
+        assert {name: names(p) for name, p in sub.choices.items()} == {
+            "validate": corpus + ["--format", "--provenance-check", "--max-phrase-tokens"],
+            "stats": corpus + ["--format", "--check"],
+            "unit-stats": corpus + ["--format", "--check"],
+            "score": ["--gold", "--pred", "--granularity", "--phrase-match",
+                      "--triple-scope", "--fold", "--strict", "--out"],
+            "flatten": ["path", "--unit", "--out"],
+            "nest": ["path", "--unit", "--out"],
+            "build-kg": corpus + ["--merge"],
+            "traverse": corpus + ["--paper", "--start", "--depth"],
+            "compare": corpus + ["--unit", "--papers", "--depth", "--format", "--title"],
+        }

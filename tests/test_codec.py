@@ -24,16 +24,16 @@ from ncgkit import (
 def hoisted_results_tree() -> UnitTree:
     """The nested Results example: shared phrases hoisted to the top."""
     ace = Node("ACE datasets")
-    ace.add(Predicate.from_text("achieves"), "best results")
+    ace.add(Predicate("achieves"), "best results")
     genia = Node("GENIA dataset")
-    genia.add(Predicate.from_text("achieves"), "comparable results")
+    genia.add(Predicate("achieves"), "comparable results")
     f1 = Node("F1 measure")
-    f1.add(Predicate.from_text("in"), ace)
-    f1.add(Predicate.from_text("in"), genia)
+    f1.add(Predicate("in"), ace)
+    f1.add(Predicate("in"), genia)
     results = Node("Results", provenance=[
         "Our neural transition -based model achieves the best results in ACE "
         "datasets and comparable results in GENIA dataset in terms of F1 measure ."])
-    results.add(Predicate.from_text("in terms of"), f1)
+    results.add(Predicate("in terms of"), f1)
     return UnitTree.from_unit_node(UnitLabel.RESULTS, results)
 
 
@@ -55,10 +55,10 @@ class TestFlatten:
 
     def test_sentence_159_phrases(self):
         adding = Node("adding features")
-        adding.add(Predicate.from_text("computed by"), "neural networks")
+        adding.add(Predicate("computed by"), "neural networks")
         results = Node("Results")
-        results.add(Predicate.from_text("improves the performance"), adding)
-        results.add(Predicate.from_text("improves the performance"),
+        results.add(Predicate("improves the performance"), adding)
+        results.add(Predicate("improves the performance"),
                     "over baseline performance")
         flat = flatten(UnitTree.from_unit_node(UnitLabel.RESULTS, results))
         assert {t.key() for t in flat.triples} == {
@@ -75,7 +75,7 @@ class TestFlatten:
 
     def test_dangling_predicate_emits_nothing_plus_warning(self):
         node = Node("Stack - LSTM")
-        node.add(Predicate.from_text("to represent"), None)
+        node.add(Predicate("to represent"), None)
         tree = UnitTree.from_unit_node(UnitLabel.MODEL, node)
         flat = flatten(tree)
         assert len(flat.triples) == 1
@@ -90,8 +90,8 @@ class TestFlatten:
     def test_duplicate_triples_kept_and_reported(self):
         # kept here; validate_paper is the one place that reports them
         node = Node("Results")
-        node.add(Predicate.from_text("on"), "CoNLL")
-        node.add(Predicate.from_text("on"), "CoNLL")
+        node.add(Predicate("on"), "CoNLL")
+        node.add(Predicate("on"), "CoNLL")
         tree = UnitTree.from_unit_node(UnitLabel.RESULTS, node)
         assert len(flatten(tree).triples) == 3
         issues = []
@@ -100,9 +100,9 @@ class TestFlatten:
 
     def test_non_canonical_label_is_one_string_per_node(self):
         inner = Node("on  CoNLL ")
-        inner.add(Predicate.from_text("F1"), " 91.2\t")
+        inner.add(Predicate("F1"), " 91.2\t")
         node = Node("Results")
-        node.add(Predicate.from_text("on"), inner)
+        node.add(Predicate("on"), inner)
         tree = UnitTree.from_unit_node(UnitLabel.RESULTS, node)
         assert [t.key() for t in flatten(tree).triples] == [
             ("Contribution", "has", "Results"),
@@ -186,9 +186,9 @@ class TestRoundtrip:
 
     def test_childless_node_equals_literal(self):
         a = Node("Results")
-        a.add(Predicate.from_text("on"), Node("CoNLL"))
+        a.add(Predicate("on"), Node("CoNLL"))
         b = Node("Results")
-        b.add(Predicate.from_text("on"), "CoNLL")
+        b.add(Predicate("on"), "CoNLL")
         assert trees_equivalent(a, b)
 
 
@@ -206,7 +206,7 @@ def unit_trees(draw, max_depth=5, max_fanout=4):
         node = Node(f"n{next(counter)}")
         fanout = draw(st.integers(0, max_fanout)) if depth < max_depth else 0
         for _ in range(fanout):
-            pred = Predicate.from_text(draw(st.sampled_from(PREDS)))
+            pred = Predicate(draw(st.sampled_from(PREDS)))
             if depth + 1 >= max_depth or draw(st.booleans()):
                 node.add(pred, f"v{next(counter)}")
             else:

@@ -17,7 +17,6 @@ from ncgkit import (
     UnknownStartNode,
     build_graph,
     canonical_text,
-    coin_uri,
     edge_signature,
     export_ntriples,
     flatten,
@@ -99,26 +98,31 @@ class TestBuildGraph:
 
 
 class TestCoinUri:
-    def test_deterministic(self):
-        a = coin_uri("R69764", UnitLabel.RESULTS, ("has", "Results"))
-        b = coin_uri("R69764", UnitLabel.RESULTS, ("has", "Results"))
-        assert a == b
+    """The per-paper URIs that build_graph coins."""
 
-    def test_prefix_scheme(self):
-        uri = coin_uri("R69764", UnitLabel.RESULTS, ("has", "Results"))
-        assert uri.startswith("ncg:R69764/Results/")
+    @staticmethod
+    def uris(paper_id, unit, text):
+        graph = build_graph(corpus_with({paper_id: {unit: parse_unit_file(text, unit)}}))
+        return [uri for uri in graph.nodes if uri != graph.roots[paper_id].uri]
+
+    def test_deterministic(self, results_unit_text):
+        a = self.uris("R69764", UnitLabel.RESULTS, results_unit_text)
+        b = self.uris("R69764", UnitLabel.RESULTS, results_unit_text)
+        assert a and a == b
+
+    def test_prefix_scheme(self, results_unit_text):
+        uris = self.uris("R69764", UnitLabel.RESULTS, results_unit_text)
+        assert uris and all(uri.startswith("ncg:R69764/Results/") for uri in uris)
 
     def test_distinct_paths_distinct_uris(self):
-        seen = set()
-        paths = [("has", "Results"), ("has", "Results", "on", "CoNLL"),
-                 ("has", "Model"), ()]
-        for path in paths:
-            seen.add(coin_uri("p", UnitLabel.RESULTS, path))
-        assert len(seen) == len(paths)
+        graph = build_graph(corpus_with({"p": {UnitLabel.RESULTS: parse_unit_file(
+            '{"has": {"Results": {"on": "CoNLL", "in": {"F1": {"on": "CoNLL"}}}}}',
+            UnitLabel.RESULTS)}}))
+        assert len([n for n in graph.nodes.values() if n.label == "CoNLL"]) == 2
 
     def test_paper_ids_with_unsafe_characters(self):
-        uri = coin_uri("a b/c", UnitLabel.CODE, ("has", "Code"))
-        assert " " not in uri and uri.count("/") == 2
+        uris = self.uris("a b/c", UnitLabel.CODE, '{"has": {"Code": {"at": "x"}}}')
+        assert uris and all(" " not in uri and uri.count("/") == 2 for uri in uris)
 
 
 class TestExport:
@@ -176,7 +180,7 @@ LABELS = st.text(LABEL_CHARS, min_size=1, max_size=12).map(canonical_text).filte
 def test_ntriples_round_trip_keeps_arbitrary_labels(edges):
     unit_node = Node("Results")
     for predicate, label, is_node in edges:
-        unit_node.add(Predicate.from_text(predicate), Node(label) if is_node else label)
+        unit_node.add(Predicate(predicate), Node(label) if is_node else label)
     tree = UnitTree.from_unit_node(UnitLabel.RESULTS, unit_node)
     graph = build_graph(corpus_with({"p": {UnitLabel.RESULTS: tree}}))
     assert edge_signature(import_ntriples(export_ntriples(graph))) == edge_signature(graph)
@@ -199,7 +203,7 @@ def trees(depth):
 def as_node(label, edges):
     node = Node(label)
     for predicate, child_label, child in edges:
-        node.add(Predicate.from_text(predicate),
+        node.add(Predicate(predicate),
                  child_label if child is None else as_node(child_label, child))
     return node
 

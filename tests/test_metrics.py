@@ -174,15 +174,6 @@ class TestScore:
     def test_published_macro_sentence_row(self):
         assert f1_from_percent(67.33, 68.51) == pytest.approx(67.92, abs=0.02)
 
-    def test_mean_f1_macro_mode(self):
-        gold = Corpus({"a": [sentence_paper("p1", "a", {1, 2, 3})],
-                       "b": [sentence_paper("p2", "b", {1, 2})]})
-        pred = Corpus({"a": [sentence_paper("p1", "a", {1, 2, 4})],
-                       "b": [sentence_paper("p2", "b", {1})]})
-        report = score(gold, pred, "sentences", MatchConfig(macro_mode="mean-f1"))
-        expected = sum(v.f1 for v in report.per_task.values()) / 2
-        assert report.macro.f1 == pytest.approx(expected)
-
     def test_missing_paper_counts_fully(self):
         gold = Corpus({"t": [sentence_paper("p", "t", {1, 2})]})
         pred = Corpus({"t": []})

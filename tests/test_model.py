@@ -152,13 +152,7 @@ class TestPredicate:
         ("Has", PredicateKind.TEXTUAL),
     ])
     def test_kind_inference(self, text, kind):
-        assert Predicate.from_text(text).kind is kind
-
-    def test_kind_text_coherence_enforced(self):
-        with pytest.raises(ValueError):
-            Predicate("has", PredicateKind.TEXTUAL)
-        with pytest.raises(ValueError):
-            Predicate("on", PredicateKind.FILLER_HAS)
+        assert Predicate(text).kind is kind
 
     def test_from_text_canonicalizes_once(self, monkeypatch):
         calls = []
@@ -168,7 +162,7 @@ class TestPredicate:
             return canonical_text(raw)
 
         monkeypatch.setattr("ncgkit.model.canonical_text", counting)
-        predicate = Predicate.from_text(" has\n")
+        predicate = Predicate(" has\n")
         assert calls == [" has\n"]
         assert (predicate.text, predicate.kind) == ("has", PredicateKind.FILLER_HAS)
 
@@ -192,11 +186,11 @@ class TestTriple:
     @example(" has")
     def test_empty_check_is_canonical_emptiness(self, part):
         empty = not canonical_text(part)
-        has = Predicate.from_text("has")
+        has = Predicate("has")
         textual = canonical_text(part) not in ("has", "name", "hasAcronym")
         cases = [lambda: Triple(part, has, "o"), lambda: Triple("s", has, part)]
         if textual:
-            cases.append(lambda: Triple("s", Predicate(part, PredicateKind.TEXTUAL), "o"))
+            cases.append(lambda: Triple("s", Predicate(part), "o"))
         for build in cases:
             if empty:
                 with pytest.raises(ValueError):
@@ -208,7 +202,7 @@ class TestTriple:
 class TestCanonicalFields:
     def test_fields_are_canonical_and_canonical_strings_are_kept(self):
         clean = "".join(["on ", "CoNLL"])  # a string object of its own
-        has = Predicate.from_text("has")
+        has = Predicate("has")
         node = Node(" on\t CoNLL ")
         node.add(has, "\u3000F1  score\n")
         node.add(has, " \t")
@@ -217,8 +211,8 @@ class TestCanonicalFields:
         assert node.edges[:2] == [(has, "F1 score"), (has, None)]
         assert node.edges[2][1] is clean
         assert Node(clean).label is clean
-        assert Predicate(" has\n", PredicateKind.FILLER_HAS).text == "has"
-        assert Predicate(clean, PredicateKind.TEXTUAL).text is clean
+        assert Predicate(" has\n").text == "has"
+        assert Predicate(clean).text is clean
         triple = Triple(" a  b", has, clean)
         assert triple.key() == ("a b", "has", "on CoNLL") and triple.object is clean
         assert PhraseSpan(1, 0, 2, "on\n CoNLL").text == "on CoNLL"
@@ -337,7 +331,7 @@ VALUES = {
                  "PhraseSpan(sentence_index=159, start_tok=2, end_tok=4, "
                  "text='adding features')",
                  {"text": " on\tCoNLL\n"}, {"text": "on CoNLL"}),
-    Predicate: (("improves", PredicateKind.TEXTUAL), IMPROVES_REPR,
+    Predicate: (("improves",), IMPROVES_REPR,
                 {"text": "\u3000beats  "}, {"text": "beats", "kind": PredicateKind.TEXTUAL}),
     Triple: (("Results", IMPROVES, "F1 score"),
              f"Triple(subject='Results', predicate={IMPROVES_REPR}, object='F1 score')",
@@ -395,13 +389,9 @@ class TestValueTypes:
     (lambda: Triple("\u3000", HAS, "o"), "empty triple field in ('', 'has', 'o')"),
     (lambda: Sentence("p", 0, ("x",)), "sentence index must be >= 1, got 0"),
     (lambda: Sentence("p", 1, ()), "sentence has no tokens"),
-    (lambda: Predicate("has", PredicateKind.TEXTUAL),
-     "predicate 'has' must have kind PredicateKind.FILLER_HAS"),
-    (lambda: Predicate(" on\n", PredicateKind.FILLER_HAS),
-     "predicate 'on' must have kind PredicateKind.TEXTUAL"),
     (lambda: replace(Triple("s", HAS, "o"), object=""), "empty triple field in ('s', 'has', '')"),
 ], ids=["empty-span", "negative-start", "empty-object", "blank-subject", "index-0",
-        "no-tokens", "filler-as-textual", "textual-as-filler", "replace"])
+        "no-tokens", "replace"])
 def test_value_type_errors(build, message):
     with pytest.raises(ValueError) as info:
         build()

@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 
 from ncgkit import (
+    CorpusManifest,
     PaperAnnotation,
     PhraseSpan,
     Sentence,
     UnitLabel,
     ValidationPolicy,
+    load_corpus,
     normalize_unit_label,
     parse_unit_file,
     roundtrip_check,
@@ -79,6 +82,33 @@ class TestMandatoryUnits:
         assert report.passed
         assert any(i.code == "approach-model-both" and i.severity == WARNING
                    for i in report.issues)
+
+
+    def test_unit_with_only_a_triples_file_is_checked(self, tmp_path):
+        paper = tmp_path / "t" / "p1"
+        (paper / "triples").mkdir(parents=True)
+        (paper / "text.txt").write_text("We study X here .\n", encoding="utf-8")
+        (paper / "sentences.txt").write_text("1\n", encoding="utf-8")
+        for unit, lines in (
+                ("ResearchProblem", ["(Contribution||has||Research Problem)",
+                                     "(Research Problem||has||X)"]),
+                ("Results", ["(Contribution||has||Results)", "(Results||has||X)"]),
+                # does not nest: X is never an object
+                ("Model", ["(Contribution||has||Model)", "(X||zzqq||Y)", "(X||zzqq||Y)"])):
+            (paper / "triples" / f"{unit}.txt").write_text(
+                "".join(line + "\n" for line in lines), encoding="utf-8")
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert "nest-failed" in {i.code for i in issues}
+        per_triple = ("p1\tfiller-whitelist\tError\tpredicate 'zzqq' not found in any "
+                      "annotated sentence and not a filler\n"
+                      "p1\tprovenance-missing\tWarning\tobject 'Y' not found in any "
+                      "source sentence\n")
+        expected = ("p1\tduplicate-triple\tError\tduplicate triple ('X', 'zzqq', 'Y')\n"
+                    + per_triple * 2)
+        assert validate_corpus(corpus)[0].as_lines() == expected
+        # no unit is read from a tree when there are none
+        paper = replace(corpus.get("p1"), units=None)
+        assert validate_paper(paper).as_lines() == expected
 
 
 class TestEncapsulationRule:
