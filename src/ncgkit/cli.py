@@ -23,7 +23,7 @@ from pathlib import Path
 from .compare import compare, render, table_to_dict
 from .corpus_io import (
     CorpusManifest,
-    _read,
+    _read_file,
     load_corpus,
     parse_triple_lines,
     parse_unit_file,
@@ -246,7 +246,7 @@ def _read_expected(path: str | None, depths: dict[str, int]) -> dict:
     if not path:
         return {}
     try:
-        data = json.loads(_read(path, path))
+        data = json.loads(_read_file(path, path))
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"not valid JSON ({exc})", path=path) from None
     if not isinstance(data, dict):
@@ -358,7 +358,7 @@ def _resolve_unit_path(path: Path, unit: UnitLabel, role: str) -> Path:
 def cmd_flatten(args) -> int:
     unit = normalize_unit_label(args.unit)
     path = _resolve_unit_path(Path(args.path), unit, "units")
-    tree = parse_unit_file(_read(path, str(path)), unit, location=str(path))
+    tree = parse_unit_file(_read_file(path, str(path)), unit, location=str(path))
     _emit(args, write_triple_lines(flatten(tree).triples))
     return 0
 
@@ -366,7 +366,7 @@ def cmd_flatten(args) -> int:
 def cmd_nest(args) -> int:
     unit = normalize_unit_label(args.unit)
     path = _resolve_unit_path(Path(args.path), unit, "triples")
-    triples = parse_triple_lines(_read(path, str(path)), location=str(path))
+    triples = parse_triple_lines(_read_file(path, str(path)), location=str(path))
     tree = nest(triples, unit)
     _emit(args, write_unit_file(tree))
     return 0

@@ -35,15 +35,25 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
     :func:`~ncgkit.corpus_io.parse_unit_file` reports the latter.  Duplicate
     triples are kept, never silently merged;
     :func:`~ncgkit.validate.validate_paper` reports them.
+
+    Labels and literals are canonical and non-empty by the :class:`Node`
+    invariant, so the triples are built from them unchecked; only an empty
+    predicate text raises ValueError, as :class:`Triple` does.
     """
     out = FlattenedUnit(tree.unit)
+    emit = out.triples.append
+    triple = Triple._from_canonical
 
     def visit(node: Node) -> None:
         for predicate, child in node.edges:
             if child is None:
                 continue
             is_node = isinstance(child, Node)
-            out.triples.append(Triple(node.label, predicate, child.label if is_node else child))
+            obj = child.label if is_node else child
+            if not predicate.text:
+                raise ValueError(f"empty triple field in ({node.label!r}, "
+                                 f"{predicate.text!r}, {obj!r})")
+            emit(triple(node.label, predicate, obj))
             if is_node:
                 visit(child)
 

@@ -17,11 +17,13 @@ Files are UTF-8; byte-order marks are stripped.
 from __future__ import annotations
 
 import configparser
+import errno
 import io
 import json
 import os
 import re
 import reprlib
+import stat
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,7 +119,7 @@ class CorpusManifest:
         cp = configparser.ConfigParser()
         cp.optionxform = str  # paper ids in totals sections are case-sensitive
         try:
-            cp.read_file(io.StringIO(_read(path, location)), source=location)
+            cp.read_file(io.StringIO(_read_file(path, location)), source=location)
             # dict() reads every value now, so interpolation errors surface here
             sections = {name: dict(cp[name]) if cp.has_section(name) else {}
                         for name in ("corpus", "layout", "totals.sentences",
@@ -207,20 +209,25 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
     strict mode and are otherwise repaired from the sentence tokens with a
     warning, so every returned span satisfies its invariants.
     """
+    # a loaded paper's tokens come from str.split, so their join is canonical
+    span = PhraseSpan._from_canonical if isinstance(sentences, DocumentLines) else PhraseSpan
     by_index: dict[int, Sentence] | None = None
     # each referenced sentence is looked up, and so tokenized, once
     found: dict[int, Sentence | None] = {}
     spans: list[PhraseSpan] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
         cols = raw.split("\t")
-        if len(cols) != 4:
-            raise FormatError(f"expected 4 tab-separated columns, got {len(cols)}",
-                              path=location or None, line=lineno)
         try:
-            idx, start, end = int(cols[0]), int(cols[1]), int(cols[2])
+            idx, start, end, surface = cols
+            idx, start, end = int(idx), int(start), int(end)
         except ValueError:
+            # a blank line, tabs included, has the wrong column count or no
+            # integers, so it is only looked for on this path
+            if not raw.strip():
+                continue
+            if len(cols) != 4:
+                raise FormatError(f"expected 4 tab-separated columns, got {len(cols)}",
+                                  path=location or None, line=lineno) from None
             raise FormatError(f"non-integer span fields: {cols[:3]}",
                               path=location or None, line=lineno) from None
         try:
@@ -252,7 +259,6 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
             _note(issues, "span-out-of-range", ERROR, f"{location}:{lineno}", str(exc))
             continue
         covered = " ".join(sent.tokens[start_tok:end_tok])
-        surface = cols[3]
         if surface != covered:
             surface = canonical_text(surface)
             if surface != covered:
@@ -262,7 +268,7 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                         path=location or None, line=lineno)
                 _note(issues, "span-text-mismatch", WARNING, f"{location}:{lineno}",
                       f"surface {surface!r} repaired to {covered!r}")
-        spans.append(PhraseSpan(idx, start_tok, end_tok, covered))
+        spans.append(span(idx, start_tok, end_tok, covered))
     return spans
 
 
@@ -393,7 +399,14 @@ def _add_predicate_value(node: Node, predicate: Predicate, value, location: str)
 
 
 def write_unit_file(tree: UnitTree) -> str:
-    """Serialize a tree back to the nested JSON unit format."""
+    """Serialize a tree back to the nested JSON unit format.
+
+    Raises:
+        FormatError: the format cannot carry the tree: a predicate is empty
+            or is the provenance key, or a node below the root is labelled
+            with the provenance key.  The parser would refuse the first
+            and read the others as provenance.
+    """
     return json.dumps(_node_object(tree.root), indent=2, ensure_ascii=False) + "\n"
 
 
@@ -406,6 +419,12 @@ def _node_object(node: Node) -> dict:
             grouped[predicate.text] = []
             order.append(predicate.text)
         grouped[predicate.text].append(child)
+    if PROVENANCE_KEY in grouped:
+        raise FormatError(f"cannot write the predicate {PROVENANCE_KEY!r} of "
+                          f"{node.label!r}: the unit format reads that key as provenance")
+    if "" in grouped:
+        raise FormatError(f"cannot write an empty predicate of {node.label!r}: "
+                          f"the unit format refuses it")
     for pred_text in order:
         out[pred_text] = _predicate_object(grouped[pred_text])
     if node.provenance:
@@ -421,11 +440,19 @@ def _predicate_object(children: list[Node | str | None]):
             return {}
         if isinstance(child, str):
             return child
-        return {child.label: _node_object(child)}
-    labels = [c.label for c in children if isinstance(c, Node)]
+        return {_label_key(child): _node_object(child)}
+    labels = [_label_key(c) for c in children if isinstance(c, Node)]
     if len(labels) == len(children) and len(set(labels)) == len(labels):
         return {c.label: _node_object(c) for c in children}
     return [_predicate_object([child]) for child in children]
+
+
+def _label_key(child: Node) -> str:
+    """A child node's label as its JSON key; the root's label is never a key."""
+    if child.label == PROVENANCE_KEY:
+        raise FormatError(f"cannot write the node {PROVENANCE_KEY!r}: the unit format "
+                          f"reads that key as provenance")
+    return child.label
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +491,7 @@ def _triple_fields(text: str, *, issues: list[ValidationIssue] | None,
         line = raw.strip()
         if not line:
             continue
-        if not (line.startswith("(") and line.endswith(")")):
+        if line[0] != "(" or line[-1] != ")":
             raise FormatError("triple line must be wrapped in parentheses",
                               path=location or None, line=lineno)
         fields = line[1:-1].split("||")
@@ -481,8 +508,7 @@ def _triple_fields(text: str, *, issues: list[ValidationIssue] | None,
                 f"expected 3 fields after delimiter splitting, got {len(fields)}",
                 path=location or None, line=lineno)
         subject, predicate, obj = fields
-        if (not subject or subject.isspace() or not predicate or predicate.isspace()
-                or not obj or obj.isspace()):
+        if not (subject.strip() and predicate.strip() and obj.strip()):
             raise FormatError(f"empty field in triple line {line!r}",
                               path=location or None, line=lineno)
         lines.append((subject, predicate, obj))
@@ -490,8 +516,21 @@ def _triple_fields(text: str, *, issues: list[ValidationIssue] | None,
 
 
 def write_triple_lines(triples: list[Triple]) -> str:
-    """One ``(s||p||o)`` line per triple in input order, LF-terminated."""
-    return "".join(f"({t.subject}||{t.predicate.text}||{t.object})\n" for t in triples)
+    """One ``(s||p||o)`` line per triple in input order, LF-terminated.
+
+    Raises:
+        FormatError: a field contains ``||`` or starts or ends with ``|``,
+            which the line format cannot carry; the message names the
+            triple and the field.
+    """
+    text = "".join([f"({t.subject}||{t.predicate.text}||{t.object})\n" for t in triples])
+    if text.count("|") != 4 * len(triples):  # some field holds a |
+        for triple in triples:
+            for role, value in zip(("subject", "predicate", "object"), triple.key()):
+                if "||" in value or value[0] == "|" or value[-1] == "|":
+                    raise FormatError(f"cannot write {triple.key()}: the {role} "
+                                      f"{value!r} holds '||' or starts or ends with '|'")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +553,46 @@ def _counts(sections: dict[str, dict[str, str]], name: str,
     return counts
 
 
-def _read(path: str | Path, location: str) -> str:
-    """A UTF-8 file's text, BOM stripped, line ends read as in text mode."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+#: A FIFO opens without waiting for a writer, so that fstat can reject it.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+
+
+def _read(path: str | Path, location: str) -> str | None:
+    """A UTF-8 file's text, BOM stripped, line ends read as in text mode;
+    None when no regular file is at ``path``.
+
+    The file is opened once and read with one ``os.read`` of its fstat size
+    plus one byte, which finds the end of a file that did not change.  The
+    text equals a text-mode read with the ``utf-8-sig`` encoding, except
+    that a file holding only the start of a BOM is refused, not read as
+    empty.  A directory, a FIFO, a device or a broken symlink reads as
+    absent, as ``os.path.isfile`` would say.
+
+    Raises:
+        FormatError: the bytes are not UTF-8; the message names the first
+            bad sequence.
+        OSError: the file is there but cannot be read.
+    """
+    try:
+        fd = os.open(path, _READ_FLAGS)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except OSError:
+        if os.path.isfile(path):
+            raise
+        return None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        data = os.read(fd, st.st_size + 1)
+        if len(data) != st.st_size:  # a short read, or the file changed size
+            chunks = [data]
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+    finally:
+        os.close(fd)
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -526,6 +601,18 @@ def _read(path: str | Path, location: str) -> str:
                           path=location) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _read_file(path: str | Path, location: str) -> str:
+    """:func:`_read` of a file that must be there.
+
+    Raises:
+        FileNotFoundError: no regular file is at ``path``.
+    """
+    text = _read(path, location)
+    if text is None:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     return text
 
 
@@ -591,6 +678,10 @@ def _unit_files(manifest: CorpusManifest, root: str, role: str, task: str,
     return out
 
 
+#: What ``parsed`` in :func:`_load_paper` returns when no regular file is there.
+_ABSENT = object()
+
+
 def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
                 issues: list[ValidationIssue]) -> PaperAnnotation | None:
     strict = manifest.strict
@@ -599,11 +690,12 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
         return _rel(manifest.layout[role].format(task=task, paper=paper_id))
 
     def parsed(loc: str, parse: Callable[..., object], *args, suffix: str = "", **kw):
-        """parse(text of the file at loc, *args, **kw); a FormatError raises in
-        strict mode and otherwise becomes a format-error issue (message +
-        suffix) and None."""
+        """parse(text of the file at loc, *args, **kw), or _ABSENT when no
+        regular file is at loc; a FormatError raises in strict mode and
+        otherwise becomes a format-error issue (message + suffix) and None."""
         try:
-            return parse(_read(os.path.join(root, loc), loc), *args, **kw)
+            text = _read(os.path.join(root, loc), loc)
+            return _ABSENT if text is None else parse(text, *args, **kw)
         except FormatError as exc:
             if strict:
                 raise
@@ -612,27 +704,31 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
 
     def per_unit(role: str, parse: Callable[..., object]) -> dict | None:
         """Each parsed file of a per-unit role by unit; None if it has no files."""
-        files = _unit_files(manifest, root, role, task, paper_id)
         out = {}
-        for name, loc in files:
+        found = False
+        for name, loc in _unit_files(manifest, root, role, task, paper_id):
             try:
                 unit = normalize_unit_label(name)
             except UnknownUnitLabel as exc:
+                found = True
                 issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
                 continue
             result = parsed(loc, parse, unit, issues=issues, location=loc)
+            if result is _ABSENT:
+                continue
+            found = True
             if result is not None:
                 out[unit] = result
-        return out if files else None
+        return out if found else None
 
     loc = locate("text")
-    if not os.path.isfile(os.path.join(root, loc)):
+    text = parsed(loc, str, suffix="; paper skipped")
+    if text is _ABSENT:
         if strict:
             raise FormatError("missing plaintext file", path=loc)
         issues.append(ValidationIssue("missing-text", ERROR, loc,
                                       "plaintext absent; paper skipped"))
         return None
-    text = parsed(loc, str, suffix="; paper skipped")
     if text is None:
         return None
     # every str.splitlines break is whitespace to str.split, so counting on
@@ -649,21 +745,21 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
     )
 
     loc = locate("sentences")
-    if os.path.isfile(os.path.join(root, loc)):
-        paper.contribution_sentence_indices = parsed(
-            loc, parse_sentence_indices, issues=issues, location=loc)
-    else:
+    indices = parsed(loc, parse_sentence_indices, issues=issues, location=loc)
+    if indices is _ABSENT:
         issues.append(ValidationIssue("missing-sentences", WARNING, loc,
                                       "sentence-index file absent"))
+    else:
+        paper.contribution_sentence_indices = indices
 
     loc = locate("phrases")
-    if os.path.isfile(os.path.join(root, loc)):
-        paper.phrases = parsed(
-            loc, parse_phrase_file, paper.sentences, strict=strict,
-            offset_unit=manifest.offset_unit, issues=issues, location=loc)
-    else:
+    phrases = parsed(loc, parse_phrase_file, paper.sentences, strict=strict,
+                     offset_unit=manifest.offset_unit, issues=issues, location=loc)
+    if phrases is _ABSENT:
         issues.append(ValidationIssue("missing-phrases", WARNING, loc,
                                       "phrase file absent"))
+    else:
+        paper.phrases = phrases
 
     paper.units = per_unit("units", parse_unit_file)
     if paper.units is None:

@@ -13,6 +13,11 @@ Surface text is canonical by construction: node labels, literal children,
 predicate texts, triple fields and phrase texts pass through
 :func:`canonical_text` when their value is built, so consumers compare them
 as they are.  A string that is already canonical is kept, not copied.
+Where the parts are canonical already, the loader skips the check:
+``PhraseSpan._from_canonical`` and ``Triple._from_canonical`` write them
+straight to the slots, for a span's covered-token join and for a
+flattened tree's labels.  They give values equal to the public
+constructor's, and check nothing.
 """
 
 from __future__ import annotations
@@ -124,6 +129,9 @@ def _slot_setters(cls: type) -> tuple:
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
+_new = object.__new__
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Sentence:
     """One pre-tokenized plaintext line of a paper.
@@ -233,6 +241,19 @@ class PhraseSpan:
         set_end_tok(self, end_tok)
         set_text(self, canonical_text(text))
 
+    @classmethod
+    def _from_canonical(cls, sentence_index: int, start_tok: int, end_tok: int,
+                        text: str) -> "PhraseSpan":
+        """A span whose caller guarantees ``0 <= start_tok < end_tok`` and a
+        canonical ``text``; nothing is checked."""
+        span = _new(cls)
+        set_sentence_index, set_start_tok, set_end_tok, set_text = _PHRASE_SPAN_SLOTS
+        set_sentence_index(span, sentence_index)
+        set_start_tok(span, start_tok)
+        set_end_tok(span, end_tok)
+        set_text(span, text)
+        return span
+
     def token_count(self) -> int:
         return self.end_tok - self.start_tok
 
@@ -302,6 +323,17 @@ class Triple:
         set_object(self, object)
 
     @classmethod
+    def _from_canonical(cls, subject: str, predicate: Predicate, object: str) -> "Triple":
+        """A triple whose caller guarantees three canonical, non-empty
+        fields; nothing is checked."""
+        triple = _new(cls)
+        set_subject, set_predicate, set_object = _TRIPLE_SLOTS
+        set_subject(triple, subject)
+        set_predicate(triple, predicate)
+        set_object(triple, object)
+        return triple
+
+    @classmethod
     def of(cls, subject: str, predicate: str, obj: str) -> "Triple":
         """Build a triple from three strings, classifying the predicate."""
         return cls(subject, Predicate(predicate), obj)
@@ -319,16 +351,17 @@ class Node:
 
     ``label`` is canonical and never empty; a canonical argument is kept,
     not copied.  ``provenance`` holds the "from sentence" strings attached
-    to this node; they are metadata and never become triples.  An edge
-    child, as :meth:`add` stores it, is a Node, a canonical non-empty
-    literal string, or None for a predicate whose value was empty in the
-    source file (a dangling predicate).  Edge order is the order of
-    appearance in the source file.
+    to this node; they are metadata and never become triples.  Edges are
+    added only through :meth:`add`, which stores as a child a Node, a
+    canonical non-empty literal string, or None for a predicate whose value
+    was empty in the source file (a dangling predicate).  Edge order is the
+    order of appearance in the source file.
     """
 
     label: str
     provenance: list[str] = field(default_factory=list)
-    edges: list[tuple[Predicate, "Node | str | None"]] = field(default_factory=list)
+    edges: list[tuple[Predicate, "Node | str | None"]] = field(default_factory=list,
+                                                                init=False)
 
     def __post_init__(self) -> None:
         self.label = canonical_text(self.label)

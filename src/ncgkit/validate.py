@@ -99,7 +99,9 @@ def validate_paper(paper: PaperAnnotation,
     provenance grounding of surface forms, duplicate triples, sentence
     index bounds, and the optional phrase-length lint.  The two
     text-grounding checks need source text and are skipped when the paper
-    carries neither contribution sentences nor provenance strings.  Unit
+    carries neither contribution sentences nor provenance strings; they
+    see each distinct triple of a unit once, so a repeated triple gets its
+    findings once, next to its ``duplicate-triple`` error.  Unit
     presence and the triple checks cover every unit of
     :func:`~ncgkit.codec.unit_triples`, tree or not; encapsulation, filler
     placement and nested Results read the trees.
@@ -115,17 +117,19 @@ def validate_paper(paper: PaperAnnotation,
     pool = _sentence_pool(paper)
     # canonical text holds no newline, so a surface found in the joined
     # pool lies inside one text
-    haystack = "\n".join(pool)
+    grounded = _Grounding("\n".join(pool))
     for unit, triples in by_unit.items():
-        seen: set[tuple[str, str, str]] = set()
+        distinct = {}
         for triple in triples:
-            if triple.key() in seen:
+            key = triple.key()
+            if key in distinct:
                 issues.append(ValidationIssue(
                     "duplicate-triple", ERROR, f"{unit.identifier}/{triple.subject}",
-                    f"duplicate triple {triple.key()}"))
-            seen.add(triple.key())
+                    f"duplicate triple {key}"))
+            else:
+                distinct[key] = triple
         if pool:
-            _check_surfaces(unit, triples, haystack, policy, issues)
+            _check_surfaces(unit, distinct.values(), grounded, policy, issues)
         if unit in units:
             _check_filler_placement(unit, units[unit], issues)
     _check_sentence_bounds(paper, issues)
@@ -179,13 +183,26 @@ def _check_encapsulation(units: dict[UnitLabel, UnitTree],
                     f"Experiments or Tasks"))
 
 
-def _check_surfaces(unit: UnitLabel, triples, haystack: str,
+class _Grounding(dict):
+    """Whether a surface occurs in one paper's joined pool, each surface
+    searched once."""
+
+    def __init__(self, haystack: str) -> None:
+        super().__init__()
+        self.haystack = haystack
+
+    def __missing__(self, surface: str) -> bool:
+        found = self[surface] = surface in self.haystack
+        return found
+
+
+def _check_surfaces(unit: UnitLabel, triples, grounded: _Grounding,
                     policy: ValidationPolicy, issues: list[ValidationIssue]) -> None:
     """Filler whitelist for predicates, provenance grounding for all parts."""
     prov_severity = (ERROR if policy.provenance_check == PROVENANCE_ERROR else WARNING)
     for triple in triples:
         if (triple.predicate.kind is PredicateKind.TEXTUAL
-                and triple.predicate.text not in haystack):
+                and not grounded[triple.predicate.text]):
             issues.append(ValidationIssue(
                 "filler-whitelist", ERROR, f"{unit.identifier}/{triple.subject}",
                 f"predicate {triple.predicate.text!r} not found in any "
@@ -193,9 +210,11 @@ def _check_surfaces(unit: UnitLabel, triples, haystack: str,
         if policy.provenance_check == PROVENANCE_OFF:
             continue
         for role, surface in (("subject", triple.subject), ("object", triple.object)):
+            # the exemption is by role, so it stays out of the memo: a
+            # predicate and a node may share a text
             if surface == "Contribution" or lookup_unit_label(surface) is not None:
                 continue
-            if surface not in haystack:
+            if not grounded[surface]:
                 issues.append(ValidationIssue(
                     "provenance-missing", prov_severity,
                     f"{unit.identifier}/{triple.subject}",

@@ -249,6 +249,22 @@ class TestInvalidUtf8:
         assert err.startswith(f"error: {manifest}: not valid UTF-8")
 
 
+class TestUnwritableText:
+    @pytest.mark.parametrize("command, body, field", [
+        ("flatten", '{"has": {"Results": {"on": "a||b"}}}\n', "the object 'a||b'"),
+        ("nest", "(Contribution||has||Results)\n(Results||from sentence||x)\n",
+         "the predicate 'from sentence'"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, body, field):
+        path = tmp_path / "unit.in"
+        path.write_text(body, encoding="utf-8")
+        out = tmp_path / "unit.out"
+        assert run([command, "--unit", "Results", "--out", str(out), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and field in err
+        assert "Traceback" not in err and not out.exists()
+
+
 class TestBadManifest:
     """A malformed manifest INI exits 2 with one error line, never a traceback."""
 

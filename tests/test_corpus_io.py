@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from ncgkit import (
     SpanTextMismatch,
     Triple,
     UnitLabel,
+    UnitTree,
     build_graph,
     compare,
     corpus_stats,
@@ -40,7 +42,9 @@ from ncgkit import (
     write_triple_lines,
     write_unit_file,
 )
+from ncgkit.corpus_io import PROVENANCE_KEY, _read
 from ncgkit.issues import ERROR, WARNING
+from ncgkit.model import Predicate, canonical_text
 
 
 class TestSentenceIndices:
@@ -130,6 +134,12 @@ class TestPhraseFile:
             spans = parse_phrase_file(line, [sentence_159()], strict=strict, issues=issues)
             assert spans == [PhraseSpan(159, 2, 4, "adding features")]
             assert issues == []
+
+    def test_line_of_only_tabs_is_skipped(self):
+        issues = []
+        spans = parse_phrase_file("\t\t\t\n1\t0\t1\ta\n\t\n", DocumentLines("p", ["a b"]),
+                                  strict=True, issues=issues)
+        assert spans == [PhraseSpan(1, 0, 1, "a")] and issues == []
 
     def test_column_count_enforced(self):
         with pytest.raises(FormatError):
@@ -261,6 +271,82 @@ class TestUnitFile:
                 for _, c in tree.unit_node.edges] == [None, "x", "A", "A"]
         assert json.loads(write_unit_file(tree)) == json.loads(text)
 
+    @pytest.mark.parametrize("predicate, child, message", [
+        ("from sentence", "x", "cannot write the predicate 'from sentence' of 'Model': "
+                               "the unit format reads that key as provenance"),
+        ("uses", Node("from sentence"), "cannot write the node 'from sentence': "
+                                        "the unit format reads that key as provenance"),
+        (" ", "x", "cannot write an empty predicate of 'Model': the unit format "
+                   "refuses it"),
+    ], ids=["reserved-predicate", "reserved-label", "empty-predicate"])
+    def test_write_refuses_a_tree_the_format_cannot_carry(self, predicate, child, message):
+        model = Node("Model")
+        model.add(Predicate(predicate), child)
+        with pytest.raises(FormatError) as info:
+            write_unit_file(UnitTree.from_unit_node(UnitLabel.MODEL, model))
+        assert str(info.value) == message
+
+    def test_write_keeps_a_root_with_the_reserved_label(self):
+        # the root's label is never written, so it cannot be read as provenance
+        root = Node(PROVENANCE_KEY)
+        root.add(Predicate("has"), Node("Model"))
+        tree = UnitTree(UnitLabel.MODEL, root)
+        assert json.loads(write_unit_file(tree)) == {"has": {"Model": {}}}
+
+
+LABELS = st.one_of(st.text(), st.text(st.sampled_from(list('ab {}"\\'))),
+                   st.just(PROVENANCE_KEY)).filter(canonical_text)
+PREDICATES = st.one_of(st.text(), st.sampled_from(["has", "in", PROVENANCE_KEY, ""]))
+
+
+@st.composite
+def wide_unit_trees(draw, max_depth=3, max_fanout=3):
+    """Trees with any label, literal and predicate text, repeated predicates
+    included, and dangling edges."""
+
+    def build(depth: int) -> Node:
+        node = Node(draw(LABELS))
+        for _ in range(draw(st.integers(0, max_fanout if depth < max_depth else 0))):
+            kind = draw(st.sampled_from(["node", "literal", "dangling"]))
+            child = (build(depth + 1) if kind == "node"
+                     else draw(st.text()) if kind == "literal" else None)
+            node.add(Predicate(draw(PREDICATES)), child)
+        return node
+
+    return UnitTree.from_unit_node(draw(st.sampled_from(list(UnitLabel))), build(0))
+
+
+def grouped(node: Node) -> tuple:
+    """A node's label and content edges, the edges grouped by predicate text
+    in order of first use: the unit format keeps no order between the
+    different predicates of a node.  A childless node reads as a literal."""
+    first = {}
+    for predicate, _ in node.edges:
+        first.setdefault(predicate.text, len(first))
+    edges = sorted(((p.text, c) for p, c in node.edges if c is not None),
+                   key=lambda edge: first[edge[0]])
+    return (node.label, [(p, grouped(c) if isinstance(c, Node) else (c, []))
+                         for p, c in edges])
+
+
+def _unwritable_tree(tree: UnitTree) -> bool:
+    """An empty or reserved predicate, or a node below the root with the
+    reserved label; the root's label is never written."""
+    return any(p.text in ("", PROVENANCE_KEY)
+               or isinstance(c, Node) and c.label == PROVENANCE_KEY
+               for node in tree.nodes() for p, c in node.edges)
+
+
+@settings(max_examples=300)
+@given(wide_unit_trees())
+def test_written_unit_file_parses_back_or_the_writer_refuses(tree):
+    try:
+        written = write_unit_file(tree)
+    except FormatError:
+        assert _unwritable_tree(tree)
+        return
+    assert grouped(parse_unit_file(written, tree.unit).root) == grouped(tree.root)
+
 
 class TestTripleLines:
     def test_double_pipe(self):
@@ -298,6 +384,38 @@ class TestTripleLines:
     def test_round_trip(self, results_triples_text):
         triples = parse_triple_lines(results_triples_text)
         assert parse_triple_lines(write_triple_lines(triples)) == triples
+
+    def test_write_refuses_a_field_the_format_cannot_carry(self):
+        with pytest.raises(FormatError) as info:
+            write_triple_lines([Triple.of("a", "has", "b"), Triple.of("a|", "has", "c")])
+        assert str(info.value) == ("cannot write ('a|', 'has', 'c'): the subject 'a|' "
+                                   "holds '||' or starts or ends with '|'")
+        # a single | inside a field round-trips
+        written = write_triple_lines([Triple.of("a|b", "x|y", "c")])
+        assert [t.key() for t in parse_triple_lines(written)] == [("a|b", "x|y", "c")]
+
+
+def _unwritable_field(value: str) -> bool:
+    return "||" in value or value.startswith("|") or value.endswith("|")
+
+
+# text biased towards the line format's delimiters
+FIELDS = st.one_of(st.text(), st.text(st.sampled_from(list("|ab ()\t"))))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(FIELDS, FIELDS, FIELDS), max_size=4))
+@example([("a|", "has", "c")])
+@example([("a", "b||c", "d")])
+def test_written_triple_lines_parse_back_or_the_writer_refuses(rows):
+    triples = [Triple.of(*row) for row in rows
+               if all(canonical_text(field) for field in row)]
+    try:
+        written = write_triple_lines(triples)
+    except FormatError:
+        assert any(_unwritable_field(f) for t in triples for f in t.key())
+        return
+    assert [t.key() for t in parse_triple_lines(written)] == [t.key() for t in triples]
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +483,48 @@ class TestLoadCorpus:
         corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
         assert corpus.paper_ids() == ["good"]
         assert ("missing-text", ERROR) in {(i.code, i.severity) for i in issues}
+
+    @pytest.mark.parametrize("kind", ["directory", "broken-symlink", "fifo"])
+    @pytest.mark.parametrize("name, code", [("text.txt", "missing-text"),
+                                            ("sentences.txt", "missing-sentences"),
+                                            ("phrases.tsv", "missing-phrases")])
+    def test_a_non_regular_file_is_absent(self, tmp_path, kind, name, code):
+        absent, odd = tmp_path / "absent", tmp_path / "odd"
+        for root in (absent, odd):
+            make_paper(root, "t", "p", units=MINIMAL_UNITS)
+            (root / "t" / "p" / "phrases.tsv").write_text("1\t0\t1\ta\n", encoding="utf-8")
+            (root / "t" / "p" / name).unlink()
+        path = odd / "t" / "p" / name
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "broken-symlink":
+            path.symlink_to(tmp_path / "nowhere")
+        elif hasattr(os, "mkfifo"):
+            os.mkfifo(path)  # opened without O_NONBLOCK, reading it would hang
+        else:
+            pytest.skip("no FIFOs on this platform")
+
+        def load(root):
+            corpus, issues = load_corpus(CorpusManifest(root_path=root))
+            return corpus.paper_ids(), [(i.code, i.severity, i.message) for i in issues]
+
+        assert load(odd) == load(absent)
+        assert (code, f"t/p/{name}") in {(i.code, i.location) for i in
+                                         load_corpus(CorpusManifest(root_path=odd))[1]}
+
+    def test_unit_file_component_holding_the_paper_is_discovered(self, tmp_path):
+        d = make_paper(tmp_path, "t", "p1", units=MINIMAL_UNITS)
+        make_paper(tmp_path, "t", "p2", units=MINIMAL_UNITS)
+        # a file named for another paper is not this paper's
+        shutil.copyfile(d / "info-units" / "Model.json", d / "info-units" / "p2-Model.json")
+        for path in tmp_path.glob("t/*/info-units/*.json"):
+            if "-" not in path.name:
+                path.rename(path.with_name(f"{path.parent.parent.name}-{path.name}"))
+        layout = {"units": "{task}/{paper}/info-units/{paper}-{Unit}.json"}
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path, layout=layout))
+        assert [i.code for i in issues] == ["missing-phrases", "missing-triples"] * 2
+        for paper in corpus.papers():
+            assert set(paper.units) == set(MINIMAL_UNITS_LABELS)
 
     def test_missing_text_strict_raises(self, tmp_path):
         d = tmp_path / "t" / "bad"
@@ -598,12 +758,19 @@ class TestLoadCorpus:
         assert list(trial_root.glob("*/*/triples/*.txt"))
         built = []
         init = Triple.__init__
+        from_canonical = Triple._from_canonical
 
         def counting(triple, *args, **kwargs):
             built.append(triple)
             init(triple, *args, **kwargs)
 
+        def counting_canonical(cls, *args):
+            triple = from_canonical(*args)
+            built.append(triple)
+            return triple
+
         monkeypatch.setattr(Triple, "__init__", counting)
+        monkeypatch.setattr(Triple, "_from_canonical", classmethod(counting_canonical))
         corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
         stored = [t for p in corpus.papers() for ts in p.triples.values() for t in ts]
         assert all(set(p.units) == set(p.triples) for p in corpus.papers())
@@ -669,6 +836,58 @@ class TestLoadCorpus:
         corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
         assert len(corpus) == 1
         assert "duplicate-paper-id" in {i.code for i in issues}
+
+
+# bytes biased towards BOMs, line ends and broken UTF-8
+CHUNKS = st.sampled_from([b"\xef\xbb\xbf", b"\r", b"\n", b"\r\n", b"a", b" ", b"\t",
+                          b"\xc3\xa9", b"\xe2\x80\xa8", b"\xff", b"\xc3", b"\xed\xa0\x80"])
+FILE_BYTES = st.one_of(st.binary(), st.lists(CHUNKS).map(b"".join))
+
+
+class TestRead:
+    @staticmethod
+    def text_mode(path: Path, location: str) -> str:
+        """The reference: the message of a UTF-8 decode of the whole file
+        when it fails, and a text-mode read otherwise.  The decode goes
+        first because a text-mode read returns "" for a file that is only
+        the start of a BOM, such as b"\\xef"."""
+        try:
+            path.read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start:exc.end].hex()
+            raise FormatError(f"not valid UTF-8 ({exc.reason} 0x{bad})",
+                              path=location) from None
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+
+    @settings(max_examples=300)
+    @given(FILE_BYTES)
+    @example(b"")
+    @example(b"\xef\xbb\xbf")
+    @example(b"\xef\xbb\xbf\xef\xbb\xbfa\r\nb\rc\n")
+    @example(b"a\xffb")
+    @example(b"\xef")
+    @example(b"x" * 70_000 + b"\r\n\xc3\xa9" * 3000)
+    @example(b"x" * 70_000 + b"\xff")
+    def test_agrees_with_a_text_mode_read(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(data)
+            try:
+                want = self.text_mode(path, "loc")
+            except FormatError as exc:
+                with pytest.raises(FormatError) as info:
+                    _read(path, "loc")
+                assert str(info.value) == str(exc)
+            else:
+                assert _read(path, "loc") == want
+
+    def test_nothing_there_reads_as_none(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        for name in ("missing", "dir", "link", "file/below"):
+            assert _read(tmp_path / name, name) is None
 
 
 def make_messy_corpus(root):

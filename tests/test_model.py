@@ -396,3 +396,30 @@ def test_value_type_errors(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+# the loader's private constructors take parts that are canonical already
+CANONICAL = st.text().map(canonical_text).filter(bool)
+
+
+def assert_same_value(private, public) -> None:
+    assert private == public and hash(private) == hash(public)
+    assert repr(private) == repr(public)
+    assert pickle.dumps(private) == pickle.dumps(public)
+    assert pickle.loads(pickle.dumps(private)) == public
+
+
+@given(st.integers(1, 500), st.integers(0, 50), st.integers(1, 50), CANONICAL)
+@example(1, 0, 1, "x")
+def test_private_span_constructor_equals_the_public_one(index, start, width, text):
+    assert_same_value(PhraseSpan._from_canonical(index, start, start + width, text),
+                      PhraseSpan(index, start, start + width, text))
+
+
+@given(CANONICAL, st.one_of(st.sampled_from(["has", "name", "hasAcronym"]), CANONICAL),
+       CANONICAL)
+@example("Contribution", "has", "Results")
+def test_private_triple_constructor_equals_the_public_one(subject, predicate, obj):
+    predicate = Predicate(predicate)
+    assert_same_value(Triple._from_canonical(subject, predicate, obj),
+                      Triple(subject, predicate, obj))

@@ -103,8 +103,9 @@ class TestMandatoryUnits:
                       "annotated sentence and not a filler\n"
                       "p1\tprovenance-missing\tWarning\tobject 'Y' not found in any "
                       "source sentence\n")
+        # the repeated triple's surface findings come once, not once per copy
         expected = ("p1\tduplicate-triple\tError\tduplicate triple ('X', 'zzqq', 'Y')\n"
-                    + per_triple * 2)
+                    + per_triple)
         assert validate_corpus(corpus)[0].as_lines() == expected
         # no unit is read from a tree when there are none
         paper = replace(corpus.get("p1"), units=None)
@@ -212,6 +213,26 @@ class TestDuplicatesAndBounds:
         report = validate_paper(build_paper(units, GOOD_LINES))
         assert any(i.code == "duplicate-triple" and i.severity == ERROR
                    for i in report.issues)
+
+    def test_repeated_tree_triple_gets_each_finding_once(self):
+        units = dict(GOOD_UNITS)
+        units["Results"] = {"has": {"Results": {"zzqq": ["Y", "Y"]}}}
+        report = validate_paper(build_paper(units, GOOD_LINES))
+        assert report.as_lines() == (
+            "p1\tduplicate-triple\tError\tduplicate triple ('Results', 'zzqq', 'Y')\n"
+            "p1\tfiller-whitelist\tError\tpredicate 'zzqq' not found in any "
+            "annotated sentence and not a filler\n"
+            "p1\tprovenance-missing\tWarning\tobject 'Y' not found in any "
+            "source sentence\n")
+
+    def test_unit_name_exemption_does_not_ground_a_predicate_of_that_text(self):
+        # "Model" is exempt as a node and checked as a predicate; the node
+        # is seen first, so a memo holding the exemption would hide the error
+        units = dict(GOOD_UNITS)
+        units["Results"] = {"has": {"Results": {"Model": "the performance"}}}
+        report = validate_paper(build_paper(units, GOOD_LINES))
+        assert [i.message for i in report.issues] == [
+            "predicate 'Model' not found in any annotated sentence and not a filler"]
 
     def test_sentence_bounds(self):
         paper = build_paper(GOOD_UNITS, GOOD_LINES, indices={1, 5})
