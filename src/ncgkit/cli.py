@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .compare import compare, render, table_to_dict
 from .corpus_io import (
+    DEFAULT_LAYOUT,
     CorpusManifest,
     _read_file,
     load_corpus,
@@ -36,6 +37,8 @@ from .issues import ERROR
 from .kg import PER_PAPER, SURFACE_MERGE, build_graph, export_ntriples, traverse
 from .metrics import (
     GRANULARITIES,
+    PHRASE_MATCHES,
+    TRIPLE_SCOPES,
     MatchConfig,
     corpus_stats,
     score,
@@ -102,11 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--granularity",
                    choices=list(GRANULARITIES), default=None,
                    help="score one granularity (default: all both corpora have)")
-    p.add_argument("--phrase-match",
-                   choices=["exact-text", "exact-span", "partial-overlap"],
-                   default="exact-text")
-    p.add_argument("--triple-scope", choices=["per-unit", "per-paper"],
-                   default="per-unit")
+    p.add_argument("--phrase-match", choices=PHRASE_MATCHES,
+                   default=MatchConfig.phrase_match)
+    p.add_argument("--triple-scope", choices=TRIPLE_SCOPES,
+                   default=MatchConfig.triple_scope)
     p.add_argument("--fold", choices=["none", "casefold"], default="none")
     p.add_argument("--strict", action="store_true",
                    help="fail on recoverable format deviations in either corpus")
@@ -343,8 +345,8 @@ def cmd_score(args) -> int:
 
 def _resolve_unit_path(path: Path, unit: UnitLabel, role: str) -> Path:
     if path.is_dir():
-        sub = {"units": Path("info-units") / f"{unit.identifier}.json",
-               "triples": Path("triples") / f"{unit.identifier}.txt"}[role]
+        sub = Path(DEFAULT_LAYOUT[role].removeprefix("{task}/{paper}/")
+                   .format(Unit=unit.identifier))
         candidate = path / sub
         if candidate.is_file():
             return candidate

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .codec import unit_triples
 from .errors import UnknownPaper
-from .model import Corpus, Node, UnitLabel, lookup_unit_label
+from .model import Corpus, Node, PaperAnnotation, UnitLabel, lookup_unit_label
 
 RESEARCH_PROBLEM_ROW = "Has research problem"
 EMPTY_TOKEN = "Empty"
@@ -23,6 +23,8 @@ EMPTY_TOKEN = "Empty"
 
 @dataclass
 class ComparisonTable:
+    """``cells`` holds only the cells with values; ``cell`` gives [] for the rest."""
+
     unit: UnitLabel
     columns: list[tuple[str, str]]
     rows: list[str]
@@ -54,9 +56,12 @@ def compare(corpus: Corpus, unit: UnitLabel, paper_ids: list[str],
     if depth < 1:
         raise ValueError("depth must be >= 1")
     titles = titles or {}
+    by_id: dict[str, PaperAnnotation] = {}
+    for paper in corpus.papers():
+        by_id.setdefault(paper.paper_id, paper)  # the first, as Corpus.get finds
     papers = []
     for paper_id in paper_ids:
-        paper = corpus.get(paper_id)
+        paper = by_id.get(paper_id)
         if paper is None:
             raise UnknownPaper(f"paper {paper_id!r} not in corpus")
         papers.append(paper)
@@ -71,11 +76,8 @@ def compare(corpus: Corpus, unit: UnitLabel, paper_ids: list[str],
         key=lambda row: (-len(values[row]), row))
     rows = [RESEARCH_PROBLEM_ROW] + properties if papers else []
 
-    cells: dict[tuple[str, str], list[str]] = {}
-    for row in rows:
-        for paper in papers:
-            found = values.get(row, {}).get(paper.paper_id, set())
-            cells[(row, paper.paper_id)] = sorted(found)
+    cells = {(row, paper_id): sorted(found)
+             for row, by_paper in values.items() for paper_id, found in by_paper.items()}
 
     columns = [(p.paper_id, titles.get(p.paper_id, p.paper_id)) for p in papers]
     return ComparisonTable(unit, columns, rows, cells)

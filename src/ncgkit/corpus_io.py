@@ -276,7 +276,26 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
 # nested unit files
 
 
+class _RepeatedKey(list):
+    """The values of a key that one JSON object repeats, in file order."""
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, where a key the object repeats maps to a
+    _RepeatedKey of all its values."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        grouped: dict[str, _RepeatedKey] = {}
+        for key, value in pairs:
+            grouped.setdefault(key, _RepeatedKey()).append(value)
+        obj = {key: values if len(values) > 1 else values[0]
+               for key, values in grouped.items()}
+    return obj
+
+
 def _provenance_strings(value) -> list[str]:
+    if isinstance(value, _RepeatedKey):
+        return [text for v in value for text in _provenance_strings(v)]
     if isinstance(value, str):
         return [canonical_text(value)]
     if isinstance(value, list):
@@ -294,16 +313,18 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     top-level keys.  ``from sentence`` keys (exact, case-sensitive) attach
     provenance to the nearest enclosing node wherever they appear.  A
     predicate with an empty value is kept as a dangling edge and reported
-    as ``dangling-predicate``, pre-order.
+    as ``dangling-predicate``, pre-order.  A predicate or ``from sentence``
+    key repeated in one object keeps every value, in file order, as one
+    list of them would.
 
     Raises:
-        FormatError: malformed or too deeply nested JSON, or a non-object
-            at the top level.
+        FormatError: malformed or too deeply nested JSON, a non-object at
+            the top level, or a node label repeated in one object.
         AlternationError: a leaf string where a node's predicate map is
             required, i.e. a node label used as if it were a predicate.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed unit file: {exc.msg}",
                           path=location or None, line=exc.lineno) from None
@@ -380,6 +401,8 @@ def _add_predicate_value(node: Node, predicate: Predicate, value, location: str)
                 continue
             if not key or key.isspace():
                 raise FormatError("empty node label", path=location or None)
+            if isinstance(child_value, _RepeatedKey):
+                raise FormatError(f"repeated node label {key!r}", path=location or None)
             child = Node(key)
             node.add(predicate, child)
             if isinstance(child_value, dict):
@@ -400,6 +423,11 @@ def _add_predicate_value(node: Node, predicate: Predicate, value, location: str)
 
 def write_unit_file(tree: UnitTree) -> str:
     """Serialize a tree back to the nested JSON unit format.
+
+    A node's edges are written grouped by predicate, in order of each
+    predicate's first edge, because a JSON object holds each key once.  So
+    edges whose predicates interleave read back grouped: ``p: a``,
+    ``q: b``, ``p: c`` become ``p: a``, ``p: c``, ``q: b``.
 
     Raises:
         FormatError: the format cannot carry the tree: a predicate is empty

@@ -158,13 +158,8 @@ def unit_stats(corpus: Corpus) -> UnitStats:
 # agreement scoring
 
 GRANULARITIES = ("units", "sentences", "phrases", "triples")
-
-GRANULARITY_TITLES = {
-    "units": "Information Units",
-    "sentences": "Sentences",
-    "phrases": "Phrases",
-    "triples": "Triples",
-}
+PHRASE_MATCHES = ("exact-text", "exact-span", "partial-overlap")
+TRIPLE_SCOPES = ("per-unit", "per-paper")
 
 
 @dataclass(frozen=True)
@@ -172,8 +167,9 @@ class MatchConfig:
     """How items are matched when comparing two corpora.
 
     ``phrase_match``: exact-text (default; canonical text per sentence),
-    exact-span (token offsets must agree), or partial-overlap (greedy token
-    Jaccard >= 0.5).  ``triple_scope``: per-unit keeps triples within their
+    exact-span (token offsets must agree), or partial-overlap (spans in one
+    sentence with token Jaccard >= 0.5 match one to one, as many as can be
+    matched).  ``triple_scope``: per-unit keeps triples within their
     information unit; per-paper pools them.  ``text_fold`` optionally case
     folds text before comparison.
     """
@@ -183,9 +179,9 @@ class MatchConfig:
     text_fold: str | None = None
 
     def __post_init__(self) -> None:
-        if self.phrase_match not in ("exact-text", "exact-span", "partial-overlap"):
+        if self.phrase_match not in PHRASE_MATCHES:
             raise ValueError(f"bad phrase_match: {self.phrase_match!r}")
-        if self.triple_scope not in ("per-unit", "per-paper"):
+        if self.triple_scope not in TRIPLE_SCOPES:
             raise ValueError(f"bad triple_scope: {self.triple_scope!r}")
         if self.text_fold not in (None, "casefold"):
             raise ValueError(f"bad text_fold: {self.text_fold!r}")
@@ -211,15 +207,18 @@ def _layer_present(paper: PaperAnnotation, granularity: str) -> bool:
     return paper.units is not None or paper.triples is not None
 
 
-def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set:
-    """The paper's items at one granularity; only one paper's sets are
-    ever compared, so no key holds the paper id."""
+def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set | list:
+    """The paper's items at one granularity: a set, or the list of its spans
+    for partial overlap, where equal spans each count.  Only one paper's
+    items are ever compared, so no item holds the paper id."""
     if granularity == "units":
         return set(paper.unit_labels())
     if granularity == "sentences":
         return set(paper.contribution_sentence_indices or ())
     if granularity == "phrases":
         spans = paper.phrases or []
+        if config.phrase_match == "partial-overlap":
+            return spans
         if config.phrase_match == "exact-span":
             return {(s.sentence_index, s.start_tok, s.end_tok) for s in spans}
         return {(s.sentence_index, config.fold(s.text)) for s in spans}
@@ -232,44 +231,49 @@ def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set
     return items
 
 
-def _overlap_counts(gold: PaperAnnotation, pred: PaperAnnotation,
-                    config: MatchConfig) -> tuple[int, int, int]:
-    """Greedy phrase matching by token Jaccard >= 0.5 within each sentence."""
-    def by_sentence(paper):
-        out: dict[int, list] = {}
-        for s in paper.phrases or []:
-            out.setdefault(s.sentence_index, []).append(s)
-        return out
+def _max_matching(gold: list, pred: list) -> int:
+    """Size of a maximum one-to-one matching of gold to predicted spans.
 
-    def jaccard(a, b) -> float:
-        inter = max(0, min(a.end_tok, b.end_tok) - max(a.start_tok, b.start_tok))
-        return inter / (a.end_tok - a.start_tok + b.end_tok - b.start_tok - inter)
+    A pair can match when both spans lie in one sentence and their token
+    Jaccard is at least 0.5, which in integers is 3·overlap >= the sum of
+    their lengths.  The matching grows by one augmenting path at a time, as
+    in Hopcroft and Karp (1973) without their phases.
+    """
+    by_sentence: dict[int, list[int]] = {}
+    for j, span in enumerate(pred):
+        by_sentence.setdefault(span.sentence_index, []).append(j)
+    candidates = []
+    for g in gold:
+        size = g.end_tok - g.start_tok
+        candidates.append([
+            j for j in by_sentence.get(g.sentence_index, ())
+            if 3 * (min(g.end_tok, pred[j].end_tok) - max(g.start_tok, pred[j].start_tok))
+            >= size + pred[j].end_tok - pred[j].start_tok])
+    owner: list[int | None] = [None] * len(pred)
+    matched: list[int | None] = [None] * len(gold)
+    return sum(_augment(root, candidates, owner, matched) for root in range(len(gold)))
 
-    tp = 0
-    gold_by = by_sentence(gold)
-    pred_by = by_sentence(pred)
-    for index in sorted(set(gold_by) | set(pred_by)):
-        g_spans = gold_by.get(index, [])
-        p_spans = pred_by.get(index, [])
-        # only pairs that can match, best first, ties by position
-        pairs = []
-        for gi, g in enumerate(g_spans):
-            for pi, p in enumerate(p_spans):
-                j = jaccard(g, p)
-                if j >= 0.5:
-                    pairs.append((-j, gi, pi))
-        pairs.sort()
-        used_g: set[int] = set()
-        used_p: set[int] = set()
-        for _, gi, pi in pairs:
-            if gi in used_g or pi in used_p:
+
+def _augment(root: int, candidates: list[list[int]], owner: list[int | None],
+             matched: list[int | None]) -> bool:
+    """Search breadth-first for an alternating path from the unmatched gold
+    span ``root`` to an unmatched predicted span and flip its pairs; False
+    when there is none.  ``owner`` maps predicted to gold and ``matched``
+    gold to predicted."""
+    came_from: dict[int, int] = {}
+    queue = [root]
+    for i in queue:
+        for j in candidates[i]:
+            if j in came_from:
                 continue
-            used_g.add(gi)
-            used_p.add(pi)
-            tp += 1
-    n_gold = sum(len(v) for v in gold_by.values())
-    n_pred = sum(len(v) for v in pred_by.values())
-    return tp, n_pred - tp, n_gold - tp
+            came_from[j] = i
+            if owner[j] is None:
+                while j is not None:
+                    i = came_from[j]
+                    owner[j], matched[i], j = i, j, matched[i]
+                return True
+            queue.append(owner[j])
+    return False
 
 
 def _check_layer(corpus: Corpus, granularity: str, side: str) -> None:
@@ -283,10 +287,11 @@ def score(gold: Corpus, pred: Corpus, granularity: str,
           config: MatchConfig | None = None) -> AgreementReport:
     """Compare two corpora at one granularity.
 
-    Items are matched as sets per paper; papers present on only one side
-    count fully as false positives or negatives.  Counts pool per task,
-    micro pools across tasks, and macro averages per-task P and R before
-    taking their harmonic-mean F1.
+    Items are matched per paper: as sets, or for partial-overlap phrases
+    one to one, as many spans as can be matched.  Papers present on only
+    one side count fully as false positives or negatives.  Counts pool per
+    task, micro pools across tasks, and macro averages per-task P and R
+    before taking their harmonic-mean F1.
 
     Raises:
         GranularityUnavailable: one side has no files for the granularity.
@@ -296,42 +301,29 @@ def score(gold: Corpus, pred: Corpus, granularity: str,
     config = config or MatchConfig()
     _check_layer(gold, granularity, "gold")
     _check_layer(pred, granularity, "pred")
+    overlap = granularity == "phrases" and config.phrase_match == "partial-overlap"
 
     gold_papers = {p.paper_id: p for p in gold.papers()}
     pred_papers = {p.paper_id: p for p in pred.papers()}
-    task_order: list[str] = []
-    for corpus in (gold, pred):
-        for task in corpus.tasks:
-            if task not in task_order:
-                task_order.append(task)
-
-    counts: dict[str, list[int]] = {t: [0, 0, 0] for t in task_order}
+    # tasks in first-seen order: gold's, then pred's, then any a paper adds
+    counts = {task: [0, 0, 0] for corpus in (gold, pred) for task in corpus.tasks}
     for paper_id in sorted(set(gold_papers) | set(pred_papers)):
         g = gold_papers.get(paper_id)
         p = pred_papers.get(paper_id)
-        task = (g or p).task
-        if task not in counts:
-            task_order.append(task)
-            counts[task] = [0, 0, 0]
-        if granularity == "phrases" and config.phrase_match == "partial-overlap":
-            empty = PaperAnnotation(paper_id, task, phrases=[])
-            tp, fp, fn = _overlap_counts(g or empty, p or empty, config)
+        g_items = _items(g, granularity, config) if g else ()
+        p_items = _items(p, granularity, config) if p else ()
+        if g and p:
+            tp = _max_matching(g_items, p_items) if overlap else len(g_items & p_items)
         else:
-            g_items = _items(g, granularity, config) if g else set()
-            p_items = _items(p, granularity, config) if p else set()
-            tp = len(g_items & p_items)
-            fp = len(p_items - g_items)
-            fn = len(g_items - p_items)
-        row = counts[task]
+            tp = 0
+        row = counts.setdefault((g or p).task, [0, 0, 0])
         row[0] += tp
-        row[1] += fp
-        row[2] += fn
+        row[1] += len(p_items) - tp
+        row[2] += len(g_items) - tp
 
-    per_task = {task: prf(*counts[task]) for task in task_order}
-    totals = [sum(counts[t][i] for t in task_order) for i in range(3)]
-    micro = prf(*totals)
-    macro = _macro(per_task, totals)
-    return AgreementReport(granularity, per_task, micro, macro)
+    per_task = {task: prf(*row) for task, row in counts.items()}
+    totals = [sum(row[i] for row in counts.values()) for i in range(3)]
+    return AgreementReport(granularity, per_task, prf(*totals), _macro(per_task, totals))
 
 
 def _macro(per_task: dict[str, PRF], totals: list[int]) -> PRF:

@@ -255,6 +255,34 @@ class TestUnitFile:
         with pytest.raises(FormatError):
             parse_unit_file('["x"]', UnitLabel.RESULTS)
 
+    def test_repeated_predicate_keeps_every_value(self):
+        text = '{"has": {"Results": {"on": "A", "of": "B", "on": "C"}}}'
+        as_list = '{"has": {"Results": {"on": ["A", "C"], "of": "B"}}}'
+        tree = parse_unit_file(text, UnitLabel.RESULTS)
+        assert [(p.text, c) for p, c in tree.unit_node.edges] == [
+            ("on", "A"), ("on", "C"), ("of", "B")]
+        assert flatten(tree) == flatten(parse_unit_file(as_list, UnitLabel.RESULTS))
+
+    def test_repeated_provenance_key_keeps_every_value(self):
+        text = ('{"has": {"Results": {"from sentence": "s1", "on": {"A": {}, '
+                '"from sentence": "s2", "from sentence": ["s3", "s4"]}}}}')
+        assert parse_unit_file(text, UnitLabel.RESULTS).unit_node.provenance == [
+            "s1", "s2", "s3", "s4"]
+
+    def test_repeated_node_label_is_refused(self):
+        with pytest.raises(FormatError, match="repeated node label 'A'"):
+            parse_unit_file('{"has": {"Results": {"on": {"A": {}, "B": {}, "A": {}}}}}',
+                            UnitLabel.RESULTS)
+
+    def test_write_groups_edges_by_predicate_in_first_seen_order(self):
+        results = Node("Results")
+        for predicate, value in [("p", "a"), ("q", "b"), ("p", "c")]:
+            results.add(Predicate(predicate), value)
+        written = write_unit_file(UnitTree.from_unit_node(UnitLabel.RESULTS, results))
+        assert json.loads(written) == {"has": {"Results": {"p": ["a", "c"], "q": "b"}}}
+        reread = parse_unit_file(written, UnitLabel.RESULTS).unit_node
+        assert [(p.text, c) for p, c in reread.edges] == [("p", "a"), ("p", "c"), ("q", "b")]
+
     def test_write_round_trips(self, results_unit_text, data_dir):
         for text in (results_unit_text,
                      (data_dir / "conll_adjudicated_stage.json").read_text(

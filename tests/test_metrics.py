@@ -217,39 +217,46 @@ class TestScore:
                     max_size=6),
            st.lists(st.tuples(st.integers(1, 2), st.integers(0, 6), st.integers(1, 4)),
                     max_size=6))
-    def test_partial_overlap_matches_token_set_greedy(self, gold_rows, pred_rows):
+    def test_partial_overlap_matches_token_set_maximum(self, gold_rows, pred_rows):
         sentences = [Sentence("p", i, tuple("abcdefghij")) for i in (1, 2)]
 
         def paper(rows):
             spans = [PhraseSpan(i, start, start + length, "x") for i, start, length in rows]
             return PaperAnnotation("p", "t", 2, 20, {1, 2}, spans, None, {}, sentences)
 
-        def reference(gold, pred):
-            # the greedy matching over token sets, pair by pair
-            tp = 0
-            for index in (1, 2):
-                g = [s for s in gold.phrases if s.sentence_index == index]
-                p = [s for s in pred.phrases if s.sentence_index == index]
-                pairs = []
-                for gi, a in enumerate(g):
-                    for pi, b in enumerate(p):
-                        sa = set(range(a.start_tok, a.end_tok))
-                        sb = set(range(b.start_tok, b.end_tok))
-                        pairs.append((len(sa & sb) / len(sa | sb), gi, pi))
-                pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-                used_g, used_p = set(), set()
-                for value, gi, pi in pairs:
-                    if value >= 0.5 and gi not in used_g and pi not in used_p:
-                        used_g.add(gi)
-                        used_p.add(pi)
-                        tp += 1
-            return tp, len(pred.phrases) - tp, len(gold.phrases) - tp
-
         gold = Corpus({"t": [paper(gold_rows)]})
         pred = Corpus({"t": [paper(pred_rows)]})
-        report = score(gold, pred, "phrases", MatchConfig(phrase_match="partial-overlap"))
-        expected = reference(gold.get("p"), pred.get("p"))
+        config = MatchConfig(phrase_match="partial-overlap")
+        report = score(gold, pred, "phrases", config)
+        _, expected = oracle_counts(gold, pred, "phrases", config)
         assert (report.micro.tp, report.micro.fp, report.micro.fn) == expected
+
+    @staticmethod
+    def overlap_counts(gold_spans, pred_spans):
+        def corpus(spans):
+            sentence = Sentence("p", 1, tuple(f"w{i}" for i in range(max(e for _, e in spans))))
+            phrases = [PhraseSpan(1, start, end, " ".join(sentence.tokens[start:end]))
+                       for start, end in spans]
+            return Corpus({"t": [PaperAnnotation("p", "t", 1, len(sentence.tokens), {1},
+                                                 phrases, None, {}, [sentence])]})
+
+        report = score(corpus(gold_spans), corpus(pred_spans), "phrases",
+                       MatchConfig(phrase_match="partial-overlap"))
+        return report.micro.tp, report.micro.fp, report.micro.fn
+
+    @pytest.mark.parametrize("gold_spans, pred_spans, counts", [
+        # [0,4)-[0,4) is the best pair, but taking it leaves [1,4) and [0,2)
+        # unmatched; [1,4)-[0,4) and [0,4)-[0,2) match both
+        ([(0, 4), (1, 4)], [(0, 4), (0, 2)], (2, 0, 0)),
+        # equal spans each count
+        ([(0, 4), (0, 4)], [(0, 4), (0, 4), (1, 4)], (2, 1, 0)),
+    ], ids=["greedy-misses-a-pair", "equal-spans"])
+    def test_partial_overlap_counts(self, gold_spans, pred_spans, counts):
+        assert self.overlap_counts(gold_spans, pred_spans) == counts
+
+    def test_partial_overlap_matches_a_long_chain_without_recursion(self):
+        chain = [(i, i + 4) for i in range(1500)]
+        assert self.overlap_counts(chain, chain) == (1500, 0, 0)
 
     def test_triple_scope_modes(self):
         rows_results = [Triple.of("X", "on", "Y")]
@@ -278,6 +285,14 @@ class TestScore:
 
 
 class TestScoreAgainstOracle:
+    #: between them every phrase mode, both triple scopes and case folding
+    CONFIGS = (
+        MatchConfig(),
+        MatchConfig(phrase_match="exact-span", triple_scope="per-paper"),
+        MatchConfig(phrase_match="partial-overlap"),
+        MatchConfig(text_fold="casefold"),
+    )
+
     @pytest.mark.parametrize("granularity", ["units", "sentences", "phrases",
                                              "triples"])
     def test_micro_counts_match_brute_force(self, granularity):
@@ -285,9 +300,24 @@ class TestScoreAgainstOracle:
         for _ in range(200):
             gold = random_corpus(rng)
             pred = random_corpus(rng)
-            per_task, totals = oracle_counts(gold, pred, granularity)
-            report = score(gold, pred, granularity)
-            assert (report.micro.tp, report.micro.fp, report.micro.fn) == totals
-            for task, (tp, fp, fn) in per_task.items():
-                got = report.per_task[task]
-                assert (got.tp, got.fp, got.fn) == (tp, fp, fn)
+            for config in self.CONFIGS:
+                per_task, totals = oracle_counts(gold, pred, granularity, config)
+                report = score(gold, pred, granularity, config)
+                assert (report.micro.tp, report.micro.fp, report.micro.fn) == totals
+                for task, (tp, fp, fn) in per_task.items():
+                    got = report.per_task[task]
+                    assert (got.tp, got.fp, got.fn) == (tp, fp, fn)
+
+    def test_each_config_changes_some_count(self):
+        """The random corpora give each mode a case where it differs from
+        the default, so the sweep above checks every mode."""
+        rng = random.Random(1234)
+        differ = set()
+        for _ in range(200):
+            gold, pred = random_corpus(rng), random_corpus(rng)
+            for granularity in ("phrases", "triples"):
+                default = oracle_counts(gold, pred, granularity)
+                differ |= {(granularity, i) for i, config in enumerate(self.CONFIGS)
+                           if oracle_counts(gold, pred, granularity, config) != default}
+        assert differ >= {("phrases", 1), ("phrases", 2), ("phrases", 3),
+                          ("triples", 1), ("triples", 3)}
