@@ -24,7 +24,9 @@ from .compare import compare, render, table_to_dict
 from .corpus_io import (
     DEFAULT_LAYOUT,
     CorpusManifest,
+    _json_object,
     _read_file,
+    _RepeatedKey,
     load_corpus,
     parse_triple_lines,
     parse_unit_file,
@@ -46,7 +48,7 @@ from .metrics import (
     unit_stats,
 )
 from .model import UnitLabel, normalize_unit_label
-from .validate import ValidationPolicy, summarize_reports, validate_corpus
+from .validate import PROVENANCE_CHECKS, ValidationPolicy, summarize_reports, validate_corpus
 
 
 def positive_int(value: str) -> int:
@@ -81,9 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the scheme rules over a corpus")
     add_corpus_args(p)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    p.add_argument("--provenance-check", choices=["Off", "Warn", "Error"],
-                   default="Warn")
-    p.add_argument("--max-phrase-tokens", type=int, default=10)
+    p.add_argument("--provenance-check", choices=PROVENANCE_CHECKS,
+                   default=ValidationPolicy.provenance_check)
+    p.add_argument("--max-phrase-tokens", type=int,
+                   default=ValidationPolicy.max_phrase_tokens)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="corpus characteristics per task")
@@ -243,18 +246,20 @@ def cmd_unit_stats(args) -> int:
 
 def _read_expected(path: str | None, depths: dict[str, int]) -> dict:
     """The JSON object of a --check file ({} without one); each key of
-    ``depths`` it has holds numbers under that many levels of objects, or
-    FormatError names the key."""
+    ``depths`` it has holds numbers under that many levels of objects, and
+    no object there repeats a key, or FormatError names the key."""
     if not path:
         return {}
     try:
-        data = json.loads(_read_file(path, path))
+        data = json.loads(_read_file(path, path), object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"not valid JSON ({exc})", path=path) from None
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object", path=path)
 
     def check(value, depth: int, key: str) -> None:
+        if isinstance(value, _RepeatedKey):
+            raise FormatError(f"{key}: repeated key", path=path)
         if depth:
             if not isinstance(value, dict):
                 raise FormatError(f"{key}: expected an object, got "

@@ -62,10 +62,13 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
 
 
 def unit_triples(paper: PaperAnnotation) -> dict[UnitLabel, list[Triple]]:
-    """Stored triples per unit; a tree the map lacks (built in memory) is flattened."""
+    """Each unit of ``paper.units`` or ``paper.triples`` in identifier order,
+    with its stored triples, or its tree flattened where the map lacks the
+    unit (a tree built in memory).  The keys are the one list of a paper's units."""
     stored = paper.triples or {}
-    return {unit: stored[unit] if unit in stored else flatten(paper.units[unit]).triples
-            for unit in paper.unit_labels()}
+    units = paper.units or {}
+    return {unit: stored[unit] if unit in stored else flatten(units[unit]).triples
+            for unit in sorted(stored.keys() | units.keys(), key=lambda u: u.identifier)}
 
 
 def nest(triples: list[Triple], unit: UnitLabel) -> UnitTree:
@@ -82,7 +85,6 @@ def nest(triples: list[Triple], unit: UnitLabel) -> UnitTree:
     """
     subjects = {t.subject for t in triples}
     nodes: dict[str, Node] = {CONTRIBUTION: Node(CONTRIBUTION)}
-    object_labels: set[str] = set()
     seen: set[tuple[str, str, str]] = set()
 
     for triple in triples:
@@ -102,12 +104,12 @@ def nest(triples: list[Triple], unit: UnitLabel) -> UnitTree:
         # heads hanging directly off Contribution.  Everything else is a leaf
         # literal, the two being indistinguishable in triple form.
         if obj in subjects or subj == CONTRIBUTION:
-            if obj in object_labels:
+            # ``nodes`` holds every object node so far, and Contribution
+            # was refused as an object above
+            if obj in nodes:
                 raise NotATree(f"label {obj!r} used as object more than once")
-            child = Node(obj)
-            nodes[obj] = child
+            child = nodes[obj] = Node(obj)
             parent.add(triple.predicate, child)
-            object_labels.add(obj)
         else:
             parent.add(triple.predicate, obj)
 

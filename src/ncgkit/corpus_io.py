@@ -37,7 +37,7 @@ from .errors import (
     SpanTextMismatch,
     UnknownUnitLabel,
 )
-from .issues import ERROR, WARNING, ValidationIssue
+from .issues import ValidationIssue
 from .model import (
     CONTRIBUTION,
     Corpus,
@@ -147,10 +147,10 @@ class CorpusManifest:
         return Path(self.root_path).joinpath(*self.layout[role].format(**kw).split("/"))
 
 
-def _note(issues: list[ValidationIssue] | None, code: str, severity: str,
-          location: str, message: str) -> None:
+def _note(issues: list[ValidationIssue] | None, code: str, location: str,
+          message: str) -> None:
     if issues is not None:
-        issues.append(ValidationIssue(code, severity, location, message))
+        issues.append(ValidationIssue(code, location, message))
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +171,10 @@ def parse_sentence_indices(text: str, *, issues: list[ValidationIssue] | None = 
             value = 0
         if value < 1:
             raise FormatError(f"not a positive sentence index: {line!r}",
-                              path=location or None, line=lineno)
+                              path=location, line=lineno)
         if value in out:
-            _note(issues, "duplicate-sentence-index", WARNING,
-                  f"{location}:{lineno}", f"index {value} listed more than once")
+            _note(issues, "duplicate-sentence-index", f"{location}:{lineno}",
+                  f"index {value} listed more than once")
         out.add(value)
     return out
 
@@ -227,9 +227,9 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                 continue
             if len(cols) != 4:
                 raise FormatError(f"expected 4 tab-separated columns, got {len(cols)}",
-                                  path=location or None, line=lineno) from None
+                                  path=location, line=lineno) from None
             raise FormatError(f"non-integer span fields: {cols[:3]}",
-                              path=location or None, line=lineno) from None
+                              path=location, line=lineno) from None
         try:
             sent = found.get(idx)
             if sent is None and idx not in found:
@@ -243,7 +243,7 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                 found[idx] = sent
             if sent is None:
                 raise SpanOutOfRange(f"no sentence with index {idx}",
-                                     path=location or None, line=lineno)
+                                     path=location, line=lineno)
             if offset_unit == "char":
                 start_tok, end_tok = _char_span_to_tokens(sent, start, end)
             else:
@@ -251,12 +251,11 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
             if not 0 <= start_tok < end_tok <= len(sent.tokens):
                 raise SpanOutOfRange(
                     f"span [{start_tok}, {end_tok}) outside sentence {idx} "
-                    f"({len(sent.tokens)} tokens)",
-                    path=location or None, line=lineno)
+                    f"({len(sent.tokens)} tokens)", path=location, line=lineno)
         except SpanOutOfRange as exc:
             if strict:
                 raise
-            _note(issues, "span-out-of-range", ERROR, f"{location}:{lineno}", str(exc))
+            _note(issues, "span-out-of-range", f"{location}:{lineno}", str(exc))
             continue
         covered = " ".join(sent.tokens[start_tok:end_tok])
         if surface != covered:
@@ -265,8 +264,8 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                 if strict:
                     raise SpanTextMismatch(
                         f"surface {surface!r} != covered tokens {covered!r}",
-                        path=location or None, line=lineno)
-                _note(issues, "span-text-mismatch", WARNING, f"{location}:{lineno}",
+                        path=location, line=lineno)
+                _note(issues, "span-text-mismatch", f"{location}:{lineno}",
                       f"surface {surface!r} repaired to {covered!r}")
         spans.append(span(idx, start_tok, end_tok, covered))
     return spans
@@ -327,15 +326,13 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
         data = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed unit file: {exc.msg}",
-                          path=location or None, line=exc.lineno) from None
+                          path=location, line=exc.lineno) from None
     except ValueError as exc:  # a number with more digits than int() converts
-        raise FormatError(f"malformed unit file: {exc}", path=location or None) from None
+        raise FormatError(f"malformed unit file: {exc}", path=location) from None
     except RecursionError:
-        raise FormatError("malformed unit file: nested too deeply",
-                          path=location or None) from None
+        raise FormatError("malformed unit file: nested too deeply", path=location) from None
     if not isinstance(data, dict):
-        raise FormatError("unit file must be a JSON object",
-                          path=location or None)
+        raise FormatError("unit file must be a JSON object", path=location)
 
     root = Node(CONTRIBUTION)
     _fill_predicates(root, data, location)
@@ -343,21 +340,17 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     def note_dangling(node: Node) -> None:
         for predicate, child in node.edges:
             if child is None:
-                _note(issues, "dangling-predicate", WARNING, location or unit.identifier,
+                _note(issues, "dangling-predicate", location or unit.identifier,
                       f"predicate {predicate.text!r} of {node.label!r} has no value")
             elif isinstance(child, Node):
                 note_dangling(child)
 
     note_dangling(root)
-    unit_node = None
     content_edges = [(p, c) for p, c in root.edges if c is not None]
-    if len(content_edges) == 1:
-        pred, child = content_edges[0]
-        if (isinstance(child, Node) and pred.text == "has"
-                and lookup_unit_label(child.label) is unit):
-            unit_node = child
-    if unit_node is None:
-        _note(issues, "root-not-unit", WARNING, location or unit.identifier,
+    pred, child = content_edges[0] if len(content_edges) == 1 else (None, None)
+    if not (isinstance(child, Node) and pred.text == "has"
+            and lookup_unit_label(child.label) is unit):
+        _note(issues, "root-not-unit", location or unit.identifier,
               f"top level is not a single has-edge to a {unit.display} node")
     return UnitTree(unit, root)
 
@@ -369,7 +362,7 @@ def _fill_predicates(node: Node, mapping: dict, location: str) -> None:
             node.provenance.extend(_provenance_strings(value))
             continue
         if not key or key.isspace():
-            raise FormatError("empty predicate key", path=location or None)
+            raise FormatError("empty predicate key", path=location)
         _add_predicate_value(node, Predicate(key), value, location)
 
 
@@ -400,9 +393,9 @@ def _add_predicate_value(node: Node, predicate: Predicate, value, location: str)
                 node.provenance.extend(_provenance_strings(child_value))
                 continue
             if not key or key.isspace():
-                raise FormatError("empty node label", path=location or None)
+                raise FormatError("empty node label", path=location)
             if isinstance(child_value, _RepeatedKey):
-                raise FormatError(f"repeated node label {key!r}", path=location or None)
+                raise FormatError(f"repeated node label {key!r}", path=location)
             child = Node(key)
             node.add(predicate, child)
             if isinstance(child_value, dict):
@@ -410,15 +403,13 @@ def _add_predicate_value(node: Node, predicate: Predicate, value, location: str)
             elif isinstance(child_value, str) or child_value is None:
                 raise AlternationError(
                     f"node {child.label!r} maps to a leaf value; a predicate map is "
-                    f"required at node depth", path=location or None)
+                    f"required at node depth", path=location)
             else:
                 raise AlternationError(
                     f"node {child.label!r} maps to {type(child_value).__name__}; "
-                    f"a predicate map is required at node depth",
-                    path=location or None)
+                    f"a predicate map is required at node depth", path=location)
         return
-    raise FormatError(f"unsupported value of type {type(value).__name__}",
-                      path=location or None)
+    raise FormatError(f"unsupported value of type {type(value).__name__}", path=location)
 
 
 def write_unit_file(tree: UnitTree) -> str:
@@ -440,21 +431,17 @@ def write_unit_file(tree: UnitTree) -> str:
 
 def _node_object(node: Node) -> dict:
     out: dict = {}
-    grouped: dict[str, list[Node | str | None]] = {}
-    order: list[str] = []
+    grouped: dict[str, list[Node | str | None]] = {}  # in first-edge order
     for predicate, child in node.edges:
-        if predicate.text not in grouped:
-            grouped[predicate.text] = []
-            order.append(predicate.text)
-        grouped[predicate.text].append(child)
+        grouped.setdefault(predicate.text, []).append(child)
     if PROVENANCE_KEY in grouped:
         raise FormatError(f"cannot write the predicate {PROVENANCE_KEY!r} of "
                           f"{node.label!r}: the unit format reads that key as provenance")
     if "" in grouped:
         raise FormatError(f"cannot write an empty predicate of {node.label!r}: "
                           f"the unit format refuses it")
-    for pred_text in order:
-        out[pred_text] = _predicate_object(grouped[pred_text])
+    for pred_text, children in grouped.items():
+        out[pred_text] = _predicate_object(children)
     if node.provenance:
         out[PROVENANCE_KEY] = (node.provenance[0] if len(node.provenance) == 1
                                else list(node.provenance))
@@ -521,24 +508,24 @@ def _triple_fields(text: str, *, issues: list[ValidationIssue] | None,
             continue
         if line[0] != "(" or line[-1] != ")":
             raise FormatError("triple line must be wrapped in parentheses",
-                              path=location or None, line=lineno)
+                              path=location, line=lineno)
         fields = line[1:-1].split("||")
         if len(fields) != 3 and any("|" in f for f in fields):
             refined: list[str] = []
             for piece in fields:
                 refined.extend(piece.split("|"))
             if len(refined) == 3:
-                _note(issues, "single-pipe-delimiter", WARNING,
-                      f"{location}:{lineno}", f"single | delimiter in {line!r}")
+                _note(issues, "single-pipe-delimiter", f"{location}:{lineno}",
+                      f"single | delimiter in {line!r}")
                 fields = refined
         if len(fields) != 3:
             raise FormatError(
                 f"expected 3 fields after delimiter splitting, got {len(fields)}",
-                path=location or None, line=lineno)
+                path=location, line=lineno)
         subject, predicate, obj = fields
         if not (subject.strip() and predicate.strip() and obj.strip()):
             raise FormatError(f"empty field in triple line {line!r}",
-                              path=location or None, line=lineno)
+                              path=location, line=lineno)
         lines.append((subject, predicate, obj))
     return lines
 
@@ -658,9 +645,29 @@ def _scandir(root: str, rel: str) -> list[os.DirEntry]:
         return []
 
 
-def _component_re(component: str) -> re.Pattern:
-    """Match a path component whose one placeholder was filled with NUL."""
-    return re.compile("^" + re.escape(component).replace("\x00", "(.+)") + "$")
+def _fillers(root: str, pattern: str, placeholder: str, ids: dict[str, str]
+             ) -> tuple[str, list[str], list[tuple[str, os.DirEntry]]] | None:
+    """Where a layout pattern's component holding ``{placeholder}`` is filled.
+
+    Lists the directory above that component, its other placeholders filled
+    from ``ids``, and returns that directory below the root, the components
+    after it, and (value, entry) for each entry, in name order, whose name
+    fills the component with that value.  None when no component holds the
+    placeholder.
+    """
+    parts = pattern.split("/")
+    index = next((i for i, p in enumerate(parts) if f"{{{placeholder}}}" in p), None)
+    if index is None:
+        return None
+    component = parts[index].format(**{placeholder: "\x00"}, **ids)
+    fills = re.compile("^" + re.escape(component).replace("\x00", "(.+)") + "$").match
+    parent = "/".join(parts[:index]).format(**ids)
+    found = []
+    for entry in sorted(_scandir(root, _rel(parent)), key=lambda e: e.name):
+        match = fills(entry.name)
+        if match:
+            found.append((match.group(1), entry))
+    return parent, parts[index + 1:], found
 
 
 def _discover_papers(manifest: CorpusManifest, root: str, task: str) -> list[str]:
@@ -670,39 +677,23 @@ def _discover_papers(manifest: CorpusManifest, root: str, task: str) -> list[str
     paper directory lacking its plaintext file is still discovered and gets
     a proper missing-text error instead of vanishing silently.
     """
-    parts = manifest.layout["text"].split("/")
-    paper_idx = next(i for i, p in enumerate(parts) if "{paper}" in p)
-    comp_re = _component_re(parts[paper_idx].format(task=task, paper="\x00"))
-    need_dir = paper_idx < len(parts) - 1
-    names = set()
-    for entry in _scandir(root, _rel("/".join(parts[:paper_idx]).format(task=task))):
-        match = comp_re.match(entry.name)
-        if match and (not need_dir or entry.is_dir()):
-            names.add(match.group(1))
-    return sorted(names)
+    _, rest, found = _fillers(root, manifest.layout["text"], "paper", {"task": task})
+    return sorted({paper for paper, entry in found if not rest or entry.is_dir()})
 
 
 def _unit_files(manifest: CorpusManifest, root: str, role: str, task: str,
                 paper: str) -> list[tuple[str, str]]:
     """(unit name, location) of each existing per-unit file, in path order."""
-    parts = manifest.layout[role].split("/")
-    unit_idx = next((i for i, p in enumerate(parts) if "{Unit}" in p), None)
-    if unit_idx is None:
-        return []
     ids = {"task": task, "paper": paper}
-    comp_re = _component_re(parts[unit_idx].format(Unit="\x00", **ids))
-    parent = "/".join(parts[:unit_idx]).format(**ids)
-    rest = parts[unit_idx + 1:]
+    fill = _fillers(root, manifest.layout[role], "Unit", ids)
+    if fill is None:
+        return []
+    parent, rest, found = fill
     out = []
-    for entry in sorted(_scandir(root, _rel(parent)), key=lambda e: e.name):
-        match = comp_re.match(entry.name)
-        if not match:
-            continue
-        unit = match.group(1)
+    for unit, entry in found:
         loc = _rel("/".join([parent, entry.name] + [p.format(Unit=unit, **ids) for p in rest]))
-        if rest and not os.path.exists(os.path.join(root, loc)):
-            continue
-        out.append((unit, loc))
+        if not rest or os.path.exists(os.path.join(root, loc)):
+            out.append((unit, loc))
     return out
 
 
@@ -727,7 +718,7 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
         except FormatError as exc:
             if strict:
                 raise
-            issues.append(ValidationIssue("format-error", ERROR, loc, f"{exc}{suffix}"))
+            issues.append(ValidationIssue("format-error", loc, f"{exc}{suffix}"))
             return None
 
     def per_unit(role: str, parse: Callable[..., object]) -> dict | None:
@@ -739,7 +730,7 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
                 unit = normalize_unit_label(name)
             except UnknownUnitLabel as exc:
                 found = True
-                issues.append(ValidationIssue("unknown-unit-label", WARNING, loc, str(exc)))
+                issues.append(ValidationIssue("unknown-unit-label", loc, str(exc)))
                 continue
             result = parsed(loc, parse, unit, issues=issues, location=loc)
             if result is _ABSENT:
@@ -754,8 +745,7 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
     if text is _ABSENT:
         if strict:
             raise FormatError("missing plaintext file", path=loc)
-        issues.append(ValidationIssue("missing-text", ERROR, loc,
-                                      "plaintext absent; paper skipped"))
+        issues.append(ValidationIssue("missing-text", loc, "plaintext absent; paper skipped"))
         return None
     if text is None:
         return None
@@ -775,8 +765,7 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
     loc = locate("sentences")
     indices = parsed(loc, parse_sentence_indices, issues=issues, location=loc)
     if indices is _ABSENT:
-        issues.append(ValidationIssue("missing-sentences", WARNING, loc,
-                                      "sentence-index file absent"))
+        issues.append(ValidationIssue("missing-sentences", loc, "sentence-index file absent"))
     else:
         paper.contribution_sentence_indices = indices
 
@@ -784,20 +773,18 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
     phrases = parsed(loc, parse_phrase_file, paper.sentences, strict=strict,
                      offset_unit=manifest.offset_unit, issues=issues, location=loc)
     if phrases is _ABSENT:
-        issues.append(ValidationIssue("missing-phrases", WARNING, loc,
-                                      "phrase file absent"))
+        issues.append(ValidationIssue("missing-phrases", loc, "phrase file absent"))
     else:
         paper.phrases = phrases
 
     paper.units = per_unit("units", parse_unit_file)
     if paper.units is None:
-        issues.append(ValidationIssue(
-            "missing-units", WARNING, f"{task}/{paper_id}",
-            "no information-unit files found"))
+        issues.append(ValidationIssue("missing-units", f"{task}/{paper_id}",
+                                      "no information-unit files found"))
     file_lines = per_unit("triples", lambda text, unit, **kw: _triple_fields(text, **kw))
     if file_lines is None and paper.units:
         issues.append(ValidationIssue(
-            "missing-triples", WARNING, f"{task}/{paper_id}",
+            "missing-triples", f"{task}/{paper_id}",
             "no triples files; derived by flattening the unit trees"))
 
     _reconcile_units_and_triples(task, paper, file_lines, issues)
@@ -834,8 +821,7 @@ def _reconcile_units_and_triples(
                 missing = sorted(tree_keys - file_keys)
                 extra = sorted(file_keys - tree_keys)
                 issues.append(ValidationIssue(
-                    "triples-file-mismatch", WARNING,
-                    f"{task}/{paper.paper_id}/{unit.identifier}",
+                    "triples-file-mismatch", f"{task}/{paper.paper_id}/{unit.identifier}",
                     f"tree-only: {missing}; file-only: {extra}"))
         triples[unit] = flat.triples
     for unit, lines in lines_by_unit.items():
@@ -846,8 +832,7 @@ def _reconcile_units_and_triples(
             units[unit] = nest(listed, unit)
         except NotATree as exc:
             issues.append(ValidationIssue(
-                "nest-failed", WARNING,
-                f"{task}/{paper.paper_id}/{unit.identifier}", str(exc)))
+                "nest-failed", f"{task}/{paper.paper_id}/{unit.identifier}", str(exc)))
             triples[unit] = listed
             continue
         triples[unit] = flatten(units[unit]).triples
@@ -882,7 +867,7 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
         for paper_id in _discover_papers(manifest, root_dir, task):
             if paper_id in seen:
                 issues.append(ValidationIssue(
-                    "duplicate-paper-id", ERROR, f"{task}/{paper_id}",
+                    "duplicate-paper-id", f"{task}/{paper_id}",
                     "paper id already seen under another task; skipped"))
                 continue
             paper = _load_paper(manifest, root_dir, task, paper_id, issues)
@@ -892,6 +877,5 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
         if papers:
             corpus.tasks[task] = papers
     if not seen:
-        issues.append(ValidationIssue("empty-corpus", WARNING, str(root),
-                                      "no papers found"))
+        issues.append(ValidationIssue("empty-corpus", str(root), "no papers found"))
     return corpus, issues

@@ -15,11 +15,11 @@ class FormatError(NcgError):
     """An on-disk annotation file violates its format.
 
     Carries optional file path and 1-based line number so callers can
-    report the exact location.
+    report the exact location; an empty path means none.
     """
 
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
-        self.path = path
+        self.path = path or None
         self.line = line
         super().__init__(message)
 

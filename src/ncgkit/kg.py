@@ -2,8 +2,11 @@
 
 Node URIs are coined deterministically from (paper, unit, path-from-root),
 so identical surface forms in different papers stay distinct by default;
-surface merging is an explicit opt-in for cross-paper aggregation.  The
-export is lexicographically sorted, making regeneration byte-stable.
+surface merging is an explicit opt-in for cross-paper aggregation.  Each
+paper's Contribution root is ``ncg:<quoted paper id>/Contribution`` in every
+merge mode, so a traversal finds it by that URI, in a built graph and in one
+read back from N-Triples alike.  The export is lexicographically sorted,
+making regeneration byte-stable.
 
 The graph holds each fact once: a node's URI is one string, shared by the
 ``nodes`` key, the node and every edge tuple that touches it; each edge is
@@ -18,7 +21,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
-from urllib.parse import quote, unquote
+from urllib.parse import quote
 
 from .errors import UnknownStartNode
 from .model import CONTRIBUTION, Corpus, Node, UnitLabel, canonical_text
@@ -69,13 +72,12 @@ class Graph:
     ``nodes`` maps each URI to its node, in insertion order.  ``edges``
     holds (subject uri, predicate text, object uri) tuples in insertion
     order; the same tuple objects fill the private de-duplication set and
-    the per-subject adjacency lists, so an edge costs one tuple.  ``roots``
-    maps each paper to its Contribution node.
+    the per-subject adjacency lists, so an edge costs one tuple.  A paper's
+    Contribution root is the node at the URI the scheme coins for it.
     """
 
     nodes: dict[str, GraphNode] = field(default_factory=dict)
     edges: list[tuple[str, str, str]] = field(default_factory=list)
-    roots: dict[str, GraphNode] = field(default_factory=dict)
     _edge_set: set[tuple[str, str, str]] = field(default_factory=set, repr=False)
     _adjacency: dict[str, list[tuple[str, str, str]]] = field(default_factory=dict,
                                                                 repr=False)
@@ -126,7 +128,6 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
     shared_uris: dict[str, str] | None = {} if merge == SURFACE_MERGE else None
     for paper in corpus.papers():
         root = graph.ensure_node(_root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
-        graph.roots[paper.paper_id] = root
         units = paper.units or {}
         for unit in sorted(units, key=lambda u: u.identifier):
             _add_tree(graph, units[unit].root, root.uri, (),
@@ -234,7 +235,7 @@ def export_ntriples(graph: Graph) -> str:
 
 
 _LINE_RE = re.compile(
-    r'^<([^>]+)> <([^>]+)> (?:<([^>]+)>|"((?:[^"\\]|\\.)*)") \.$')
+    r'^<([^>]+)> <([^>]+)> (?:<([^>]+)>|"([^"\\]*(?:\\.[^"\\]*)*)") \.$')
 
 #: The line breaks of ``str.splitlines``.
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -242,8 +243,6 @@ _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 #: One match per line of ``str.splitlines`` in the same order, plus at most
 #: one empty line at the end.
 _SPLIT_LINES_RE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
-
-_ROOT_URI_RE = re.compile(r"ncg:(.+)/Contribution")
 
 
 def import_ntriples(text: str) -> Graph:
@@ -291,11 +290,6 @@ def import_ntriples(text: str) -> Graph:
                 f"ncg:lit/{_hash_slug((subject, pred_text, obj_literal))}",
                 obj_literal, LITERAL).uri
         graph.add_edge(subject, pred_text, target)
-    for uri, node in graph.nodes.items():
-        if node.label == CONTRIBUTION:
-            match = _ROOT_URI_RE.fullmatch(uri)
-            if match:
-                graph.roots[unquote(match.group(1))] = node
     return graph
 
 
@@ -322,7 +316,7 @@ def traverse(graph: Graph, paper_id: str, start_label: str,
     Raises:
         UnknownStartNode: the paper or the label cannot be resolved.
     """
-    root = graph.roots.get(paper_id)
+    root = graph.nodes.get(_root_uri(paper_id))
     if root is None:
         raise UnknownStartNode(f"no paper {paper_id!r} in graph")
     target = canonical_text(start_label)

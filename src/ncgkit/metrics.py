@@ -9,7 +9,8 @@ macro as the harmonic F1 of task-averaged P and R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 
 from .codec import unit_triples
 from .errors import GranularityUnavailable, MissingTotals
@@ -82,13 +83,8 @@ class StatsRow:
         return _ratio(self.phrase_tokens, self.total_tokens)
 
     def add(self, other: "StatsRow") -> None:
-        self.total_ius += other.total_ius
-        self.ann_sentences += other.ann_sentences
-        self.total_sentences += other.total_sentences
-        self.ann_phrases += other.ann_phrases
-        self.phrase_tokens += other.phrase_tokens
-        self.total_tokens += other.total_tokens
-        self.ann_triples += other.ann_triples
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -110,7 +106,8 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
         for paper in papers:
             if paper.total_sentence_count is None or paper.total_token_count is None:
                 raise MissingTotals(f"paper {paper.paper_id} lacks totals")
-            row.total_ius += len(paper.unit_labels())
+            by_unit = unit_triples(paper)
+            row.total_ius += len(by_unit)
             row.total_sentences += paper.total_sentence_count
             row.total_tokens += paper.total_token_count
             if paper.contribution_sentence_indices:
@@ -118,8 +115,7 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
             for span in paper.phrases or []:
                 row.ann_phrases += 1
                 row.phrase_tokens += span.token_count()
-            for triples in unit_triples(paper).values():
-                row.ann_triples += len(triples)
+            row.ann_triples += sum(map(len, by_unit.values()))
         overall.add(row)
     return CorpusStats(per_task, overall)
 
@@ -212,7 +208,7 @@ def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set
     for partial overlap, where equal spans each count.  Only one paper's
     items are ever compared, so no item holds the paper id."""
     if granularity == "units":
-        return set(paper.unit_labels())
+        return set(unit_triples(paper))
     if granularity == "sentences":
         return set(paper.contribution_sentence_indices or ())
     if granularity == "phrases":
@@ -239,14 +235,21 @@ def _max_matching(gold: list, pred: list) -> int:
     their lengths.  The matching grows by one augmenting path at a time, as
     in Hopcroft and Karp (1973) without their phases.
     """
+    # each sentence's predicted spans in start order, and their starts
     by_sentence: dict[int, list[int]] = {}
-    for j, span in enumerate(pred):
-        by_sentence.setdefault(span.sentence_index, []).append(j)
+    for j in sorted(range(len(pred)), key=lambda j: pred[j].start_tok):
+        by_sentence.setdefault(pred[j].sentence_index, []).append(j)
+    starts = {index: [pred[j].start_tok for j in js] for index, js in by_sentence.items()}
     candidates = []
     for g in gold:
         size = g.end_tok - g.start_tok
+        # a match is at most twice as long as g and overlaps it, so it
+        # starts after g.start_tok - 2·size and before g.end_tok
+        window = starts.get(g.sentence_index, [])
+        lo = bisect_left(window, g.start_tok - 2 * size + 1)
+        hi = bisect_left(window, g.end_tok, lo)
         candidates.append([
-            j for j in by_sentence.get(g.sentence_index, ())
+            j for j in by_sentence.get(g.sentence_index, [])[lo:hi]
             if 3 * (min(g.end_tok, pred[j].end_tok) - max(g.start_tok, pred[j].start_tok))
             >= size + pred[j].end_tok - pred[j].start_tok])
     owner: list[int | None] = [None] * len(pred)

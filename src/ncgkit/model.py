@@ -395,10 +395,9 @@ class UnitTree:
     root: Node
 
     @classmethod
-    def from_unit_node(cls, unit: UnitLabel, node: Node,
-                       predicate: Predicate = HAS) -> "UnitTree":
+    def from_unit_node(cls, unit: UnitLabel, node: Node) -> "UnitTree":
         root = Node(CONTRIBUTION)
-        root.add(predicate, node)
+        root.add(HAS, node)
         return cls(unit, root)
 
     @property
@@ -437,15 +436,6 @@ class PaperAnnotation:
     units: dict[UnitLabel, UnitTree] | None = None
     triples: dict[UnitLabel, list[Triple]] | None = None
     sentences: Sequence[Sentence | None] | None = None
-
-    def unit_labels(self) -> list[UnitLabel]:
-        """Top-level units of this paper, in identifier order."""
-        present: set[UnitLabel] = set()
-        if self.units:
-            present.update(self.units)
-        if self.triples:
-            present.update(self.triples)
-        return sorted(present, key=lambda u: u.identifier)
 
     def sentence(self, index: int) -> Sentence | None:
         if self.sentences is None or not 1 <= index <= len(self.sentences):

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .codec import unit_triples
-from .issues import ERROR, WARNING, ValidationIssue
+from .issues import ERROR, ValidationIssue
 from .model import (
     Corpus,
     PaperAnnotation,
@@ -35,6 +35,7 @@ ENCAPSULATING_UNITS = {UnitLabel.EXPERIMENTS, UnitLabel.TASKS}
 PROVENANCE_OFF = "Off"
 PROVENANCE_WARN = "Warn"
 PROVENANCE_ERROR = "Error"
+PROVENANCE_CHECKS = (PROVENANCE_OFF, PROVENANCE_WARN, PROVENANCE_ERROR)
 
 
 @dataclass
@@ -50,7 +51,7 @@ class ValidationPolicy:
     max_phrase_tokens: int = 10
 
     def __post_init__(self) -> None:
-        if self.provenance_check not in (PROVENANCE_OFF, PROVENANCE_WARN, PROVENANCE_ERROR):
+        if self.provenance_check not in PROVENANCE_CHECKS:
             raise ValueError(f"bad provenance_check: {self.provenance_check!r}")
 
 
@@ -124,7 +125,7 @@ def validate_paper(paper: PaperAnnotation,
             key = triple.key()
             if key in distinct:
                 issues.append(ValidationIssue(
-                    "duplicate-triple", ERROR, f"{unit.identifier}/{triple.subject}",
+                    "duplicate-triple", f"{unit.identifier}/{triple.subject}",
                     f"duplicate triple {key}"))
             else:
                 distinct[key] = triple
@@ -142,26 +143,25 @@ def _check_mandatory(paper: PaperAnnotation, present, units: dict[UnitLabel, Uni
     """Unit presence from ``present``; Results nested in a tree from ``units``."""
     where = paper.paper_id
     if UnitLabel.RESEARCH_PROBLEM not in present:
-        issues.append(ValidationIssue(
-            "mandatory-unit-missing", ERROR, where, "no ResearchProblem unit"))
+        issues.append(ValidationIssue("mandatory-unit-missing", where,
+                                      "no ResearchProblem unit"))
 
     has_approach = UnitLabel.APPROACH in present
     has_model = UnitLabel.MODEL in present
     if not has_approach and not has_model:
-        issues.append(ValidationIssue(
-            "mandatory-unit-missing", ERROR, where, "neither Approach nor Model"))
+        issues.append(ValidationIssue("mandatory-unit-missing", where,
+                                      "neither Approach nor Model"))
     elif has_approach and has_model:
         issues.append(ValidationIssue(
-            "approach-model-both", WARNING, where,
+            "approach-model-both", where,
             "both Approach and Model annotated; the scheme expects one"))
 
     results_ok = UnitLabel.RESULTS in present or any(
         _tree_contains_node(units[enc], UnitLabel.RESULTS)
         for enc in ENCAPSULATING_UNITS if enc in units)
     if not results_ok:
-        issues.append(ValidationIssue(
-            "mandatory-unit-missing", ERROR, where,
-            "no Results unit, top-level or encapsulated"))
+        issues.append(ValidationIssue("mandatory-unit-missing", where,
+                                      "no Results unit, top-level or encapsulated"))
 
 
 def _check_encapsulation(units: dict[UnitLabel, UnitTree],
@@ -177,8 +177,7 @@ def _check_encapsulation(units: dict[UnitLabel, UnitTree],
             nested = lookup_unit_label(node.label)
             if nested in SUB_UNIT_LABELS:
                 issues.append(ValidationIssue(
-                    "encapsulation-violation", ERROR,
-                    f"{unit.identifier}/{node.label}",
+                    "encapsulation-violation", f"{unit.identifier}/{node.label}",
                     f"{nested.identifier} node may only appear inside "
                     f"Experiments or Tasks"))
 
@@ -199,12 +198,13 @@ class _Grounding(dict):
 def _check_surfaces(unit: UnitLabel, triples, grounded: _Grounding,
                     policy: ValidationPolicy, issues: list[ValidationIssue]) -> None:
     """Filler whitelist for predicates, provenance grounding for all parts."""
-    prov_severity = (ERROR if policy.provenance_check == PROVENANCE_ERROR else WARNING)
+    # the one code whose severity the policy sets; None keeps the code's own
+    severity = ERROR if policy.provenance_check == PROVENANCE_ERROR else None
     for triple in triples:
         if (triple.predicate.kind is PredicateKind.TEXTUAL
                 and not grounded[triple.predicate.text]):
             issues.append(ValidationIssue(
-                "filler-whitelist", ERROR, f"{unit.identifier}/{triple.subject}",
+                "filler-whitelist", f"{unit.identifier}/{triple.subject}",
                 f"predicate {triple.predicate.text!r} not found in any "
                 f"annotated sentence and not a filler"))
         if policy.provenance_check == PROVENANCE_OFF:
@@ -216,9 +216,9 @@ def _check_surfaces(unit: UnitLabel, triples, grounded: _Grounding,
                 continue
             if not grounded[surface]:
                 issues.append(ValidationIssue(
-                    "provenance-missing", prov_severity,
-                    f"{unit.identifier}/{triple.subject}",
-                    f"{role} {surface!r} not found in any source sentence"))
+                    "provenance-missing", f"{unit.identifier}/{triple.subject}",
+                    f"{role} {surface!r} not found in any source sentence",
+                    severity=severity))
 
 
 def _check_filler_placement(unit: UnitLabel, tree: UnitTree,
@@ -231,8 +231,7 @@ def _check_filler_placement(unit: UnitLabel, tree: UnitTree,
                 subject_unit = lookup_unit_label(node.label)
                 if subject_unit not in (UnitLabel.APPROACH, UnitLabel.MODEL):
                     issues.append(ValidationIssue(
-                        "filler-placement", WARNING,
-                        f"{unit.identifier}/{node.label}",
+                        "filler-placement", f"{unit.identifier}/{node.label}",
                         f"{predicate.text!r} used on a node other than "
                         f"Approach/Model"))
 
@@ -244,7 +243,7 @@ def _check_sentence_bounds(paper: PaperAnnotation,
     for index in sorted(paper.contribution_sentence_indices):
         if not 1 <= index <= paper.total_sentence_count:
             issues.append(ValidationIssue(
-                "sentence-out-of-bounds", ERROR, paper.paper_id,
+                "sentence-out-of-bounds", paper.paper_id,
                 f"sentence index {index} outside 1..{paper.total_sentence_count}"))
 
 
@@ -255,8 +254,7 @@ def _check_phrase_length(paper: PaperAnnotation, policy: ValidationPolicy,
     for span in paper.phrases:
         if span.token_count() > policy.max_phrase_tokens:
             issues.append(ValidationIssue(
-                "phrase-too-long", WARNING,
-                f"{paper.paper_id}:{span.sentence_index}",
+                "phrase-too-long", f"{paper.paper_id}:{span.sentence_index}",
                 f"phrase of {span.token_count()} tokens exceeds "
                 f"{policy.max_phrase_tokens}: {span.text!r}"))
 

@@ -84,6 +84,21 @@ class TestStats:
             key = "overall.ann_triples" if command == "stats" else "units.Results.triples"
             assert err[0] == f"error: {check}: {key}: expected a number, got str"
 
+    @pytest.mark.parametrize("command, body, key", [
+        ("stats", '{"overall": {"total_ius": 1, "total_ius": 8}}', "overall.total_ius"),
+        ("stats", '{"ratio_tolerance": 0, "ratio_tolerance": 1}', "ratio_tolerance"),
+        ("unit-stats", '{"units": {"Results": {}, "Results": {"triples": 3}}}',
+         "units.Results"),
+    ], ids=["stats-leaf", "stats-top-level", "unit-stats-row"])
+    def test_repeated_check_key_exits_2(self, tiny_root, tmp_path, capsys,
+                                        command, body, key):
+        check = tmp_path / "expected.json"
+        check.write_text(body, encoding="utf-8")
+        assert run([command, "--manifest", str(tiny_root), "--check", str(check),
+                    "--out", str(tmp_path / "o.tsv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {check}: {key}: repeated key"]
+
     @pytest.mark.parametrize("command, expected, lines", [
         ("stats",
          {"per_task": {"nope": {"total_ius": 1},
@@ -186,6 +201,22 @@ class TestValidate:
                     "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert all(r["passed"] for r in payload["reports"])
+
+    def test_json_issue_keys_keep_the_field_order(self, tmp_path):
+        paper = tmp_path / "corpus" / "t" / "p1"
+        paper.mkdir(parents=True)
+        (paper / "text.txt").write_text("just one line\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert run(["validate", "--manifest", str(tmp_path / "corpus"), "--format", "json",
+                    "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["load_issues"][0] == {
+            "code": "missing-sentences", "severity": "Warning",
+            "location": "t/p1/sentences.txt", "message": "sentence-index file absent"}
+        issues = payload["load_issues"] + payload["reports"][0]["issues"]
+        assert len(issues) > len(payload["load_issues"])
+        assert all(list(issue) == ["code", "severity", "location", "message"]
+                   for issue in issues)
 
 
     def test_repeated_leaf_is_one_duplicate_triple_line(self, comparison_root, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import tracemalloc
 
@@ -27,7 +28,7 @@ from ncgkit import (
     parse_unit_file,
     traverse,
 )
-from ncgkit.kg import LITERAL, RESOURCE, Graph, GraphNode
+from ncgkit.kg import _LINE_RE, LITERAL, RESOURCE, Graph, GraphNode
 
 
 def corpus_with(units_by_paper: dict[str, dict[UnitLabel, object]]) -> Corpus:
@@ -82,7 +83,7 @@ class TestBuildGraph:
         assert {merged.nodes[s].label for s, _, _ in in_edges} == {"Results",
                                                                    "Baselines"}
         # contribution roots never merge
-        assert len(merged.roots) == 2
+        assert len([n for n in merged.nodes.values() if n.label == "Contribution"]) == 2
         # no label-level edge is lost relative to per-paper identity
         per_paper = build_graph(corpus)
         assert set(edge_signature(merged)) == set(edge_signature(per_paper))
@@ -103,7 +104,7 @@ class TestCoinUri:
     @staticmethod
     def uris(paper_id, unit, text):
         graph = build_graph(corpus_with({paper_id: {unit: parse_unit_file(text, unit)}}))
-        return [uri for uri in graph.nodes if uri != graph.roots[paper_id].uri]
+        return [uri for uri, node in graph.nodes.items() if node.label != "Contribution"]
 
     def test_deterministic(self, results_unit_text):
         a = self.uris("R69764", UnitLabel.RESULTS, results_unit_text)
@@ -258,7 +259,7 @@ def import_outcome(text):
     except ValueError as exc:
         return str(exc)
     return (graph.edges, [(n.uri, n.label, n.kind) for n in graph.nodes.values()],
-            list(graph.roots))
+            [n.uri for n in graph.nodes.values() if n.label == "Contribution"])
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,6 +281,23 @@ def test_import_reads_the_lines_of_splitlines(text, drop_last_break):
         assert isinstance(outcome, tuple)
 
 
+#: The statement pattern with its literal written as an alternation, as
+#: before the literal was unrolled.
+ALTERNATION_LINE_RE = re.compile(
+    r'^<([^>]+)> <([^>]+)> (?:<([^>]+)>|"((?:[^"\\]|\\.)*)") \.$')
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(['<s> <p> "', "<s> <p> ", "<s> <p> <o> .", '<s> <p>"']),
+       st.lists(st.sampled_from(["a", " ", "\\\\", '\\"', '"', "\\", "\n", ".", ">"]),
+                max_size=8).map("".join),
+       st.sampled_from(['" .', "", " .", '\\" .']))
+def test_unrolled_line_pattern_matches_as_the_alternation(head, body, tail):
+    line = head + body + tail
+    unrolled, alternation = _LINE_RE.match(line), ALTERNATION_LINE_RE.match(line)
+    assert (unrolled and unrolled.groups()) == (alternation and alternation.groups())
+
+
 class TestSharing:
     def test_node_labels_are_the_tree_strings(self, trial_root):
         corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
@@ -288,8 +306,8 @@ class TestSharing:
                    for node in tree.nodes() for _, c in node.edges}
         for merge in ("per-paper", "surface"):
             graph = build_graph(corpus, merge=merge)
-            roots = {id(root) for root in graph.roots.values()}
-            labels = [n.label for n in graph.nodes.values() if id(n) not in roots]
+            labels = [n.label for uri, n in graph.nodes.items()
+                      if not uri.endswith("/Contribution")]
             assert all(id(label) in strings for label in labels)
             assert any(" " in label for label in labels)
 
@@ -357,3 +375,19 @@ class TestTraverse:
         labels = {node.label for _, node in results}
         assert {"Results", "F1 measure", "ACE datasets", "GENIA dataset",
                 "best results", "comparable results"} <= labels
+
+    def test_reimported_graph_finds_the_same_branch(self, results_unit_text):
+        # the paper id needs quoting, so the root is found by the coined URI
+        corpus = corpus_with({"a b/c": {UnitLabel.RESULTS: parse_unit_file(
+            results_unit_text, UnitLabel.RESULTS)}})
+        built = build_graph(corpus)
+        reimported = import_ntriples(export_ntriples(built))
+
+        def pairs(graph):
+            return sorted((path, node.label)
+                          for path, node in traverse(graph, "a b/c", "Results", 10))
+
+        assert len(pairs(built)) > 1
+        assert pairs(reimported) == pairs(built)
+        with pytest.raises(UnknownStartNode):
+            traverse(reimported, "a%20b%2Fc", "Results", 1)

@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from ncgkit import (
     CorpusManifest,
     PaperAnnotation,
@@ -15,7 +17,7 @@ from ncgkit import (
     validate_corpus,
     validate_paper,
 )
-from ncgkit.issues import ERROR, WARNING
+from ncgkit.issues import ERROR, ISSUE_CODES, WARNING, ValidationIssue
 from ncgkit.model import Corpus
 
 
@@ -179,6 +181,17 @@ class TestProvenance:
         off = validate_paper(paper, ValidationPolicy(provenance_check="Off"))
         assert not any(i.code == "provenance-missing" for i in off.issues)
 
+    def test_error_policy_raises_only_provenance_missing(self):
+        units = dict(GOOD_UNITS)
+        units["Results"] = {"has": {"Results": {
+            "improves the performance": "an invented phrase", "name": "X"}}}
+        report = validate_paper(build_paper(units, GOOD_LINES),
+                                ValidationPolicy(provenance_check="Error"))
+        raised = [i for i in report.issues if i.code == "provenance-missing"]
+        others = [i for i in report.issues if i.code != "provenance-missing"]
+        assert raised and all(i.severity == ERROR for i in raised)
+        assert others and all(i.severity == ISSUE_CODES[i.code][0] for i in others)
+
     def test_surface_spanning_two_pool_texts_is_reported(self):
         units = dict(GOOD_UNITS)
         units["Results"] = {"has": {"Results": {
@@ -295,3 +308,43 @@ class TestValidateCorpus:
         assert report.passed
         for tree in paper.units.values():
             assert roundtrip_check(tree)
+
+
+#: The severity of each issue code.  Only ``provenance-missing`` takes
+#: another, an Error under ``ValidationPolicy(provenance_check="Error")``.
+SEVERITIES = {
+    "empty-corpus": WARNING, "missing-text": ERROR, "missing-sentences": WARNING,
+    "missing-phrases": WARNING, "missing-units": WARNING, "missing-triples": WARNING,
+    "duplicate-paper-id": ERROR, "format-error": ERROR, "unknown-unit-label": WARNING,
+    "duplicate-sentence-index": WARNING, "span-out-of-range": ERROR,
+    "span-text-mismatch": WARNING, "single-pipe-delimiter": WARNING,
+    "root-not-unit": WARNING, "nest-failed": WARNING, "triples-file-mismatch": WARNING,
+    "dangling-predicate": WARNING, "duplicate-triple": ERROR,
+    "mandatory-unit-missing": ERROR, "approach-model-both": WARNING,
+    "encapsulation-violation": ERROR, "filler-whitelist": ERROR,
+    "filler-placement": WARNING, "provenance-missing": WARNING,
+    "sentence-out-of-bounds": ERROR, "phrase-too-long": WARNING,
+}
+
+
+class TestIssueCodes:
+    def test_each_code_has_its_severity(self):
+        assert {code: severity for code, (severity, _) in ISSUE_CODES.items()} == SEVERITIES
+        for code, severity in SEVERITIES.items():
+            issue = ValidationIssue(code, "where", "what")
+            assert (issue.severity, issue.as_line()) == (
+                severity, f"where\t{code}\t{severity}\twhat")
+
+    def test_fields_keep_their_order(self):
+        issue = ValidationIssue("provenance-missing", "where", "what", severity=ERROR)
+        assert vars(issue) == {"code": "provenance-missing", "severity": ERROR,
+                               "location": "where", "message": "what"}
+        assert list(vars(issue)) == ["code", "severity", "location", "message"]
+        assert repr(issue) == ("ValidationIssue(code='provenance-missing', "
+                               "severity='Error', location='where', message='what')")
+
+    @pytest.mark.parametrize("code, severity", [("no-such-code", None),
+                                                ("format-error", "Fatal")])
+    def test_refuses_an_unregistered_code_or_severity(self, code, severity):
+        with pytest.raises(ValueError):
+            ValidationIssue(code, "where", "what", severity=severity)
