@@ -67,6 +67,14 @@ def non_negative_int(value: str) -> int:
     return number
 
 
+def title_entry(value: str) -> tuple[str, str]:
+    """A ``PAPER=TITLE`` argument value, as (paper id, title)."""
+    paper_id, sep, title = value.partition("=")
+    if not sep:
+        raise ValueError(value)
+    return paper_id, title
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncg", description="NCG annotation toolkit")
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated paper ids (column order)")
     p.add_argument("--depth", type=positive_int, default=1)
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    p.add_argument("--title", action="append", default=[],
+    p.add_argument("--title", action="append", default=[], type=title_entry,
                    metavar="PAPER=TITLE", help="column title override")
     p.set_defaults(func=cmd_compare)
 
@@ -401,11 +409,7 @@ def cmd_compare(args) -> int:
     corpus, _ = _load(args.manifest, args.strict)
     unit = normalize_unit_label(args.unit)
     paper_ids = [p.strip() for p in args.papers.split(",") if p.strip()]
-    titles = {}
-    for entry in args.title:
-        paper_id, _, title = entry.partition("=")
-        titles[paper_id] = title
-    table = compare(corpus, unit, paper_ids, depth=args.depth, titles=titles)
+    table = compare(corpus, unit, paper_ids, depth=args.depth, titles=dict(args.title))
     if args.format == "json":
         _emit(args, json.dumps(table_to_dict(table), indent=2,
                                ensure_ascii=False) + "\n")

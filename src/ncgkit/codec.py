@@ -1,9 +1,10 @@
 """Conversion between nested unit trees and flat triple lists.
 
-``flatten`` walks a tree pre-order and emits one triple per content edge;
-``nest`` rebuilds the unique tree a triple list describes.  Provenance and
-dangling predicates exist only on the tree side, so round-trip equality is
-defined modulo both.
+``flatten`` emits one triple per content edge, in the pre-order of
+:meth:`~ncgkit.model.Node.walk_edges`; ``nest`` rebuilds the unique tree a
+triple list describes.  Neither recurses, so a tree or a triple chain of
+any depth converts.  Provenance and dangling predicates exist only on the
+tree side, so round-trip equality is defined modulo both.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotATree
-from .model import CONTRIBUTION, Node, PaperAnnotation, Predicate, Triple, UnitLabel, UnitTree
+from .model import CONTRIBUTION, Node, PaperAnnotation, Triple, UnitLabel, UnitTree
 
 
 @dataclass
@@ -43,21 +44,14 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
     out = FlattenedUnit(tree.unit)
     emit = out.triples.append
     triple = Triple._from_canonical
-
-    def visit(node: Node) -> None:
-        for predicate, child in node.edges:
-            if child is None:
-                continue
-            is_node = isinstance(child, Node)
-            obj = child.label if is_node else child
-            if not predicate.text:
-                raise ValueError(f"empty triple field in ({node.label!r}, "
-                                 f"{predicate.text!r}, {obj!r})")
-            emit(triple(node.label, predicate, obj))
-            if is_node:
-                visit(child)
-
-    visit(tree.root)
+    for _, node, predicate, child in tree.root.walk_edges():
+        if child is None:
+            continue
+        obj = child.label if isinstance(child, Node) else child
+        if not predicate.text:
+            raise ValueError(f"empty triple field in ({node.label!r}, "
+                             f"{predicate.text!r}, {obj!r})")
+        emit(triple(node.label, predicate, obj))
     return out
 
 
@@ -116,30 +110,18 @@ def nest(triples: list[Triple], unit: UnitLabel) -> UnitTree:
     return UnitTree(unit, nodes[CONTRIBUTION])
 
 
-def _content_edges(node: Node) -> list[tuple[Predicate, Node | str]]:
-    return [(p, c) for p, c in node.edges if c is not None]
-
-
 def trees_equivalent(a: Node, b: Node) -> bool:
     """Structural equality ignoring provenance and dangling predicates.
 
     A childless node and a literal with the same label compare equal; the
-    triple representation cannot tell them apart.
+    triple representation cannot tell them apart.  Below its root label, a tree
+    is the pre-order (depth, predicate text, child label) of its content edges.
     """
+    def shape(root: Node) -> list[tuple[int, str, str]]:
+        return [(depth, predicate.text, child.label if isinstance(child, Node) else child)
+                for depth, _, predicate, child in root.walk_edges() if child is not None]
 
-    def child_eq(x: Node | str, y: Node | str) -> bool:
-        x_label = x.label if isinstance(x, Node) else x
-        y_label = y.label if isinstance(y, Node) else y
-        if x_label != y_label:
-            return False
-        x_edges = _content_edges(x) if isinstance(x, Node) else []
-        y_edges = _content_edges(y) if isinstance(y, Node) else []
-        if len(x_edges) != len(y_edges):
-            return False
-        return all(px.text == py.text and child_eq(cx, cy)
-                   for (px, cx), (py, cy) in zip(x_edges, y_edges))
-
-    return child_eq(a, b)
+    return a.label == b.label and shape(a) == shape(b)
 
 
 def roundtrip_check(tree: UnitTree) -> bool:

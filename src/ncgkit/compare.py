@@ -92,18 +92,10 @@ def _paper_rows(paper, unit: UnitLabel, depth: int) -> dict[str, set[str]]:
     top = tree.unit_node if tree is not None else None
     if top is None:
         return out
-    frontier: list[Node] = [top]
-    for _ in range(depth):
-        advanced: list[Node] = []
-        for node in frontier:
-            for predicate, child in node.edges:
-                if child is None:
-                    continue
-                is_node = isinstance(child, Node)
-                out.setdefault(predicate.text, set()).add(child.label if is_node else child)
-                if is_node:
-                    advanced.append(child)
-        frontier = advanced
+    for level, _, predicate, child in top.walk_edges():
+        if level < depth and child is not None:
+            out.setdefault(predicate.text, set()).add(
+                child.label if isinstance(child, Node) else child)
     return out
 
 

@@ -153,6 +153,12 @@ def _note(issues: list[ValidationIssue] | None, code: str, location: str,
         issues.append(ValidationIssue(code, location, message))
 
 
+def _plain_integers(text: str) -> bool:
+    """Whether ``text`` lacks what ``int()`` reads beyond a corpus file's integers,
+    ASCII digits after an optional minus sign: ``1_0``, ``+1``, non-ASCII digits."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 # ---------------------------------------------------------------------------
 # sentence indices
 
@@ -166,7 +172,7 @@ def parse_sentence_indices(text: str, *, issues: list[ValidationIssue] | None = 
         if not line:
             continue
         try:
-            value = int(line) if re.fullmatch(r"\d+", line) else 0
+            value = int(line) if _plain_integers(line) else 0
         except ValueError:  # more digits than int() converts
             value = 0
         if value < 1:
@@ -219,6 +225,8 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
         cols = raw.split("\t")
         try:
             idx, start, end, surface = cols
+            if not _plain_integers(idx + start + end):
+                raise ValueError(raw)
             idx, start, end = int(idx), int(start), int(end)
         except ValueError:
             # a blank line, tabs included, has the wrong column count or no
@@ -336,16 +344,10 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
 
     root = Node(CONTRIBUTION)
     _fill_predicates(root, data, location)
-
-    def note_dangling(node: Node) -> None:
-        for predicate, child in node.edges:
-            if child is None:
-                _note(issues, "dangling-predicate", location or unit.identifier,
-                      f"predicate {predicate.text!r} of {node.label!r} has no value")
-            elif isinstance(child, Node):
-                note_dangling(child)
-
-    note_dangling(root)
+    for _, node, predicate, child in root.walk_edges():
+        if child is None:
+            _note(issues, "dangling-predicate", location or unit.identifier,
+                  f"predicate {predicate.text!r} of {node.label!r} has no value")
     content_edges = [(p, c) for p, c in root.edges if c is not None]
     pred, child = content_edges[0] if len(content_edges) == 1 else (None, None)
     if not (isinstance(child, Node) and pred.text == "has"
@@ -422,11 +424,15 @@ def write_unit_file(tree: UnitTree) -> str:
 
     Raises:
         FormatError: the format cannot carry the tree: a predicate is empty
-            or is the provenance key, or a node below the root is labelled
-            with the provenance key.  The parser would refuse the first
-            and read the others as provenance.
+            or is the provenance key, a node below the root is labelled
+            with the provenance key, or the tree is nested more deeply
+            than the JSON writer recurses.  The parser would refuse the
+            first and the last, and read the others as provenance.
     """
-    return json.dumps(_node_object(tree.root), indent=2, ensure_ascii=False) + "\n"
+    try:
+        return json.dumps(_node_object(tree.root), indent=2, ensure_ascii=False) + "\n"
+    except RecursionError:
+        raise FormatError("cannot write the tree: nested too deeply") from None
 
 
 def _node_object(node: Node) -> dict:
@@ -558,7 +564,7 @@ def _counts(sections: dict[str, dict[str, str]], name: str,
     counts: dict[str, int] = {}
     for key, value in sections[name].items():
         try:
-            count = int(value)
+            count = int(value) if _plain_integers(value) else None
         except ValueError:
             count = None
         if count is None or count < 0:

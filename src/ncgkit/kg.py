@@ -130,31 +130,27 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
         root = graph.ensure_node(_root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
         units = paper.units or {}
         for unit in sorted(units, key=lambda u: u.identifier):
-            _add_tree(graph, units[unit].root, root.uri, (),
-                      _uri_prefix(paper.paper_id, unit), shared_uris)
+            prefix = _uri_prefix(paper.paper_id, unit)
+            parents = [(root.uri, ())]  # (uri, path) of the last node at each depth
+            for depth, _, predicate, child in units[unit].root.walk_edges():
+                if child is None:
+                    continue
+                node_uri, path = parents[depth]
+                is_node = isinstance(child, Node)
+                label = child.label if is_node else child
+                child_path = path + (predicate.text, label)
+                if shared_uris is None:
+                    child_uri = prefix + _hash_slug(child_path)
+                else:
+                    child_uri = shared_uris.get(label)
+                    if child_uri is None:
+                        child_uri = shared_uris[label] = f"ncg:shared/{_hash_slug((label,))}"
+                child_uri = graph.ensure_node(child_uri, label,
+                                              RESOURCE if is_node else LITERAL).uri
+                graph.add_edge(node_uri, predicate.text, child_uri)
+                if is_node:
+                    parents[depth + 1:] = [(child_uri, child_path)]
     return graph
-
-
-def _add_tree(graph: Graph, node: Node, node_uri: str, path: tuple[str, ...],
-              prefix: str, shared_uris: dict[str, str] | None) -> None:
-    """Add the edges below ``node``; per-paper URIs are ``prefix`` + path hash."""
-    for predicate, child in node.edges:
-        if child is None:
-            continue
-        is_node = isinstance(child, Node)
-        label = child.label if is_node else child
-        child_path = path + (predicate.text, label)
-        if shared_uris is None:
-            child_uri = prefix + _hash_slug(child_path)
-        else:
-            child_uri = shared_uris.get(label)
-            if child_uri is None:
-                child_uri = shared_uris[label] = f"ncg:shared/{_hash_slug((label,))}"
-        child_uri = graph.ensure_node(child_uri, label,
-                                      RESOURCE if is_node else LITERAL).uri
-        graph.add_edge(node_uri, predicate.text, child_uri)
-        if is_node:
-            _add_tree(graph, child, child_uri, child_path, prefix, shared_uris)
 
 
 # ---------------------------------------------------------------------------

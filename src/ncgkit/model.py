@@ -9,6 +9,9 @@ canonicalises the arguments, then writes each slot once through its slot
 descriptor.  :class:`Node` is slotted and mutable; trees are built by
 parsers and treated as read-only afterwards.
 
+Tree order is defined here only: :meth:`Node.walk` and :meth:`Node.walk_edges`
+go pre-order with an explicit stack, so a tree of any depth can be walked.
+
 Surface text is canonical by construction: node labels, literal children,
 predicate texts, triple fields and phrase texts pass through
 :func:`canonical_text` when their value is built, so consumers compare them
@@ -377,9 +380,30 @@ class Node:
     def walk(self):
         """Yield this node and every descendant node, pre-order."""
         yield self
-        for _, child in self.edges:
-            if isinstance(child, Node):
-                yield from child.walk()
+        stack = [iter(self.edges)]  # the unvisited edges of each open node
+        while stack:
+            for _, child in stack[-1]:
+                if isinstance(child, Node):
+                    yield child
+                    stack.append(iter(child.edges))
+                    break
+            else:
+                stack.pop()
+
+    def walk_edges(self):
+        """Yield ``(depth, node, predicate, child)`` for every edge below this
+        node, dangling edges included, pre-order: an edge comes before its
+        child's edges.  ``depth`` is that of ``node``, 0 for this node."""
+        stack = [(0, self, iter(self.edges))]  # each open node, with its unvisited edges
+        while stack:
+            depth, node, edges = stack[-1]
+            for predicate, child in edges:
+                yield depth, node, predicate, child
+                if isinstance(child, Node):
+                    stack.append((depth + 1, child, iter(child.edges)))
+                    break
+            else:
+                stack.pop()
 
 
 @dataclass

@@ -69,24 +69,23 @@ class ValidationReport:
                        for i in self.issues)
 
 
-def _tree_contains_node(tree: UnitTree, unit: UnitLabel) -> bool:
-    """True if any node below the unit node carries the unit's name."""
+def _nested_units(tree: UnitTree):
+    """``(node, unit)`` of each node below the unit node that names a unit."""
     top = tree.unit_node
     for node in tree.nodes():
         if node is tree.root or node is top:
             continue
-        if lookup_unit_label(node.label) is unit:
-            return True
-    return False
+        unit = lookup_unit_label(node.label)
+        if unit is not None:
+            yield node, unit
 
 
 def _sentence_pool(paper: PaperAnnotation) -> list[str]:
     """Canonical texts a surface form may be grounded in."""
     pool = paper.contribution_texts()  # sentence texts are single-space joins
-    if paper.units:
-        for tree in paper.units.values():
-            for node in tree.nodes():
-                pool.extend(canonical_text(p) for p in node.provenance)
+    for tree in (paper.units or {}).values():
+        for node in tree.nodes():
+            pool.extend(canonical_text(p) for p in node.provenance)
     return pool
 
 
@@ -157,8 +156,8 @@ def _check_mandatory(paper: PaperAnnotation, present, units: dict[UnitLabel, Uni
             "both Approach and Model annotated; the scheme expects one"))
 
     results_ok = UnitLabel.RESULTS in present or any(
-        _tree_contains_node(units[enc], UnitLabel.RESULTS)
-        for enc in ENCAPSULATING_UNITS if enc in units)
+        nested is UnitLabel.RESULTS for enc in ENCAPSULATING_UNITS & units.keys()
+        for _, nested in _nested_units(units[enc]))
     if not results_ok:
         issues.append(ValidationIssue("mandatory-unit-missing", where,
                                       "no Results unit, top-level or encapsulated"))
@@ -169,12 +168,7 @@ def _check_encapsulation(units: dict[UnitLabel, UnitTree],
     for unit in sorted(units, key=lambda u: u.identifier):
         if unit in ENCAPSULATING_UNITS:
             continue
-        tree = units[unit]
-        top = tree.unit_node
-        for node in tree.nodes():
-            if node is tree.root or node is top:
-                continue
-            nested = lookup_unit_label(node.label)
+        for node, nested in _nested_units(units[unit]):
             if nested in SUB_UNIT_LABELS:
                 issues.append(ValidationIssue(
                     "encapsulation-violation", f"{unit.identifier}/{node.label}",

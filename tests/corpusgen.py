@@ -167,6 +167,43 @@ def _write_unit(paper_dir: Path, unit: str, n_content: int,
 
 
 # ---------------------------------------------------------------------------
+# deep chain corpus (tree depth beyond the recursion limit)
+
+CHAIN_PREDICATE = "leads to"
+
+
+def chain_triple_lines(length: int) -> list[str]:
+    """``length`` Results triple lines, each object the next line's subject:
+    a tree ``length`` edges deep whose last object is a literal."""
+    lines = ["(Contribution||has||Results)", f"(Results||{CHAIN_PREDICATE}||n0)"]
+    lines += [f"(n{i}||{CHAIN_PREDICATE}||n{i + 1})" for i in range(length - 2)]
+    return lines[:length]
+
+
+def write_chain_corpus(root: Path, length: int) -> None:
+    """One paper, ``parsing/chain``, that passes validation and whose
+    Results triples file is :func:`chain_triple_lines` of ``length``.
+
+    Its contribution sentences name every chain label, so each surface
+    is grounded.  It has no phrase file.
+    """
+    paper = root / "parsing" / "chain"
+    (paper / "info-units").mkdir(parents=True)
+    (paper / "triples").mkdir()
+    labels = " ".join(f"n{i}" for i in range(length))
+    (paper / "text.txt").write_text(
+        f"We study chunking .\nOur model {CHAIN_PREDICATE} {labels} .\n", encoding="utf-8")
+    (paper / "sentences.txt").write_text("1\n2\n", encoding="utf-8")
+    units = {"ResearchProblem": {"has": {"Research Problem": {"has": "chunking"}}},
+             "Model": {"has": {"Model": {"study": "chunking"}}}}
+    for unit, tree in units.items():
+        (paper / "info-units" / f"{unit}.json").write_text(json.dumps(tree),
+                                                           encoding="utf-8")
+    (paper / "triples" / "Results.txt").write_text(
+        "".join(line + "\n" for line in chain_triple_lines(length)), encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
 # trial corpus (per-task characteristics profile)
 
 _EXTRA_UNITS = ["ExperimentalSetup", "Hyperparameters", "Baselines",

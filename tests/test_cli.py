@@ -9,6 +9,7 @@ import pytest
 
 from ncgkit import CorpusManifest, UnitLabel, compare, load_corpus
 from ncgkit.cli import build_parser, run
+from corpusgen import write_chain_corpus
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -315,9 +316,11 @@ class TestBadManifest:
          "not a valid manifest: '%' must be followed by"),
         ("[corpus]\nroot = {root}\noffset_unit = byte\n",
          "offset_unit must be token or char, got 'byte'"),
+        ("[corpus]\nroot = {root}\n[totals.tokens]\np1 = 1_0\n",
+         "[totals.tokens] p1 = '1_0': not a non-negative integer"),
     ], ids=["no-section-header", "non-integer-total", "duplicate-option",
             "negative-total", "huge-total", "duplicate-section", "bad-interpolation",
-            "bad-offset-unit"])
+            "bad-offset-unit", "underscored-total"])
     def test_exits_2_naming_file_and_key(self, tiny_root, tmp_path, capsys,
                                          body, expected):
         manifest = tmp_path / "m.ini"
@@ -576,6 +579,65 @@ class TestCompareCommand:
         corpus, _ = load_corpus(CorpusManifest(root_path=comparison_root))
         with pytest.raises(ValueError, match="depth must be >= 1"):
             compare(corpus, UnitLabel.RESULTS, ["machine-reading-2016"], depth=0)
+
+
+    def test_title_without_equals_is_usage_error(self, comparison_root, capsys):
+        assert run(["compare", "--manifest", str(comparison_root), "--unit", "Results",
+                    "--papers", "dilated-cnn-2017,machine-reading-2016",
+                    "--title", "dilated-cnn-2017"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --title" in captured.err
+
+    def test_title_may_be_empty_or_hold_equals(self, comparison_root, capsys):
+        assert run(["compare", "--manifest", str(comparison_root), "--unit", "Results",
+                    "--papers", "dilated-cnn-2017,machine-reading-2016",
+                    "--title", "dilated-cnn-2017=a=b", "--title",
+                    "machine-reading-2016="]) == 0
+        assert capsys.readouterr().out.startswith("| Properties | a=b |  |\n")
+
+
+@pytest.fixture(scope="module")
+def chain_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("chain_corpus")
+    write_chain_corpus(root, sys.getrecursionlimit() + 200)
+    return root
+
+
+class TestDeepChain:
+    """A Results chain deeper than the recursion limit goes through every
+    corpus command; the unit file format cannot carry it."""
+
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["unit-stats"], ["validate"], ["build-kg"],
+        ["traverse", "--paper", "chain", "--start", "Results", "--depth", "3"],
+        ["compare", "--unit", "Results", "--papers", "chain", "--depth", "2"],
+    ])
+    def test_corpus_commands(self, chain_root, capsys, command):
+        assert run(command[:1] + ["--manifest", str(chain_root)] + command[1:]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("corpus: parsing/chain/phrases.tsv\tmissing-phrases\t"
+                                "Warning\tphrase file absent\n")
+        assert captured.out
+
+    def test_score(self, chain_root, capsys):
+        assert run(["score", "--gold", str(chain_root), "--pred", str(chain_root),
+                    "--granularity", "triples"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "parsing\t100.00\t100.00\t100.00"
+
+    def test_traverse_and_compare_stop_at_their_depth(self, chain_root, capsys):
+        assert run(["traverse", "--manifest", str(chain_root), "--paper", "chain",
+                    "--start", "Results", "--depth", "2"]) == 0
+        assert capsys.readouterr().out == ".\tResults\nleads to\tn0\nleads to/leads to\tn1\n"
+        assert run(["compare", "--manifest", str(chain_root), "--unit", "Results",
+                    "--papers", "chain", "--depth", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "leads to,n0; n1"
+
+    def test_nest_exits_2(self, chain_root, capsys):
+        path = chain_root / "parsing" / "chain" / "triples" / "Results.txt"
+        assert run(["nest", str(path), "--unit", "Results"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write the tree: nested too deeply\n"
 
 
 class TestUsage:

@@ -1,10 +1,12 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgkit import (
+    FormatError,
     Node,
     NotATree,
     Predicate,
@@ -19,6 +21,8 @@ from ncgkit import (
     trees_equivalent,
     write_unit_file,
 )
+from corpusgen import chain_triple_lines
+from tree_oracle import equivalent, equivalent_variant, flattened_keys, small_trees
 
 
 def hoisted_results_tree() -> UnitTree:
@@ -191,6 +195,26 @@ class TestRoundtrip:
         b.add(Predicate("on"), "CoNLL")
         assert trees_equivalent(a, b)
 
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        length = sys.getrecursionlimit() + 200
+        chain = parse_triple_lines("\n".join(chain_triple_lines(length)))
+        assert len(chain) == length
+        tree = nest(chain, UnitLabel.RESULTS)
+        assert flatten(tree).triples == chain
+        assert roundtrip_check(tree)
+        with pytest.raises(FormatError, match="nested too deeply"):
+            write_unit_file(tree)
+
+    def test_depth_tells_a_chain_from_a_fan(self):
+        chain = Node("a")
+        middle = Node("b")
+        chain.add(Predicate("p"), middle)
+        middle.add(Predicate("p"), "c")
+        fan = Node("a")
+        fan.add(Predicate("p"), Node("b"))
+        fan.add(Predicate("p"), "c")
+        assert not trees_equivalent(chain, fan)
+
 
 # ---------------------------------------------------------------------------
 # randomized properties
@@ -265,3 +289,24 @@ def test_flatten_has_no_duplicates_on_generated_trees(tree):
     flat = flatten(tree)
     keys = [t.key() for t in flat.triples]
     assert len(keys) == len(set(keys))
+
+
+@settings(max_examples=300)
+@given(small_trees(), small_trees())
+def test_trees_equivalent_matches_the_recursive_reference(a, b):
+    assert trees_equivalent(a, b) == equivalent(a, b)
+
+
+@settings(max_examples=200)
+@given(small_trees(), st.data())
+def test_trees_equivalent_ignores_what_triples_cannot_carry(tree, data):
+    variant = equivalent_variant(tree, data.draw)
+    assert equivalent(tree, variant)
+    assert trees_equivalent(tree, variant)
+
+
+@settings(max_examples=200)
+@given(small_trees())
+def test_flatten_matches_the_recursive_reference(node):
+    tree = UnitTree(UnitLabel.RESULTS, node)
+    assert [t.key() for t in flatten(tree).triples] == flattened_keys(node)

@@ -70,6 +70,13 @@ class TestSentenceIndices:
     def test_blank_lines_allowed(self):
         assert parse_sentence_indices("3\n\n7\n") == {3, 7}
 
+    @pytest.mark.parametrize("text", ["1_0", "+1", "\u0661", "-1", "1 0"])
+    def test_one_integer_rule(self, text):
+        """The rule of the phrase file: ASCII digits, an optional minus sign."""
+        with pytest.raises(FormatError, match="not a positive sentence index"):
+            parse_sentence_indices(f"3\n{text}\n")
+        assert parse_sentence_indices(" 10 \n010\n") == {10}
+
 
 def sentence_159() -> Sentence:
     tokens = ("As", "expected", "adding", "features", "computed", "by",
@@ -140,6 +147,22 @@ class TestPhraseFile:
         spans = parse_phrase_file("\t\t\t\n1\t0\t1\ta\n\t\n", DocumentLines("p", ["a b"]),
                                   strict=True, issues=issues)
         assert spans == [PhraseSpan(1, 0, 1, "a")] and issues == []
+
+    @pytest.mark.parametrize("fields", ["1_59\t2\t4", "159\t+2\t4", "159\t2\t\u0664",
+                                        "159\t2\t4 4"])
+    def test_one_integer_rule(self, fields):
+        """``int()`` would read ``1_59`` as 159; the sentence file refuses it too."""
+        with pytest.raises(FormatError, match="non-integer span fields"):
+            parse_phrase_file(f"{fields}\tadding features", [sentence_159()])
+        spans = parse_phrase_file(" 159 \t02\t4\tadding features", [sentence_159()])
+        assert spans == [PhraseSpan(159, 2, 4, "adding features")]
+
+    def test_negative_offset_is_a_span_out_of_range(self):
+        issues = []
+        spans = parse_phrase_file("159\t-1\t4\tx\n159\t2\t4\tadding features",
+                                  [sentence_159()], issues=issues)
+        assert spans == [PhraseSpan(159, 2, 4, "adding features")]
+        assert [i.code for i in issues] == ["span-out-of-range"]
 
     def test_column_count_enforced(self):
         with pytest.raises(FormatError):

@@ -7,7 +7,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgkit import (
@@ -24,6 +24,7 @@ from ncgkit import (
     lookup_unit_label,
     normalize_unit_label,
 )
+from tree_oracle import edges_preorder, nodes_preorder, small_trees
 
 #: Every line break of ``str.splitlines``.
 BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -423,3 +424,41 @@ def test_private_triple_constructor_equals_the_public_one(subject, predicate, ob
     predicate = Predicate(predicate)
     assert_same_value(Triple._from_canonical(subject, predicate, obj),
                       Triple(subject, predicate, obj))
+
+
+def _identities(edges):
+    """Edges with each node replaced by its identity."""
+    return [(depth, id(node), predicate, id(child) if isinstance(child, Node) else child)
+            for depth, node, predicate, child in edges]
+
+
+class TestWalks:
+    @settings(max_examples=300)
+    @given(small_trees())
+    def test_walks_match_the_recursive_references(self, tree):
+        assert [id(n) for n in tree.walk()] == [id(n) for n in nodes_preorder(tree)]
+        assert _identities(tree.walk_edges()) == _identities(edges_preorder(tree))
+
+    def test_edge_order_and_depths(self):
+        b = Node("B")
+        b.add(Predicate("name"), "y")
+        a = Node("A")
+        a.add(Predicate("p"), b)
+        a.add(Predicate("q"), None)
+        a.add(Predicate("name"), "x")
+        assert [(d, n.label, p.text, c.label if isinstance(c, Node) else c)
+                for d, n, p, c in a.walk_edges()] == [
+            (0, "A", "p", "B"), (1, "B", "name", "y"), (0, "A", "q", None),
+            (0, "A", "name", "x")]
+        assert [n.label for n in a.walk()] == ["A", "B"]
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        length = sys.getrecursionlimit() + 200
+        root = node = Node("n0")
+        for i in range(1, length):
+            child = Node(f"n{i}")
+            node.add(Predicate("p"), child)
+            node = child
+        assert [n.label for n in root.walk()] == [f"n{i}" for i in range(length)]
+        assert [(d, n.label) for d, n, _, _ in root.walk_edges()] == [
+            (i, f"n{i}") for i in range(length - 1)]
