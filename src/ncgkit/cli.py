@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--provenance-check", choices=PROVENANCE_CHECKS,
                    default=ValidationPolicy.provenance_check)
-    p.add_argument("--max-phrase-tokens", type=int,
+    p.add_argument("--max-phrase-tokens", type=non_negative_int,
                    default=ValidationPolicy.max_phrase_tokens)
     p.set_defaults(func=cmd_validate)
 

@@ -1,17 +1,21 @@
 """Reading and writing the on-disk annotation formats.
 
-A corpus lives under one root directory, one subdirectory per task, one per
-paper.  The default layout per paper:
+A corpus lives under one root directory, organised as task, paper, files.
+The default layout, below the root:
 
-    text.txt                one pre-tokenized sentence per line
-    sentences.txt           1-based contribution sentence indices, one per line
-    phrases.tsv             sentence_index <TAB> start_tok <TAB> end_tok <TAB> surface
-    info-units/{Unit}.json  nested unit tree (predicate/node alternation)
-    triples/{Unit}.txt      one (subject||predicate||object) line per triple
+    {task}/{paper}/text.txt                one pre-tokenized sentence per line
+    {task}/{paper}/sentences.txt           1-based contribution sentence indices
+    {task}/{paper}/phrases.tsv             sentence <TAB> start <TAB> end <TAB> surface
+    {task}/{paper}/info-units/{Unit}.json  nested unit tree (predicate/node alternation)
+    {task}/{paper}/triples/{Unit}.txt      one (subject||predicate||object) line per triple
 
 All patterns are overridable through a :class:`CorpusManifest`, so a dataset
 with different naming is ingested by adjusting the manifest, not the code.
-Files are UTF-8; byte-order marks are stripped.
+The layout alone says where the files are: the tasks are the directories
+that fill the text pattern's ``{task}`` component (unless the manifest lists
+them), a task's papers are the names that fill its ``{paper}`` component,
+and a paper's unit files are the names that fill a per-unit pattern's
+``{Unit}`` component.  Files are UTF-8; byte-order marks are stripped.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import os
 import re
 import reprlib
 import stat
+import string
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,18 +70,73 @@ DEFAULT_LAYOUT = {
     "triples": "{task}/{paper}/triples/{Unit}.txt",
 }
 
+#: The placeholders of each role's pattern: those of its default pattern.
+_PLACEHOLDERS = {role: tuple(dict.fromkeys(
+    name for _, name, _, _ in string.Formatter().parse(pattern) if name is not None))
+    for role, pattern in DEFAULT_LAYOUT.items()}
+
+
+def _component(parts: list[str], placeholder: str) -> int:
+    """The index of the first path component holding ``{placeholder}``."""
+    token = f"{{{placeholder}}}"
+    return next(i for i, part in enumerate(parts) if token in part)
+
+
+def _check_pattern(role: str, pattern: str) -> None:
+    """Raise ValueError unless ``pattern`` is a layout pattern for ``role``.
+
+    A role is one of :data:`DEFAULT_LAYOUT`'s.  A pattern holds exactly the
+    placeholders of the role's default pattern, each written ``{name}``; one
+    may repeat.  Its only braces are its placeholders'.  The first
+    ``{task}`` lies in a directory above the component holding ``{paper}``.
+    """
+    if role not in DEFAULT_LAYOUT:
+        raise ValueError(f"layout[{role!r}]: not a file role; the roles are "
+                         f"{', '.join(DEFAULT_LAYOUT)}")
+    where = f"layout[{role!r}] = {pattern!r}"
+    wanted = _PLACEHOLDERS[role]
+    try:
+        parsed = list(string.Formatter().parse(pattern))
+    except ValueError as exc:  # unbalanced braces
+        raise ValueError(f"{where}: {exc}") from None
+    for _, name, _, _ in parsed:
+        if name is not None and name not in wanted:
+            raise ValueError(f"{where}: {{{name}}} is not a placeholder of {role}, "
+                             f"whose placeholders are {', '.join(f'{{{w}}}' for w in wanted)}")
+    if "".join(text + ("" if name is None else f"{{{name}}}")
+               for text, name, _, _ in parsed) != pattern:
+        raise ValueError(f"{where}: a placeholder has a format spec or a conversion, "
+                         f"or a brace is not a placeholder's")
+    for name in wanted:
+        if f"{{{name}}}" not in pattern:
+            raise ValueError(f"{where}: lacks the {{{name}}} placeholder")
+    parts = pattern.split("/")
+    if _component(parts, "task") >= _component(parts, "paper"):
+        raise ValueError(f"{where}: {{task}} must be in a directory above "
+                         f"the component holding {{paper}}")
+
 
 @dataclass
 class CorpusManifest:
     """Where a corpus lives and how its files are named.
 
     ``layout`` maps file roles to path patterns containing ``{task}``,
-    ``{paper}`` and (for per-unit files) ``{Unit}`` placeholders.  When
-    ``task_names`` is None the tasks are discovered as the root's immediate
-    subdirectories.  ``strict`` turns recoverable format deviations into
-    raised errors.  ``sentence_totals``/``token_totals`` override the
-    per-paper totals computed from the plaintext, for datasets whose
-    published counting differs from line/token sums.
+    ``{paper}`` and (for per-unit files) ``{Unit}`` placeholders; a role it
+    leaves out keeps its :data:`DEFAULT_LAYOUT` pattern.  When
+    ``task_names`` is None the tasks are the directories that fill the text
+    pattern's ``{task}`` component, in name order.  ``strict`` turns
+    recoverable format deviations into raised errors.
+    ``sentence_totals``/``token_totals`` override the per-paper totals
+    computed from the plaintext, for datasets whose published counting
+    differs from line/token sums.
+
+    Every value is checked when the manifest is built.
+
+    Raises:
+        ValueError: a layout role or pattern is invalid (see
+            :func:`_check_pattern`), ``task_names`` names a task twice,
+            ``strict`` is not a bool, or ``offset_unit`` is neither
+            ``token`` nor ``char``.
     """
 
     root_path: str | Path
@@ -88,12 +148,19 @@ class CorpusManifest:
     token_totals: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        merged = dict(DEFAULT_LAYOUT)
-        merged.update(self.layout)
-        self.layout = merged
         for role, pattern in self.layout.items():
-            if "{paper}" not in pattern:
-                raise ValueError(f"layout[{role!r}] lacks a {{paper}} placeholder")
+            _check_pattern(role, pattern)
+        self.layout = {**DEFAULT_LAYOUT, **self.layout}
+        if self.task_names is not None:
+            seen: set[str] = set()
+            for task in self.task_names:
+                if task in seen:
+                    raise ValueError(f"tasks: {task!r} is named twice")
+                seen.add(task)
+        if not isinstance(self.strict, bool):
+            raise ValueError(f"strict must be true or false (one of "
+                             f"{', '.join(configparser.ConfigParser.BOOLEAN_STATES)}), "
+                             f"got {self.strict!r}")
         if self.offset_unit not in ("token", "char"):
             raise ValueError(f"offset_unit must be token or char, got {self.offset_unit!r}")
 
@@ -106,13 +173,14 @@ class CorpusManifest:
         ``[totals.tokens]`` (paper_id = count).  A relative root is resolved
         against the manifest file's directory.  A count is a non-negative
         integer: a negative sentence or token total is an error, not a
-        value.
+        value.  ``strict`` takes configparser's boolean words.
 
         Raises:
             FormatError: the file is not UTF-8 or not valid INI, a total is
                 not a non-negative integer, or a ``[corpus]`` or
-                ``[layout]`` value is invalid; the message names the file
-                and, for a total, its section and key.
+                ``[layout]`` value is invalid, as the constructor checks
+                it; the message names the file and, for a total, its
+                section and key.
         """
         path = Path(path)
         location = str(path)
@@ -133,7 +201,9 @@ class CorpusManifest:
             root = path.parent / root
         tasks_raw = corpus_sec.get("tasks", "")
         task_names = [t.strip() for t in tasks_raw.split(",") if t.strip()] or None
-        strict = str(corpus_sec.get("strict", "false")).lower() in ("1", "true", "yes")
+        strict = corpus_sec.get("strict", "false")
+        # a word that is not a boolean stays a string, which the constructor refuses
+        strict = cp.BOOLEAN_STATES.get(strict.lower(), strict)
         try:
             return cls(root_path=root, layout=sections["layout"], task_names=task_names,
                        strict=strict,
@@ -326,7 +396,8 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
 
     Raises:
         FormatError: malformed or too deeply nested JSON, a non-object at
-            the top level, or a node label repeated in one object.
+            the top level, a node label repeated in one object, or a
+            ``\\u`` escape that gives a lone surrogate.
         AlternationError: a leaf string where a node's predicate map is
             required, i.e. a node label used as if it were a predicate.
     """
@@ -344,6 +415,8 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
 
     root = Node(CONTRIBUTION)
     _fill_predicates(root, data, location)
+    if "\\u" in text:  # only a \u escape gives a surrogate: the text is UTF-8
+        _refuse_surrogates(root, location)
     for _, node, predicate, child in root.walk_edges():
         if child is None:
             _note(issues, "dangling-predicate", location or unit.identifier,
@@ -355,6 +428,24 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
         _note(issues, "root-not-unit", location or unit.identifier,
               f"top level is not a single has-edge to a {unit.display} node")
     return UnitTree(unit, root)
+
+
+def _refuse_surrogates(root: Node, location: str) -> None:
+    """Raise FormatError if a string of the tree holds a lone surrogate,
+    which no UTF-8 output can carry."""
+    strings = list(root.provenance)
+    for _, _, predicate, child in root.walk_edges():
+        strings.append(predicate.text)
+        if isinstance(child, Node):
+            strings.append(child.label)
+            strings.extend(child.provenance)
+        elif child is not None:
+            strings.append(child)
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"malformed unit file: a \\u escape gives the lone surrogate "
+                          f"{exc.object[exc.start]!r}", path=location) from None
 
 
 def _fill_predicates(node: Node, mapping: dict, location: str) -> None:
@@ -643,30 +734,33 @@ def _rel(path: str) -> str:
 
 
 def _scandir(root: str, rel: str) -> list[os.DirEntry]:
-    """Entries of one directory below the root; none if it cannot be listed."""
+    """Entries of one directory below the root; none if it is not there.
+
+    Raises:
+        OSError: the directory is there but cannot be listed.
+    """
     try:
         with os.scandir(os.path.join(root, rel)) as entries:
             return list(entries)
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
+    except (FileNotFoundError, NotADirectoryError):
         return []
 
 
 def _fillers(root: str, pattern: str, placeholder: str, ids: dict[str, str]
-             ) -> tuple[str, list[str], list[tuple[str, os.DirEntry]]] | None:
+             ) -> tuple[str, list[str], list[tuple[str, os.DirEntry]]]:
     """Where a layout pattern's component holding ``{placeholder}`` is filled.
 
     Lists the directory above that component, its other placeholders filled
     from ``ids``, and returns that directory below the root, the components
     after it, and (value, entry) for each entry, in name order, whose name
-    fills the component with that value.  None when no component holds the
-    placeholder.
+    fills the component with that value; a placeholder that repeats in the
+    component takes one value.
     """
     parts = pattern.split("/")
-    index = next((i for i, p in enumerate(parts) if f"{{{placeholder}}}" in p), None)
-    if index is None:
-        return None
+    index = _component(parts, placeholder)
     component = parts[index].format(**{placeholder: "\x00"}, **ids)
-    fills = re.compile("^" + re.escape(component).replace("\x00", "(.+)") + "$").match
+    fills = re.compile("^" + re.escape(component).replace("\x00", "(.+)", 1)
+                       .replace("\x00", r"\1") + "$").match
     parent = "/".join(parts[:index]).format(**ids)
     found = []
     for entry in sorted(_scandir(root, _rel(parent)), key=lambda e: e.name):
@@ -676,25 +770,23 @@ def _fillers(root: str, pattern: str, placeholder: str, ids: dict[str, str]
     return parent, parts[index + 1:], found
 
 
-def _discover_papers(manifest: CorpusManifest, root: str, task: str) -> list[str]:
-    """Find paper names by listing the directory above the text pattern's {paper}.
+def _names(root: str, pattern: str, placeholder: str, ids: dict[str, str]) -> list[str]:
+    """The values that fill the pattern's ``{placeholder}`` component, sorted;
+    an entry below which the pattern goes on must be a directory.
 
-    Only the path up to the {paper} component is required to exist, so a
-    paper directory lacking its plaintext file is still discovered and gets
-    a proper missing-text error instead of vanishing silently.
+    Only the path up to that component is required to exist, so a paper
+    directory lacking its plaintext file is still found and gets a proper
+    missing-text error instead of vanishing silently.
     """
-    _, rest, found = _fillers(root, manifest.layout["text"], "paper", {"task": task})
-    return sorted({paper for paper, entry in found if not rest or entry.is_dir()})
+    _, rest, found = _fillers(root, pattern, placeholder, ids)
+    return sorted({name for name, entry in found if not rest or entry.is_dir()})
 
 
 def _unit_files(manifest: CorpusManifest, root: str, role: str, task: str,
                 paper: str) -> list[tuple[str, str]]:
     """(unit name, location) of each existing per-unit file, in path order."""
     ids = {"task": task, "paper": paper}
-    fill = _fillers(root, manifest.layout[role], "Unit", ids)
-    if fill is None:
-        return []
-    parent, rest, found = fill
+    parent, rest, found = _fillers(root, manifest.layout[role], "Unit", ids)
     out = []
     for unit, entry in found:
         loc = _rel("/".join([parent, entry.name] + [p.format(Unit=unit, **ids) for p in rest]))
@@ -851,26 +943,30 @@ def _reconcile_units_and_triples(
 def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]]:
     """Assemble a Corpus from disk, collecting recoverable issues.
 
-    Papers are discovered per task by resolving the manifest's text
-    pattern.  Missing optional files yield warnings; a missing plaintext
-    file yields an error and the paper is skipped (non-strict mode).
-    Loading is deterministic: tasks and papers are visited in sorted order
-    unless the manifest pins task order.
+    The manifest's text pattern says where the tasks (unless the manifest
+    lists them) and each task's papers are.  Missing optional files yield
+    warnings; a missing plaintext file yields an error and the paper is
+    skipped (non-strict mode).  Loading is deterministic: tasks and papers
+    are visited in sorted order unless the manifest pins task order.
+
+    Raises:
+        OSError: the root is not a directory, or a directory the layout
+            goes through is there but cannot be listed.
     """
     root = Path(manifest.root_path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root does not exist: {root}")
     issues: list[ValidationIssue] = []
-    if manifest.task_names is not None:
-        tasks = list(manifest.task_names)
-    else:
-        tasks = sorted(d.name for d in root.iterdir() if d.is_dir())
     root_dir = str(root)
+    text = manifest.layout["text"]
+    tasks = manifest.task_names
+    if tasks is None:
+        tasks = _names(root_dir, text, "task", {})
     corpus = Corpus()
     seen: set[str] = set()
     for task in tasks:
         papers: list[PaperAnnotation] = []
-        for paper_id in _discover_papers(manifest, root_dir, task):
+        for paper_id in _names(root_dir, text, "paper", {"task": task}):
             if paper_id in seen:
                 issues.append(ValidationIssue(
                     "duplicate-paper-id", f"{task}/{paper_id}",

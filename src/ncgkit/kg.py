@@ -36,8 +36,12 @@ PER_PAPER = "per-paper"
 SURFACE_MERGE = "surface"
 
 
+#: The separator of the parts :func:`_hash_slug` hashes.
+_SEP = "\x1f"
+
+
 def _hash_slug(parts: tuple[str, ...]) -> str:
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(_SEP.join(parts).encode("utf-8")).hexdigest()
     return digest[:16]
 
 
@@ -131,16 +135,21 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
         units = paper.units or {}
         for unit in sorted(units, key=lambda u: u.identifier):
             prefix = _uri_prefix(paper.paper_id, unit)
-            parents = [(root.uri, ())]  # (uri, path) of the last node at each depth
+            # (uri, sha256 of the path) of the last node at each depth: a
+            # child's path hash extends a copy of its parent's, which gives
+            # the _hash_slug of the path in time linear in the depth
+            parents = [(root.uri, hashlib.sha256())]
             for depth, _, predicate, child in units[unit].root.walk_edges():
                 if child is None:
                     continue
-                node_uri, path = parents[depth]
+                node_uri, path_hash = parents[depth]
                 is_node = isinstance(child, Node)
                 label = child.label if is_node else child
-                child_path = path + (predicate.text, label)
                 if shared_uris is None:
-                    child_uri = prefix + _hash_slug(child_path)
+                    path_hash = path_hash.copy()
+                    path_hash.update(f"{_SEP if depth else ''}{predicate.text}{_SEP}{label}"
+                                     .encode("utf-8"))
+                    child_uri = prefix + path_hash.hexdigest()[:16]
                 else:
                     child_uri = shared_uris.get(label)
                     if child_uri is None:
@@ -149,7 +158,7 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
                                               RESOURCE if is_node else LITERAL).uri
                 graph.add_edge(node_uri, predicate.text, child_uri)
                 if is_node:
-                    parents[depth + 1:] = [(child_uri, child_path)]
+                    parents[depth + 1:] = [(child_uri, path_hash)]
     return graph
 
 

@@ -11,6 +11,8 @@ parsers and treated as read-only afterwards.
 
 Tree order is defined here only: :meth:`Node.walk` and :meth:`Node.walk_edges`
 go pre-order with an explicit stack, so a tree of any depth can be walked.
+A node's ``==`` and ``repr`` are the dataclass ones, computed over one edge
+walk, so a tree of any depth compares and prints.
 
 Surface text is canonical by construction: node labels, literal children,
 predicate texts, triple fields and phrase texts pass through
@@ -30,7 +32,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 from .errors import UnknownUnitLabel
 
@@ -404,6 +406,47 @@ class Node:
                     break
             else:
                 stack.pop()
+
+    def _edge_keys(self):
+        """Each edge below this node as ``(depth, predicate, label,
+        provenance)`` for a node child and ``(depth, predicate, literal)``
+        otherwise, pre-order: a sequence that encodes the ordered tree."""
+        for depth, _, predicate, child in self.walk_edges():
+            if isinstance(child, Node):
+                yield depth, predicate, child.label, child.provenance
+            else:
+                yield depth, predicate, child
+
+    def __eq__(self, other) -> bool:
+        """Equal label, provenance and edges, children compared the same way;
+        the edges are compared in one walk, so a tree of any depth compares."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label == other.label and self.provenance == other.provenance
+                and all(a == b for a, b in zip_longest(self._edge_keys(),
+                                                       other._edge_keys())))
+
+    def __repr__(self) -> str:
+        """The dataclass repr, written in one walk so a tree of any depth prints."""
+        def head(node: Node) -> str:
+            return (f"{node.__class__.__qualname__}(label={node.label!r}, "
+                    f"provenance={node.provenance!r}, edges=[")
+
+        parts = [head(self)]
+        open_depth = 0  # the depth of the innermost node whose repr is open
+        for depth, _, predicate, child in self.walk_edges():
+            if open_depth > depth:
+                parts.append("]))" * (open_depth - depth))
+                open_depth = depth
+            if parts[-1][-1] != "[":  # not the node's first edge
+                parts.append(", ")
+            if isinstance(child, Node):
+                parts.append(f"({predicate!r}, {head(child)}")
+                open_depth += 1
+            else:
+                parts.append(f"({predicate!r}, {child!r})")
+        parts.append("]))" * open_depth + "])")
+        return "".join(parts)
 
 
 @dataclass

@@ -44,7 +44,8 @@ class ValidationPolicy:
 
     Defaults follow the scheme's own reading: provenance mismatches warn
     rather than fail, and a phrase longer than ``max_phrase_tokens`` tokens
-    is only an informational warning (0 disables).
+    is only an informational warning (0 disables; a negative value is
+    refused).
     """
 
     provenance_check: str = PROVENANCE_WARN
@@ -53,6 +54,9 @@ class ValidationPolicy:
     def __post_init__(self) -> None:
         if self.provenance_check not in PROVENANCE_CHECKS:
             raise ValueError(f"bad provenance_check: {self.provenance_check!r}")
+        if self.max_phrase_tokens < 0:
+            raise ValueError(f"max_phrase_tokens must be at least 0, "
+                             f"got {self.max_phrase_tokens}")
 
 
 @dataclass

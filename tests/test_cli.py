@@ -196,6 +196,12 @@ class TestValidate:
         body = out.read_text()
         assert "mandatory-unit-missing" in body
 
+    @pytest.mark.parametrize("value", ["-5", "-1", "x"])
+    def test_max_phrase_tokens_below_zero_is_usage_error(self, tiny_root, capsys, value):
+        assert run(["validate", "--manifest", str(tiny_root),
+                    "--max-phrase-tokens", value]) == 2
+        assert "--max-phrase-tokens: invalid non_negative_int value" in capsys.readouterr().err
+
     def test_json_format(self, tiny_root, tmp_path):
         out = tmp_path / "report.json"
         assert run(["validate", "--manifest", str(tiny_root), "--format", "json",
@@ -329,6 +335,63 @@ class TestBadManifest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: {expected}")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("corpus, layout, kwargs, expected", [
+        ("", {"text": "{paper}/text.txt"}, {},
+         "layout['text'] = '{paper}/text.txt': lacks the {task} placeholder"),
+        ("", {"sentences": "{task}/sentences.txt"}, {},
+         "layout['sentences'] = '{task}/sentences.txt': lacks the {paper} placeholder"),
+        ("", {"units": "{task}/{paper}/units.json"}, {},
+         "layout['units'] = '{task}/{paper}/units.json': lacks the {Unit} placeholder"),
+        ("", {"text": "{task}/{paper}/{foo}.txt"}, {},
+         "layout['text'] = '{task}/{paper}/{foo}.txt': {foo} is not a placeholder of "
+         "text, whose placeholders are {task}, {paper}"),
+        ("", {"phrases": "{task}/{paper}/{Unit}.tsv"}, {},
+         "layout['phrases'] = '{task}/{paper}/{Unit}.tsv': {Unit} is not a placeholder"),
+        ("", {"text": "{task}/{paper}/{}.txt"}, {},
+         "layout['text'] = '{task}/{paper}/{}.txt': {} is not a placeholder"),
+        ("", {"text": "{task}/{paper}/text.txt}"}, {},
+         "layout['text'] = '{task}/{paper}/text.txt}': Single '}' encountered"),
+        ("", {"text": "{task}/{paper}/{text.txt"}, {},
+         "layout['text'] = '{task}/{paper}/{text.txt': expected '}' before end of string"),
+        ("", {"text": "{task}/{paper!r}/text.txt"}, {},
+         "layout['text'] = '{task}/{paper!r}/text.txt': a placeholder has a format spec"),
+        ("", {"text": "{task:}/{paper}/text.txt"}, {},
+         "layout['text'] = '{task:}/{paper}/text.txt': a placeholder has a format spec"),
+        ("", {"text": "{task}/{paper}/{{text}}.txt"}, {},
+         "layout['text'] = '{task}/{paper}/{{text}}.txt': a placeholder has a format "
+         "spec or a conversion, or a brace is not a placeholder's"),
+        ("", {"txt": "{task}/{paper}/text.txt"}, {},
+         "layout['txt']: not a file role; the roles are text, sentences, phrases, "
+         "units, triples"),
+        ("", {"text": "{task}-{paper}/text.txt"}, {},
+         "layout['text'] = '{task}-{paper}/text.txt': {task} must be in a directory "
+         "above the component holding {paper}"),
+        ("", {"triples": "{paper}/{task}/{Unit}.txt"}, {},
+         "layout['triples'] = '{paper}/{task}/{Unit}.txt': {task} must be in a directory"),
+        ("tasks = t, t\n", {}, {"task_names": ["t", "t"]}, "tasks: 't' is named twice"),
+        ("strict = maybe\n", {}, {"strict": "maybe"},
+         "strict must be true or false (one of 1, yes, true, on, 0, no, false, off), "
+         "got 'maybe'"),
+    ], ids=["text-without-task", "sentences-without-paper", "units-without-unit",
+            "unknown-placeholder", "unit-in-phrases", "positional-field",
+            "unbalanced-close", "unbalanced-open", "conversion", "empty-format-spec",
+            "escaped-braces", "unknown-role", "task-beside-paper", "paper-above-task",
+            "repeated-task", "strict-maybe"])
+    def test_a_bad_value_exits_2_and_is_refused_in_process(
+            self, tiny_root, tmp_path, capsys, corpus, layout, kwargs, expected):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(f"[corpus]\nroot = {tiny_root}\n{corpus}[layout]\n" + "".join(
+            f"{role} = {pattern}\n" for role, pattern in layout.items()), encoding="utf-8")
+        for command in (["stats"], ["unit-stats"]):
+            assert run(command + ["--manifest", str(manifest)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {manifest}: {expected}")
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        with pytest.raises(ValueError) as info:
+            CorpusManifest(root_path=tiny_root, layout=layout, **kwargs)
+        assert str(info.value).startswith(expected)
 
     def test_zero_and_large_totals_are_counts(self, tiny_root, tmp_path):
         manifest = tmp_path / "m.ini"
@@ -638,6 +701,34 @@ class TestDeepChain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cannot write the tree: nested too deeply\n"
+
+
+class TestLoneSurrogate:
+    """A unit file whose \\u escape gives a lone surrogate is a format error,
+    which no command writes out."""
+
+    @pytest.fixture()
+    def surrogate_root(self, tiny_root):
+        (tiny_root / "parsing" / "p1" / "info-units" / "Results.json").write_text(
+            json.dumps({"has": {"Results": {"improves": "x \ud800 y"}}}), encoding="utf-8")
+        return tiny_root
+
+    def test_flatten_exits_2(self, surrogate_root, tmp_path, capsys):
+        path = surrogate_root / "parsing" / "p1" / "info-units" / "Results.json"
+        assert run(["flatten", str(path), "--unit", "Results",
+                    "--out", str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed unit file: a \\u escape gives the lone "
+            f"surrogate '\\ud800'\n")
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_build_kg_skips_the_unit(self, surrogate_root, tmp_path, capsys):
+        out = tmp_path / "graph.nt"
+        assert run(["build-kg", "--manifest", str(surrogate_root), "--out", str(out)]) == 0
+        assert ("parsing/p1/info-units/Results.json\tformat-error\tError\t"
+                in capsys.readouterr().err)
+        graph = out.read_text(encoding="utf-8")
+        assert "ncg:p1/Model/" in graph and "ncg:p1/Results/" not in graph
 
 
 class TestUsage:

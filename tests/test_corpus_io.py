@@ -1,3 +1,4 @@
+import configparser
 import gc
 import json
 import os
@@ -42,7 +43,7 @@ from ncgkit import (
     write_triple_lines,
     write_unit_file,
 )
-from ncgkit.corpus_io import PROVENANCE_KEY, _read
+from ncgkit.corpus_io import DEFAULT_LAYOUT, PROVENANCE_KEY, _read
 from ncgkit.issues import ERROR, WARNING
 from ncgkit.model import Predicate, canonical_text
 
@@ -694,11 +695,12 @@ class TestLoadCorpus:
             (paper / "triples").mkdir()
             (paper / "triples" / "Results.txt").write_text(
                 write_triple_lines(flatten(tree).triples), encoding="utf-8")
-        layout = {"text": "{task}/{paper}.d/plain.txt",
-                  "sentences": "{task}/{paper}.d/contribution-lines.txt",
-                  "phrases": "{task}/{paper}.d/spans.tsv",
-                  "units": "{task}/{paper}.d/units/{Unit}/tree.json",
-                  "triples": "{task}/{paper}.d/flat/{Unit}.lines"}
+        # the tasks are found below data/, as the text pattern says
+        layout = {"text": "data/{task}/{paper}.d/plain.txt",
+                  "sentences": "data/{task}/{paper}.d/contribution-lines.txt",
+                  "phrases": "data/{task}/{paper}.d/spans.tsv",
+                  "units": "data/{task}/{paper}.d/units/{Unit}/tree.json",
+                  "triples": "data/{task}/{paper}.d/flat/{Unit}.lines"}
         custom = tmp_path / "custom"
         base = CorpusManifest(root_path=default)
         for paper in papers:
@@ -725,6 +727,66 @@ class TestLoadCorpus:
         assert corpus_stats(want).overall.ann_phrases == len(papers)
         assert all(set(p.triples) == set(p.units) for p in got.papers())
         assert export_ntriples(build_graph(got)) == export_ntriples(build_graph(want))
+
+    def test_tasks_are_the_directories_that_fill_the_task_component(self, tmp_path):
+        make_paper(tmp_path / "data", "t2", "p2", units=MINIMAL_UNITS)
+        make_paper(tmp_path / "data", "t1", "p1", units=MINIMAL_UNITS)
+        make_paper(tmp_path, "elsewhere", "p3", units=MINIMAL_UNITS)
+        (tmp_path / "data" / "not-a-task.txt").write_text("", encoding="utf-8")
+        layout = {role: "data/" + pattern for role, pattern in DEFAULT_LAYOUT.items()}
+        corpus, _ = load_corpus(CorpusManifest(root_path=tmp_path, layout=layout))
+        assert list(corpus.tasks) == ["t1", "t2"]
+        assert corpus.paper_ids() == ["p1", "p2"]
+        listed = CorpusManifest(root_path=tmp_path, layout=layout, task_names=["t2", "t1"])
+        assert list(load_corpus(listed)[0].tasks) == ["t2", "t1"]
+
+    def test_a_repeated_placeholder_takes_one_value(self, tmp_path):
+        d = make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS)
+        for path in list((d / "info-units").iterdir()):
+            path.rename(path.with_name(f"{path.stem}-{path.name}"))
+        # a name the component fills only with two different values
+        (d / "info-units" / "Model-Zebra.json").write_text(
+            json.dumps({"has": {"Model": {"name": "z"}}}), encoding="utf-8")
+        layout = {"units": "{task}/{paper}/info-units/{Unit}-{Unit}.json"}
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path, layout=layout))
+        paper = corpus.get("p")
+        assert set(paper.units) == set(MINIMAL_UNITS_LABELS)
+        assert paper.triples[UnitLabel.MODEL][-1].key() == ("Model", "name", "d")
+        assert [i.code for i in issues] == ["missing-phrases", "missing-triples"]
+
+    def test_a_directory_that_cannot_be_listed_is_an_error(self, tmp_path, monkeypatch):
+        make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS)
+        scandir = os.scandir
+
+        def refuse_the_root(path):
+            if os.path.samefile(path, tmp_path):
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refuse_the_root)
+        with pytest.raises(PermissionError):
+            load_corpus(CorpusManifest(root_path=tmp_path))
+
+    @pytest.mark.parametrize("word", sorted(configparser.ConfigParser.BOOLEAN_STATES))
+    def test_strict_takes_the_configparser_boolean_words(self, tmp_path, word):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(f"[corpus]\nstrict = {word.upper()}\n", encoding="utf-8")
+        assert (CorpusManifest.from_ini(manifest).strict
+                is configparser.ConfigParser.BOOLEAN_STATES[word])
+
+    def test_a_unit_string_holding_a_lone_surrogate_is_a_format_error(self, tmp_path):
+        units = {**MINIMAL_UNITS, "Results": {"has": {"Results": {"improves": "x \ud800 y"}}},
+                 "Code": {"has": {"Code": {"a\\ud800": "\U0001f600 \\ud800"}}}}
+        make_paper(tmp_path, "t", "p", units=units)
+        assert "\\ud800" in (tmp_path / "t" / "p" / "info-units" / "Results.json").read_text()
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert [i.as_line() for i in issues if i.code == "format-error"] == [
+            "t/p/info-units/Results.json\tformat-error\tError\tt/p/info-units/Results.json: "
+            "malformed unit file: a \\u escape gives the lone surrogate '\\ud800'"]
+        paper = corpus.get("p")
+        assert UnitLabel.RESULTS not in paper.units
+        assert paper.triples[UnitLabel.CODE][-1].key() == ("Code", "a\\ud800",
+                                                            "\U0001f600 \\ud800")
 
     def test_glob_metacharacters_in_ids(self, tmp_path):
         results = {"Results": "(Contribution||has||Results)\n(Results||improves||e f)\n"}

@@ -28,7 +28,9 @@ from ncgkit import (
     parse_unit_file,
     traverse,
 )
-from ncgkit.kg import _LINE_RE, LITERAL, RESOURCE, Graph, GraphNode
+from ncgkit.kg import _LINE_RE, LITERAL, RESOURCE, Graph, GraphNode, _hash_slug
+from corpusgen import CHAIN_PREDICATE, write_chain_corpus
+from tree_oracle import small_trees
 
 
 def corpus_with(units_by_paper: dict[str, dict[UnitLabel, object]]) -> Corpus:
@@ -124,6 +126,55 @@ class TestCoinUri:
     def test_paper_ids_with_unsafe_characters(self):
         uris = self.uris("a b/c", UnitLabel.CODE, '{"has": {"Code": {"at": "x"}}}')
         assert uris and all(" " not in uri and uri.count("/") == 2 for uri in uris)
+
+
+    @staticmethod
+    def path_edges(tree: Node, prefix: str, root_uri: str) -> set[tuple[str, str, str]]:
+        """The per-paper edges, each URI the slug of the node's whole path
+        from the root, found recursively."""
+        edges = set()
+
+        def visit(node: Node, uri: str, path: tuple[str, ...]) -> None:
+            for predicate, child in node.edges:
+                if child is None:
+                    continue
+                label = child.label if isinstance(child, Node) else child
+                child_path = path + (predicate.text, label)
+                child_uri = prefix + _hash_slug(child_path)
+                edges.add((uri, predicate.text, child_uri))
+                if isinstance(child, Node):
+                    visit(child, child_uri, child_path)
+
+        visit(tree, root_uri, ())
+        return edges
+
+    @settings(max_examples=200)
+    @given(small_trees())
+    @example(parse_unit_file('{"has": {"Résultats": {"améliore": {"F1 ≥ 90": '
+                             '{"on": "x"}}, "at": "\U0001f600"}}}',
+                             UnitLabel.RESULTS).root)
+    def test_per_depth_hashing_gives_the_path_slug(self, tree):
+        graph = build_graph(corpus_with({"p": {UnitLabel.RESULTS: UnitTree(
+            UnitLabel.RESULTS, tree)}}))
+        assert set(graph.edges) == self.path_edges(tree, "ncg:p/Results/",
+                                                   "ncg:p/Contribution")
+
+    def test_a_deep_chain_costs_memory_linear_in_its_depth(self, tmp_path):
+        # a 4,800-edge chain: 187 MB traced peak when each node hashed and
+        # kept its whole path tuple, under 3 MB with a hash state per depth
+        write_chain_corpus(tmp_path, 4800)
+        corpus, _ = load_corpus(CorpusManifest(root_path=tmp_path))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = build_graph(corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        path = ["has", "Results"] + [CHAIN_PREDICATE, "n0"]
+        path += [part for i in range(1, 4798) for part in (CHAIN_PREDICATE, f"n{i}")]
+        assert f"ncg:chain/Results/{_hash_slug(tuple(path))}" in graph.nodes
 
 
 class TestExport:

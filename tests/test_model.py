@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgkit import (
+    CorpusManifest,
     DocumentLines,
     Node,
     Predicate,
@@ -22,9 +23,11 @@ from ncgkit import (
     UnknownUnitLabel,
     canonical_text,
     lookup_unit_label,
+    load_corpus,
     normalize_unit_label,
 )
-from tree_oracle import edges_preorder, nodes_preorder, small_trees
+from corpusgen import write_chain_corpus
+from tree_oracle import edges_preorder, generated, nodes_preorder, small_trees
 
 #: Every line break of ``str.splitlines``.
 BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -462,3 +465,36 @@ class TestWalks:
         assert [n.label for n in root.walk()] == [f"n{i}" for i in range(length)]
         assert [(d, n.label) for d, n, _, _ in root.walk_edges()] == [
             (i, f"n{i}") for i in range(length - 1)]
+
+
+class TestNodeEqualityAndRepr:
+    """Node compares and prints as the dataclass methods did, in one walk."""
+
+    @settings(max_examples=300)
+    @given(small_trees(), small_trees())
+    def test_match_the_generated_methods(self, a, b):
+        assert (a == b) == (generated(a) == generated(b))
+        assert a == copy.deepcopy(a)
+        assert repr(a) == repr(generated(a))
+
+    def test_a_literal_differs_from_a_childless_node(self):
+        literal, childless = Node("A"), Node("A")
+        literal.add(Predicate("p"), "x")
+        childless.add(Predicate("p"), Node("x"))
+        assert literal != childless
+        assert repr(literal) != repr(childless)
+
+    def test_nodes_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Node("A"))
+
+    def test_a_corpus_deeper_than_the_recursion_limit(self, tmp_path):
+        write_chain_corpus(tmp_path, sys.getrecursionlimit() + 200)
+        a, _ = load_corpus(CorpusManifest(root_path=tmp_path))
+        b, _ = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert a == b
+        text = repr(a)
+        assert text == repr(b) and text.count("Node(label=") > sys.getrecursionlimit()
+        deepest = list(b.get("chain").units[UnitLabel.RESULTS].nodes())[-1]
+        deepest.provenance.append("2")
+        assert a != b

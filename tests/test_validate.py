@@ -262,6 +262,8 @@ class TestDuplicatesAndBounds:
                    for i in report.issues)
         report = validate_paper(paper, ValidationPolicy(max_phrase_tokens=0))
         assert not any(i.code == "phrase-too-long" for i in report.issues)
+        with pytest.raises(ValueError, match="max_phrase_tokens must be at least 0, got -1"):
+            ValidationPolicy(max_phrase_tokens=-1)
 
 
 class TestFillerPlacement:

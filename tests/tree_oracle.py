@@ -4,10 +4,14 @@ The package walks a tree with explicit stacks (``Node.walk`` and
 ``Node.walk_edges``), so that a tree of any depth can be walked.  The
 references here recurse, the way the definitions read, so they serve only
 for trees well inside the recursion limit.  ``equivalent`` is the
-child-by-child comparison that ``trees_equivalent`` once was.
+child-by-child comparison that ``trees_equivalent`` once was, and
+``generated`` is a copy of a tree whose equality and repr are the ones
+the dataclass decorator writes, which ``Node`` once used.
 """
 
 from __future__ import annotations
+
+from dataclasses import make_dataclass
 
 from hypothesis import strategies as st
 
@@ -38,6 +42,18 @@ def flattened_keys(node: Node) -> list[tuple[str, str, str]]:
     return [(parent.label, predicate.text,
              child.label if isinstance(child, Node) else child)
             for _, parent, predicate, child in edges_preorder(node) if child is not None]
+
+
+#: A dataclass with Node's name and fields, and the generated methods.
+_GeneratedNode = make_dataclass("Node", ["label", "provenance", "edges"])
+
+
+def generated(node: Node):
+    """A copy of the tree as :data:`_GeneratedNode` values, which compare and
+    print child by child."""
+    return _GeneratedNode(node.label, node.provenance, [
+        (predicate, generated(child) if isinstance(child, Node) else child)
+        for predicate, child in node.edges])
 
 
 def equivalent(x: Node | str, y: Node | str) -> bool:
