@@ -357,17 +357,13 @@ def cmd_score(args) -> int:
 
 
 def _resolve_unit_path(path: Path, unit: UnitLabel, role: str) -> Path:
-    if path.is_dir():
-        sub = Path(DEFAULT_LAYOUT[role].removeprefix("{task}/{paper}/")
-                   .format(Unit=unit.identifier))
-        candidate = path / sub
-        if candidate.is_file():
-            return candidate
-        flat = path / sub.name
-        if flat.is_file():
-            return flat
+    """``path``, or a paper directory's ``role`` file of ``unit`` in the default layout."""
+    if not path.is_dir():
+        return path
+    candidate = path / DEFAULT_LAYOUT[role].format(task=".", paper=".", Unit=unit.identifier)
+    if not candidate.is_file():
         raise NcgError(f"no {role} file for {unit.identifier} under {path}")
-    return path
+    return candidate
 
 
 def cmd_flatten(args) -> int:

@@ -37,9 +37,9 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
     triples are kept, never silently merged;
     :func:`~ncgkit.validate.validate_paper` reports them.
 
-    Labels and literals are canonical and non-empty by the :class:`Node`
-    invariant, so the triples are built from them unchecked; only an empty
-    predicate text raises ValueError, as :class:`Triple` does.
+    Labels, literals and predicate texts are canonical and non-empty by
+    the :class:`Node` and :class:`Predicate` invariants, so the triples
+    are built from them unchecked.
     """
     out = FlattenedUnit(tree.unit)
     emit = out.triples.append
@@ -48,9 +48,6 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
         if child is None:
             continue
         obj = child.label if isinstance(child, Node) else child
-        if not predicate.text:
-            raise ValueError(f"empty triple field in ({node.label!r}, "
-                             f"{predicate.text!r}, {obj!r})")
         emit(triple(node.label, predicate, obj))
     return out
 

@@ -31,6 +31,7 @@ import stat
 import string
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .codec import flatten, nest
@@ -333,7 +334,7 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
         except SpanOutOfRange as exc:
             if strict:
                 raise
-            _note(issues, "span-out-of-range", f"{location}:{lineno}", str(exc))
+            _note(issues, "span-out-of-range", f"{location}:{lineno}", exc.args[0])
             continue
         covered = " ".join(sent.tokens[start_tok:end_tok])
         if surface != covered:
@@ -370,16 +371,6 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _provenance_strings(value) -> list[str]:
-    if isinstance(value, _RepeatedKey):
-        return [text for v in value for text in _provenance_strings(v)]
-    if isinstance(value, str):
-        return [canonical_text(value)]
-    if isinstance(value, list):
-        return [canonical_text(str(v)) for v in value]
-    return [canonical_text(str(value))]
-
-
 def parse_unit_file(text: str, unit: UnitLabel, *,
                     issues: list[ValidationIssue] | None = None,
                     location: str = "") -> UnitTree:
@@ -389,32 +380,32 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     from the implicit Contribution root, whose edges are the file's
     top-level keys.  ``from sentence`` keys (exact, case-sensitive) attach
     provenance to the nearest enclosing node wherever they appear.  A
-    predicate with an empty value is kept as a dangling edge and reported
-    as ``dangling-predicate``, pre-order.  A predicate or ``from sentence``
-    key repeated in one object keeps every value, in file order, as one
-    list of them would.
+    scalar keeps its JSON text (``1.00``, ``true``); a ``null`` provenance
+    adds nothing.  A predicate whose value is ``null``, blank, ``[]`` or
+    ``{}`` is kept as a dangling edge and reported as ``dangling-predicate``,
+    pre-order.  A predicate or ``from sentence`` key repeated in one object
+    keeps every value, in file order, as one list of them would.
 
     Raises:
         FormatError: malformed or too deeply nested JSON, a non-object at
-            the top level, a node label repeated in one object, or a
-            ``\\u`` escape that gives a lone surrogate.
-        AlternationError: a leaf string where a node's predicate map is
-            required, i.e. a node label used as if it were a predicate.
+            the top level, a blank key, a node label repeated in one object,
+            an object or a nested list under ``from sentence``, or a ``\\u``
+            escape that gives a lone surrogate; the first in file order.
+        AlternationError: a node label whose value is not an object.
     """
     try:
-        data = json.loads(text, object_pairs_hook=_json_object)
+        data = json.loads(text, object_pairs_hook=_json_object,
+                          parse_int=str, parse_float=str, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed unit file: {exc.msg}",
                           path=location, line=exc.lineno) from None
-    except ValueError as exc:  # a number with more digits than int() converts
-        raise FormatError(f"malformed unit file: {exc}", path=location) from None
     except RecursionError:
         raise FormatError("malformed unit file: nested too deeply", path=location) from None
     if not isinstance(data, dict):
         raise FormatError("unit file must be a JSON object", path=location)
 
     root = Node(CONTRIBUTION)
-    _fill_predicates(root, data, location)
+    _fill_tree(root, data, location)
     if "\\u" in text:  # only a \u escape gives a surrogate: the text is UTF-8
         _refuse_surrogates(root, location)
     for _, node, predicate, child in root.walk_edges():
@@ -428,6 +419,69 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
         _note(issues, "root-not-unit", location or unit.identifier,
               f"top level is not a single has-edge to a {unit.display} node")
     return UnitTree(unit, root)
+
+
+def _fill_tree(root: Node, data: dict, location: str) -> None:
+    """Read a unit file's object into ``root``, a value's nodes before the next
+    key.  Each open value is ``(node, predicate, pairs)``: a node's object
+    (``predicate`` None), a predicate's node map, or its list (keys None)."""
+    stack = [(root, None, iter(data.items()))]
+    while stack:
+        node, predicate, pairs = stack[-1]
+        for key, value in pairs:
+            if key is None:  # a list's element, a value of the list's predicate
+                edge = predicate
+            elif key == PROVENANCE_KEY:
+                node.provenance.extend(_provenance(value, location))
+                continue
+            elif not key or key.isspace():
+                raise FormatError("empty predicate key" if predicate is None
+                                  else "empty node label", path=location)
+            elif predicate is None:  # a predicate of node
+                edge = Predicate(key)
+            elif value.__class__ is dict:  # a node label, whose value is its object
+                child = Node(key)
+                node.add(predicate, child)
+                stack.append((child, None, iter(value.items())))
+                break
+            elif isinstance(value, _RepeatedKey):
+                raise FormatError(f"repeated node label {key!r}", path=location)
+            else:
+                what = "a list" if isinstance(value, list) else "a leaf value"
+                raise AlternationError(f"node {canonical_text(key)!r} maps to {what}; a "
+                                       f"predicate map is required at node depth", path=location)
+            if value.__class__ is str:
+                node.add(edge, value)  # a blank literal dangles
+            elif value.__class__ is bool:
+                node.add(edge, "true" if value else "false")
+            elif not value:  # null, [] or {}
+                node.add(edge, None)
+            elif isinstance(value, list) and all(v.__class__ is str for v in value):
+                for element in value:  # a list of strings, the common case
+                    node.add(edge, element)
+            elif isinstance(value, list):
+                stack.append((node, edge, zip(repeat(None), value)))
+                break
+            else:  # a node map
+                stack.append((node, edge, iter(value.items())))
+                break
+        else:
+            stack.pop()
+
+
+def _provenance(value, location: str) -> list[str]:
+    """A ``from sentence`` value's scalars as text; FormatError for an object or a nested list."""
+    out = []
+    for item in value if isinstance(value, _RepeatedKey) else (value,):
+        for scalar in item if isinstance(item, list) else (item,):
+            if scalar.__class__ is str:
+                out.append(canonical_text(scalar))
+            elif scalar.__class__ is bool:
+                out.append("true" if scalar else "false")
+            elif scalar is not None:
+                raise FormatError(f"{PROVENANCE_KEY!r} holds an object or a nested list",
+                                  path=location)
+    return out
 
 
 def _refuse_surrogates(root: Node, location: str) -> None:
@@ -448,63 +502,6 @@ def _refuse_surrogates(root: Node, location: str) -> None:
                           f"{exc.object[exc.start]!r}", path=location) from None
 
 
-def _fill_predicates(node: Node, mapping: dict, location: str) -> None:
-    """Consume a node's value object: predicate keys plus provenance."""
-    for key, value in mapping.items():
-        if key == PROVENANCE_KEY:
-            node.provenance.extend(_provenance_strings(value))
-            continue
-        if not key or key.isspace():
-            raise FormatError("empty predicate key", path=location)
-        _add_predicate_value(node, Predicate(key), value, location)
-
-
-def _add_predicate_value(node: Node, predicate: Predicate, value, location: str) -> None:
-    """Attach one predicate value (string, list, or node map) to ``node``."""
-    if value is None:
-        node.add(predicate, None)
-        return
-    if isinstance(value, str):
-        node.add(predicate, value)  # a blank literal dangles
-        return
-    if isinstance(value, (int, float, bool)):
-        node.add(predicate, json.dumps(value))
-        return
-    if isinstance(value, list):
-        if not value:
-            node.add(predicate, None)
-            return
-        for element in value:
-            _add_predicate_value(node, predicate, element, location)
-        return
-    if isinstance(value, dict):
-        if not value:
-            node.add(predicate, None)
-            return
-        for key, child_value in value.items():
-            if key == PROVENANCE_KEY:
-                node.provenance.extend(_provenance_strings(child_value))
-                continue
-            if not key or key.isspace():
-                raise FormatError("empty node label", path=location)
-            if isinstance(child_value, _RepeatedKey):
-                raise FormatError(f"repeated node label {key!r}", path=location)
-            child = Node(key)
-            node.add(predicate, child)
-            if isinstance(child_value, dict):
-                _fill_predicates(child, child_value, location)
-            elif isinstance(child_value, str) or child_value is None:
-                raise AlternationError(
-                    f"node {child.label!r} maps to a leaf value; a predicate map is "
-                    f"required at node depth", path=location)
-            else:
-                raise AlternationError(
-                    f"node {child.label!r} maps to {type(child_value).__name__}; "
-                    f"a predicate map is required at node depth", path=location)
-        return
-    raise FormatError(f"unsupported value of type {type(value).__name__}", path=location)
-
-
 def write_unit_file(tree: UnitTree) -> str:
     """Serialize a tree back to the nested JSON unit format.
 
@@ -514,11 +511,11 @@ def write_unit_file(tree: UnitTree) -> str:
     ``q: b``, ``p: c`` become ``p: a``, ``p: c``, ``q: b``.
 
     Raises:
-        FormatError: the format cannot carry the tree: a predicate is empty
-            or is the provenance key, a node below the root is labelled
-            with the provenance key, or the tree is nested more deeply
-            than the JSON writer recurses.  The parser would refuse the
-            first and the last, and read the others as provenance.
+        FormatError: the format cannot carry the tree: a predicate is the
+            provenance key, a node below the root is labelled with the
+            provenance key, or the tree is nested more deeply than the
+            JSON writer recurses.  The parser would read the first two as
+            provenance, and refuse the last.
     """
     try:
         return json.dumps(_node_object(tree.root), indent=2, ensure_ascii=False) + "\n"
@@ -534,9 +531,6 @@ def _node_object(node: Node) -> dict:
     if PROVENANCE_KEY in grouped:
         raise FormatError(f"cannot write the predicate {PROVENANCE_KEY!r} of "
                           f"{node.label!r}: the unit format reads that key as provenance")
-    if "" in grouped:
-        raise FormatError(f"cannot write an empty predicate of {node.label!r}: "
-                          f"the unit format refuses it")
     for pred_text, children in grouped.items():
         out[pred_text] = _predicate_object(children)
     if node.provenance:
@@ -770,16 +764,18 @@ def _fillers(root: str, pattern: str, placeholder: str, ids: dict[str, str]
     return parent, parts[index + 1:], found
 
 
-def _names(root: str, pattern: str, placeholder: str, ids: dict[str, str]) -> list[str]:
-    """The values that fill the pattern's ``{placeholder}`` component, sorted;
-    an entry below which the pattern goes on must be a directory.
+def _names(root: str, pattern: str, placeholder: str, ids: dict[str, str]
+           ) -> tuple[str, list[str]]:
+    """The directory listed, below the root, and the values that fill the
+    pattern's ``{placeholder}`` component, sorted; an entry below which the
+    pattern goes on must be a directory.
 
     Only the path up to that component is required to exist, so a paper
     directory lacking its plaintext file is still found and gets a proper
     missing-text error instead of vanishing silently.
     """
-    _, rest, found = _fillers(root, pattern, placeholder, ids)
-    return sorted({name for name, entry in found if not rest or entry.is_dir()})
+    parent, rest, found = _fillers(root, pattern, placeholder, ids)
+    return parent, sorted({name for name, entry in found if not rest or entry.is_dir()})
 
 
 def _unit_files(manifest: CorpusManifest, root: str, role: str, task: str,
@@ -809,14 +805,16 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
     def parsed(loc: str, parse: Callable[..., object], *args, suffix: str = "", **kw):
         """parse(text of the file at loc, *args, **kw), or _ABSENT when no
         regular file is at loc; a FormatError raises in strict mode and
-        otherwise becomes a format-error issue (message + suffix) and None."""
+        otherwise becomes None and a format-error issue at loc or loc:line,
+        its message the error's bare text + suffix."""
         try:
             text = _read(os.path.join(root, loc), loc)
             return _ABSENT if text is None else parse(text, *args, **kw)
         except FormatError as exc:
             if strict:
                 raise
-            issues.append(ValidationIssue("format-error", loc, f"{exc}{suffix}"))
+            where = loc if exc.line is None else f"{loc}:{exc.line}"
+            issues.append(ValidationIssue("format-error", where, exc.args[0] + suffix))
             return None
 
     def per_unit(role: str, parse: Callable[..., object]) -> dict | None:
@@ -946,7 +944,8 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
     The manifest's text pattern says where the tasks (unless the manifest
     lists them) and each task's papers are.  Missing optional files yield
     warnings; a missing plaintext file yields an error and the paper is
-    skipped (non-strict mode).  Loading is deterministic: tasks and papers
+    skipped (non-strict mode).  A listed task under whose directory no
+    paper is found yields an ``empty-task`` warning.  Loading is deterministic: tasks and papers
     are visited in sorted order unless the manifest pins task order.
 
     Raises:
@@ -961,12 +960,16 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
     text = manifest.layout["text"]
     tasks = manifest.task_names
     if tasks is None:
-        tasks = _names(root_dir, text, "task", {})
+        tasks = _names(root_dir, text, "task", {})[1]
     corpus = Corpus()
     seen: set[str] = set()
     for task in tasks:
         papers: list[PaperAnnotation] = []
-        for paper_id in _names(root_dir, text, "paper", {"task": task}):
+        searched, paper_ids = _names(root_dir, text, "paper", {"task": task})
+        if not paper_ids and manifest.task_names is not None:
+            issues.append(ValidationIssue("empty-task", _rel(searched),
+                                          f"no papers found for the listed task {task!r}"))
+        for paper_id in paper_ids:
             if paper_id in seen:
                 issues.append(ValidationIssue(
                     "duplicate-paper-id", f"{task}/{paper_id}",

@@ -17,6 +17,7 @@ WARNING = "Warning"
 ISSUE_CODES = {
     # corpus loading
     "empty-corpus": (WARNING, "no papers were found under the corpus root"),
+    "empty-task": (WARNING, "no papers were found for a task the manifest lists"),
     "missing-text": (ERROR, "plaintext file absent; the paper is skipped"),
     "missing-sentences": (WARNING, "sentence-index file absent"),
     "missing-phrases": (WARNING, "phrase file absent"),

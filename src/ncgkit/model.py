@@ -284,9 +284,9 @@ _FILLER_TEXTS = {
 class Predicate:
     """A relation surface string plus its filler classification.
 
-    ``text`` is canonical; a canonical argument is kept, not copied.
-    ``kind`` is derived from the text: exactly ``has``, ``name``, and
-    ``hasAcronym`` are fillers; every other text is Textual.
+    ``text`` is canonical and never empty; a canonical argument is kept,
+    not copied.  ``kind`` is derived from the text: exactly ``has``,
+    ``name``, and ``hasAcronym`` are fillers; every other text is Textual.
     """
 
     text: str
@@ -294,6 +294,8 @@ class Predicate:
 
     def __init__(self, text: str) -> None:
         text = canonical_text(text)
+        if not text:
+            raise ValueError("empty predicate")
         set_text, set_kind = _PREDICATE_SLOTS
         set_text(self, text)
         set_kind(self, _FILLER_TEXTS.get(text, PredicateKind.TEXTUAL))
@@ -319,7 +321,7 @@ class Triple:
     def __init__(self, subject: str, predicate: Predicate, object: str) -> None:
         subject = canonical_text(subject)
         object = canonical_text(object)
-        if not (subject and predicate.text and object):
+        if not (subject and object):
             raise ValueError(f"empty triple field in ({subject!r}, "
                              f"{predicate.text!r}, {object!r})")
         set_subject, set_predicate, set_object = _TRIPLE_SLOTS

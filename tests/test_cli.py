@@ -138,6 +138,46 @@ class TestStats:
         assert [line for line in err if line.startswith("CHECK ")] == [
             f"CHECK FAIL {line}" for line in lines]
 
+    @pytest.mark.parametrize("command", ["stats", "unit-stats"])
+    def test_json_format_holds_the_tsv_rows(self, tiny_root, tmp_path, command):
+        tsv, as_json = tmp_path / "o.tsv", tmp_path / "o.json"
+        assert run([command, "--manifest", str(tiny_root), "--out", str(tsv)]) == 0
+        assert run([command, "--manifest", str(tiny_root), "--format", "json",
+                    "--out", str(as_json)]) == 0
+        payload = json.loads(as_json.read_text())
+        rows = ({**payload["per_task"], "Overall": payload["overall"]}
+                if command == "stats" else payload)
+        header, *lines = [line.split("\t") for line in tsv.read_text().splitlines()]
+        assert [list(row) for row in rows.values()] == [header[1:]] * len(lines)
+        assert [[name, *(str(v) if isinstance(v, int) else f"{v:.4f}" for v in row.values())]
+                for name, row in rows.items()] == lines
+
+    @pytest.mark.parametrize("missing", ["manifest", "root"])
+    def test_a_missing_manifest_or_root_exits_2(self, tmp_path, capsys, missing):
+        manifest = tmp_path / "m.ini"
+        if missing == "root":
+            manifest.write_text("[corpus]\nroot = nosuch\n", encoding="utf-8")
+        assert run(["stats", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == {
+            "manifest": f"error: [Errno 2] No such file or directory: '{manifest}'\n",
+            "root": f"error: corpus root does not exist: {tmp_path / 'nosuch'}\n",
+        }[missing]
+
+    def test_a_listed_task_without_papers_is_one_more_warning(self, comparison_root,
+                                                              tmp_path, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(comparison_root, root)
+        assert run(["stats", "--manifest", str(root)]) == 0
+        found = capsys.readouterr()
+        manifest = root / "m.ini"
+        manifest.write_text("[corpus]\ntasks = papers, nosuch\n", encoding="utf-8")
+        assert run(["stats", "--manifest", str(manifest)]) == 0
+        listed = capsys.readouterr()
+        assert listed.out == found.out
+        assert listed.err == found.err + (
+            "corpus: nosuch\tempty-task\tWarning\tno papers found for the listed task "
+            "'nosuch'\n")
+
     def test_env_var_manifest(self, tiny_root, tmp_path, monkeypatch):
         monkeypatch.setenv("NCG_MANIFEST", str(tiny_root))
         out = tmp_path / "stats.tsv"
@@ -469,8 +509,7 @@ class TestScore:
         assert len(broken.out.splitlines()) == len(clean.out.splitlines())
         bad = "papers/dilated-cnn-2017/sentences.txt\tformat-error\tError\t"
         assert [line for line in broken.err.splitlines() if "format-error" in line] == [
-            f"pred: {bad}papers/dilated-cnn-2017/sentences.txt: "
-            "not valid UTF-8 (invalid start byte 0xff)"]
+            f"pred: {bad}not valid UTF-8 (invalid start byte 0xff)"]
         assert "format-error" not in clean.err
         expected = "".join(f"{side}: {issue.as_line()}\n"
                            for side, root in (("gold", gold), ("pred", pred))
@@ -562,6 +601,13 @@ class TestFlattenNest:
         assert run(["flatten", "--unit", "Results",
                     str(tiny_root / "parsing" / "p1"), "--out", str(out)]) == 0
         assert "(Contribution||has||Results)" in out.read_text()
+
+    def test_paper_directory_is_read_in_the_default_layout_only(self, tiny_root, capsys):
+        paper = tiny_root / "parsing" / "p1"
+        (paper / "info-units" / "Results.json").rename(paper / "Results.json")
+        assert run(["flatten", "--unit", "Results", str(paper)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no units file for Results under {paper}\n")
 
     def test_unknown_unit_is_an_error(self, tmp_path):
         assert run(["flatten", "--unit", "Objective",

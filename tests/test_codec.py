@@ -115,6 +115,14 @@ class TestFlatten:
         ]
         assert roundtrip_check(tree)
 
+    def test_roundtrip_check_is_false_for_a_label_under_two_edges(self):
+        results = Node("Results")
+        for predicate, below in (("on", "x"), ("in", "y")):
+            node = Node("A")
+            node.add(Predicate("of"), below)
+            results.add(Predicate(predicate), node)
+        assert not roundtrip_check(UnitTree.from_unit_node(UnitLabel.RESULTS, results))
+
     def test_provenance_never_becomes_a_triple(self):
         node = Node("Results", provenance=["some sentence"])
         flat = flatten(UnitTree.from_unit_node(UnitLabel.RESULTS, node))

@@ -270,6 +270,15 @@ class TestUnitFile:
         with pytest.raises(AlternationError):
             parse_unit_file('{"has": {"Results": {"in": {"ACE": "oops"}}}}',
                             UnitLabel.RESULTS)
+        with pytest.raises(AlternationError, match="node 'ACE' maps to a list"):
+            parse_unit_file('{"has": {"Results": {"in": {"ACE": [{}]}}}}',
+                            UnitLabel.RESULTS)
+
+    def test_the_first_error_in_file_order_is_raised(self):
+        # the first key's node holds an error; the next key is blank
+        text = '{"has": {"Results": {"in": {"A": {"on": {"B": 1}}}, " ": "x"}}}'
+        with pytest.raises(AlternationError, match="node 'B' maps to a leaf value"):
+            parse_unit_file(text, UnitLabel.RESULTS)
 
     def test_malformed_json(self):
         with pytest.raises(FormatError):
@@ -328,15 +337,21 @@ class TestUnitFile:
                                "the unit format reads that key as provenance"),
         ("uses", Node("from sentence"), "cannot write the node 'from sentence': "
                                         "the unit format reads that key as provenance"),
-        (" ", "x", "cannot write an empty predicate of 'Model': the unit format "
-                   "refuses it"),
-    ], ids=["reserved-predicate", "reserved-label", "empty-predicate"])
+    ], ids=["reserved-predicate", "reserved-label"])
     def test_write_refuses_a_tree_the_format_cannot_carry(self, predicate, child, message):
         model = Node("Model")
         model.add(Predicate(predicate), child)
         with pytest.raises(FormatError) as info:
             write_unit_file(UnitTree.from_unit_node(UnitLabel.MODEL, model))
         assert str(info.value) == message
+
+    def test_two_provenance_strings_are_written_as_a_list(self):
+        results = Node("Results", provenance=["s1", "s2"])
+        results.add(Predicate("on"), "x")
+        written = write_unit_file(UnitTree.from_unit_node(UnitLabel.RESULTS, results))
+        assert json.loads(written) == {"has": {"Results": {"on": "x",
+                                                           PROVENANCE_KEY: ["s1", "s2"]}}}
+        assert parse_unit_file(written, UnitLabel.RESULTS).unit_node == results
 
     def test_write_keeps_a_root_with_the_reserved_label(self):
         # the root's label is never written, so it cannot be read as provenance
@@ -346,9 +361,77 @@ class TestUnitFile:
         assert json.loads(write_unit_file(tree)) == {"has": {"Model": {}}}
 
 
+HUGE_INT = "9" * 5000
+NOT_SCALAR = f"{PROVENANCE_KEY!r} holds an object or a nested list"
+
+
+@pytest.mark.parametrize("body, expected", [
+    ('"on": null, "from sentence": null', ([("on", None)], [])),
+    ('"on": [], "from sentence": []', ([("on", None)], [])),
+    ('"on": {}', ([("on", None)], [])),
+    ('"from sentence": {}', NOT_SCALAR),
+    ('"on": [["x"]], "from sentence": ["s", ["x"]]', NOT_SCALAR),
+    ('"on": true, "from sentence": [true, false]', ([("on", "true")], ["true", "false"])),
+    ('"on": 1.00, "from sentence": 1.00', ([("on", "1.00")], ["1.00"])),
+    ('"on": 1e400, "from sentence": -Infinity', ([("on", "1e400")], ["-Infinity"])),
+    ('"on": -0, "from sentence": [-0, null]', ([("on", "-0")], ["-0"])),
+    (f'"on": {HUGE_INT}, "from sentence": {HUGE_INT}', ([("on", HUGE_INT)], [HUGE_INT])),
+    ('"on": "x", " ": "y"', "empty predicate key"),
+    ('"on": {"\\t": {}}', "empty node label"),
+    ('"on": {"A": 1}', "node 'A' maps to a leaf value; a predicate map is required "
+                       "at node depth"),
+], ids=["null", "empty-list", "empty-object", "object-provenance", "nested-list",
+        "true", "1.00", "1e400", "-0", "5000-digits", "blank-predicate-key",
+        "blank-node-label", "node-maps-to-a-number"])
+def test_unit_file_values_parse_and_load_alike(tmp_path, body, expected):
+    """A scalar keeps its JSON text, as a predicate value and as provenance;
+    what the format refuses is one format-error when the corpus loads."""
+    text = '{"has": {"Results": {' + body + '}}}'
+    d = make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS)
+    (d / "info-units" / "Results.json").write_text(text, encoding="utf-8")
+    corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+    errors = [(i.location, i.message) for i in issues if i.code == "format-error"]
+    units = corpus.get("p").units
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as info:
+            parse_unit_file(text, UnitLabel.RESULTS)
+        assert info.value.args[0] == expected
+        assert errors == [("t/p/info-units/Results.json", expected)]
+        assert UnitLabel.RESULTS not in units
+        return
+    edges, provenance = expected
+    assert errors == []
+    for tree in (parse_unit_file(text, UnitLabel.RESULTS), units[UnitLabel.RESULTS]):
+        assert [(p.text, c) for p, c in tree.unit_node.edges] == edges
+        assert tree.unit_node.provenance == provenance
+
+
+def test_a_unit_file_deeper_than_the_recursion_limit(tmp_path):
+    """A tree or one format-error, never a RecursionError: ``json`` refuses
+    the file on Python 3.11, and the reader does not recurse."""
+    depth = sys.getrecursionlimit() + 200
+    text = ('{"has": {"Results": ' + '{"on": {"x": ' * depth + '{}'
+            + '}}' * depth + '}}')
+    d = make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS)
+    (d / "info-units" / "Results.json").write_text(text, encoding="utf-8")
+    corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+    errors = [i.message for i in issues if i.code == "format-error"]
+    try:
+        tree = parse_unit_file(text, UnitLabel.RESULTS)
+    except FormatError as exc:
+        assert str(exc) == "malformed unit file: nested too deeply"
+        assert errors == [str(exc)]
+        assert UnitLabel.RESULTS not in corpus.get("p").units
+    else:
+        assert len(list(tree.nodes())) == depth + 2
+        assert errors == []
+        assert corpus.get("p").units[UnitLabel.RESULTS] == tree
+
+
 LABELS = st.one_of(st.text(), st.text(st.sampled_from(list('ab {}"\\'))),
                    st.just(PROVENANCE_KEY)).filter(canonical_text)
-PREDICATES = st.one_of(st.text(), st.sampled_from(["has", "in", PROVENANCE_KEY, ""]))
+PREDICATES = st.one_of(st.text(), st.sampled_from(["has", "in", PROVENANCE_KEY])
+                       ).filter(canonical_text)
 
 
 @st.composite
@@ -382,9 +465,9 @@ def grouped(node: Node) -> tuple:
 
 
 def _unwritable_tree(tree: UnitTree) -> bool:
-    """An empty or reserved predicate, or a node below the root with the
-    reserved label; the root's label is never written."""
-    return any(p.text in ("", PROVENANCE_KEY)
+    """A reserved predicate, or a node below the root with the reserved
+    label; the root's label is never written."""
+    return any(p.text == PROVENANCE_KEY
                or isinstance(c, Node) and c.label == PROVENANCE_KEY
                for node in tree.nodes() for p, c in node.edges)
 
@@ -419,6 +502,11 @@ class TestTripleLines:
     def test_field_count_violation(self):
         with pytest.raises(FormatError):
             parse_triple_lines("(a||b)")
+
+    def test_blank_field(self):
+        with pytest.raises(FormatError) as info:
+            parse_triple_lines("(a||b||c)\n(a|| \t||c)\n", location="t.txt")
+        assert str(info.value) == "t.txt:2: empty field in triple line '(a|| \\t||c)'"
 
     def test_results_file_parses_thirteen(self, results_triples_text):
         issues = []
@@ -536,7 +624,29 @@ class TestLoadCorpus:
         assert corpus.paper_ids() == ["good"]
         assert ("missing-text", ERROR) in {(i.code, i.severity) for i in issues}
 
-    @pytest.mark.parametrize("kind", ["directory", "broken-symlink", "fifo"])
+    def test_a_unit_file_that_is_a_directory_is_absent(self, tmp_path):
+        d = make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS)
+        (d / "info-units" / "Results.json").unlink()
+        absent = load_corpus(CorpusManifest(root_path=tmp_path))
+        (d / "info-units" / "Results.json").mkdir()
+        assert load_corpus(CorpusManifest(root_path=tmp_path)) == absent
+        assert UnitLabel.RESULTS not in absent[0].get("p").units
+
+    def test_a_listed_task_without_papers_is_an_empty_task(self, tmp_path):
+        make_paper(tmp_path / "data", "t", "p", units=MINIMAL_UNITS)
+        (tmp_path / "data" / "empty").mkdir()
+        layout = {role: f"data/{pattern}" for role, pattern in DEFAULT_LAYOUT.items()}
+        corpus, issues = load_corpus(CorpusManifest(
+            root_path=tmp_path, layout=layout, task_names=["nosuch", "t", "empty"]))
+        assert corpus.paper_ids() == ["p"]
+        assert [i.as_line() for i in issues if i.code == "empty-task"] == [
+            f"data/{task}\tempty-task\tWarning\tno papers found for the listed task {task!r}"
+            for task in ("nosuch", "empty")]
+        # a task the layout finds is not listed, so an empty one is not reported
+        _, issues = load_corpus(CorpusManifest(root_path=tmp_path, layout=layout))
+        assert "empty-task" not in {i.code for i in issues}
+
+    @pytest.mark.parametrize("kind", ["directory", "broken-symlink", "symlink-loop", "fifo"])
     @pytest.mark.parametrize("name, code", [("text.txt", "missing-text"),
                                             ("sentences.txt", "missing-sentences"),
                                             ("phrases.tsv", "missing-phrases")])
@@ -551,6 +661,8 @@ class TestLoadCorpus:
             path.mkdir()
         elif kind == "broken-symlink":
             path.symlink_to(tmp_path / "nowhere")
+        elif kind == "symlink-loop":
+            path.symlink_to(name)  # opening it fails with ELOOP
         elif hasattr(os, "mkfifo"):
             os.mkfifo(path)  # opened without O_NONBLOCK, reading it would hang
         else:
@@ -781,7 +893,7 @@ class TestLoadCorpus:
         assert "\\ud800" in (tmp_path / "t" / "p" / "info-units" / "Results.json").read_text()
         corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
         assert [i.as_line() for i in issues if i.code == "format-error"] == [
-            "t/p/info-units/Results.json\tformat-error\tError\tt/p/info-units/Results.json: "
+            "t/p/info-units/Results.json\tformat-error\tError\t"
             "malformed unit file: a \\u escape gives the lone surrogate '\\ud800'"]
         paper = corpus.get("p")
         assert UnitLabel.RESULTS not in paper.units
@@ -818,7 +930,8 @@ class TestLoadCorpus:
         assert other == lf
         assert other_issues == lf_issues
         lines = [i.as_line() for i in lf_issues]
-        assert any("Baselines.json:4: malformed unit file" in line for line in lines)
+        assert any("Baselines.json:4\tformat-error\tError\tmalformed unit file" in line
+                   for line in lines)
         assert {i.code for i in lf_issues} >= {
             "format-error", "duplicate-sentence-index", "span-out-of-range",
             "single-pipe-delimiter"}
@@ -1035,16 +1148,16 @@ class TestLoadIssues:
         assert corpus.paper_ids() == ["c", "d", "e", "f", "g"]
         assert [i.as_line() for i in issues] == [
             "t/a/text.txt\tmissing-text\tError\tplaintext absent; paper skipped",
-            "t/b/text.txt\tformat-error\tError\tt/b/text.txt: not valid UTF-8 "
+            "t/b/text.txt\tformat-error\tError\tnot valid UTF-8 "
             "(invalid start byte 0xff); paper skipped",
             "t/c/sentences.txt\tmissing-sentences\tWarning\tsentence-index file absent",
-            "t/c/phrases.tsv\tformat-error\tError\tt/c/phrases.tsv:1: "
+            "t/c/phrases.tsv:1\tformat-error\tError\t"
             "expected 4 tab-separated columns, got 2",
-            "t/c/info-units/Baselines.json\tformat-error\tError\t"
-            "t/c/info-units/Baselines.json:2: malformed unit file: Expecting value",
+            "t/c/info-units/Baselines.json:2\tformat-error\tError\t"
+            "malformed unit file: Expecting value",
             "t/c/info-units/Objective.json\tunknown-unit-label\tWarning\t"
             "not an information unit: 'Objective'",
-            "t/c/triples/Model.txt\tformat-error\tError\tt/c/triples/Model.txt:1: "
+            "t/c/triples/Model.txt:1\tformat-error\tError\t"
             "triple line must be wrapped in parentheses",
             "t/c/triples/Objective.txt\tunknown-unit-label\tWarning\t"
             "not an information unit: 'Objective'",
@@ -1053,7 +1166,7 @@ class TestLoadIssues:
             "file-only: [('Results', 'improves', 'g h')]",
             "t/c/Tasks\tnest-failed\tWarning\t"
             "orphan subject 'Tasks': never introduced as an object",
-            "t/d/sentences.txt\tformat-error\tError\tt/d/sentences.txt:2: "
+            "t/d/sentences.txt:2\tformat-error\tError\t"
             "not a positive sentence index: 'NaN'",
             "t/d/phrases.tsv\tmissing-phrases\tWarning\tphrase file absent",
             "t/d\tmissing-units\tWarning\tno information-unit files found",
@@ -1101,6 +1214,7 @@ class TestLoadIssues:
             load_corpus(CorpusManifest(root_path=tmp_path, strict=True))
         assert str(info.value).startswith(message)
         _, issues = load_corpus(CorpusManifest(root_path=tmp_path))
-        # a bad text.txt skips the only paper, which leaves the corpus empty
+        # a bad text.txt skips the only paper, which leaves the corpus empty;
+        # the issue is located where the strict error says, file and line
         assert [(i.code, i.location) for i in issues if i.code != "empty-corpus"] == [
-            ("format-error", f"t/p/{rel}")]
+            ("format-error", message.split(": ")[0])]

@@ -14,9 +14,13 @@ from ncgkit import (
     Sentence,
     Triple,
     UnitLabel,
+    ValidationPolicy,
+    build_graph,
+    compare,
     corpus_stats,
     f1_from_percent,
     prf,
+    render,
     score,
     unit_stats,
 )
@@ -40,6 +44,23 @@ class TestPrf:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             prf(-1, 0, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MatchConfig(phrase_match="fuzzy"), "bad phrase_match: 'fuzzy'"),
+    (lambda: MatchConfig(triple_scope="global"), "bad triple_scope: 'global'"),
+    (lambda: MatchConfig(text_fold="lower"), "bad text_fold: 'lower'"),
+    (lambda: ValidationPolicy(provenance_check="Fatal"), "bad provenance_check: 'Fatal'"),
+    (lambda: build_graph(Corpus(), merge="global"), "merge must be 'per-paper' or 'surface'"),
+    (lambda: render(compare(Corpus(), UnitLabel.RESULTS, []), "html"),
+     "unknown comparison format: 'html'"),
+    (lambda: score(Corpus(), Corpus(), "words"), "unknown granularity: 'words'"),
+], ids=["phrase_match", "triple_scope", "text_fold", "provenance_check", "merge", "fmt",
+        "granularity"])
+def test_an_unknown_choice_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def stats_paper(pid, task, total_sentences, total_tokens, n_indices,

@@ -11,15 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgkit import (
+    Corpus,
     CorpusManifest,
     DocumentLines,
     Node,
+    PaperAnnotation,
     Predicate,
     PredicateKind,
     PhraseSpan,
     Sentence,
     Triple,
     UnitLabel,
+    UnitTree,
     UnknownUnitLabel,
     canonical_text,
     lookup_unit_label,
@@ -394,8 +397,9 @@ class TestValueTypes:
     (lambda: Sentence("p", 0, ("x",)), "sentence index must be >= 1, got 0"),
     (lambda: Sentence("p", 1, ()), "sentence has no tokens"),
     (lambda: replace(Triple("s", HAS, "o"), object=""), "empty triple field in ('s', 'has', '')"),
+    (lambda: Predicate(" \n"), "empty predicate"),
 ], ids=["empty-span", "negative-start", "empty-object", "blank-subject", "index-0",
-        "no-tokens", "replace"])
+        "no-tokens", "replace", "blank-predicate"])
 def test_value_type_errors(build, message):
     with pytest.raises(ValueError) as info:
         build()
@@ -467,6 +471,20 @@ class TestWalks:
             (i, f"n{i}") for i in range(length - 1)]
 
 
+class TestContainers:
+    def test_unit_node_is_none_without_a_node_child(self):
+        root = Node("Contribution")
+        root.add(Predicate("has"), "Results")
+        root.add(Predicate("has"), None)
+        assert UnitTree(UnitLabel.RESULTS, root).unit_node is None
+
+    def test_get_finds_a_paper_by_id(self):
+        paper = PaperAnnotation("p", "t")
+        corpus = Corpus({"t": [paper]})
+        assert corpus.get("p") is paper
+        assert corpus.get("q") is None
+
+
 class TestNodeEqualityAndRepr:
     """Node compares and prints as the dataclass methods did, in one walk."""
 
@@ -483,6 +501,10 @@ class TestNodeEqualityAndRepr:
         childless.add(Predicate("p"), Node("x"))
         assert literal != childless
         assert repr(literal) != repr(childless)
+
+    def test_a_node_equals_no_other_type(self):
+        assert Node("A").__eq__(1) is NotImplemented
+        assert Node("A") != 1
 
     def test_nodes_are_unhashable(self):
         with pytest.raises(TypeError):

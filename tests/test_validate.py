@@ -315,7 +315,7 @@ class TestValidateCorpus:
 #: The severity of each issue code.  Only ``provenance-missing`` takes
 #: another, an Error under ``ValidationPolicy(provenance_check="Error")``.
 SEVERITIES = {
-    "empty-corpus": WARNING, "missing-text": ERROR, "missing-sentences": WARNING,
+    "empty-corpus": WARNING, "empty-task": WARNING, "missing-text": ERROR, "missing-sentences": WARNING,
     "missing-phrases": WARNING, "missing-units": WARNING, "missing-triples": WARNING,
     "duplicate-paper-id": ERROR, "format-error": ERROR, "unknown-unit-label": WARNING,
     "duplicate-sentence-index": WARNING, "span-out-of-range": ERROR,
