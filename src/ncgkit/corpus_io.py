@@ -224,6 +224,21 @@ def _note(issues: list[ValidationIssue] | None, code: str, location: str,
         issues.append(ValidationIssue(code, location, message))
 
 
+def _text_mode(text: str) -> str:
+    """``text`` with each CR and CRLF line end read as LF, as text mode reads it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` as text mode reads them: LF, CR or CRLF ends a
+    line, and a final line end starts no new line.  Any other character,
+    FF and U+2028 among them, belongs to its line."""
+    lines = _text_mode(text).split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _plain_integers(text: str) -> bool:
     """Whether ``text`` lacks what ``int()`` reads beyond a corpus file's integers,
     ASCII digits after an optional minus sign: ``1_0``, ``+1``, non-ASCII digits."""
@@ -238,7 +253,7 @@ def parse_sentence_indices(text: str, *, issues: list[ValidationIssue] | None = 
                            location: str = "") -> set[int]:
     """Parse one 1-based integer per line; duplicates collapse with a warning."""
     out: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_lines(text), 1):
         line = raw.strip()
         if not line:
             continue
@@ -292,7 +307,7 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
     # each referenced sentence is looked up, and so tokenized, once
     found: dict[int, Sentence | None] = {}
     spans: list[PhraseSpan] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_lines(text), 1):
         cols = raw.split("\t")
         try:
             idx, start, end, surface = cols
@@ -593,7 +608,7 @@ def _triple_fields(text: str, *, issues: list[ValidationIssue] | None,
     """The line parser of :func:`parse_triple_lines`: each line's three
     fields, as written."""
     lines: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_lines(text), 1):
         line = raw.strip()
         if not line:
             continue
@@ -705,9 +720,7 @@ def _read(path: str | Path, location: str) -> str | None:
         bad = exc.object[exc.start:exc.end].hex()
         raise FormatError(f"not valid UTF-8 ({exc.reason} 0x{bad})",
                           path=location) from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    return _text_mode(text)
 
 
 def _read_file(path: str | Path, location: str) -> str:
@@ -818,7 +831,7 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
             return None
 
     def per_unit(role: str, parse: Callable[..., object]) -> dict | None:
-        """Each parsed file of a per-unit role by unit; None if it has no files."""
+        """The first parsed file of each unit of a per-unit role; None if it has no files."""
         out = {}
         found = False
         for name, loc in _unit_files(manifest, root, role, task, paper_id):
@@ -827,6 +840,11 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
             except UnknownUnitLabel as exc:
                 found = True
                 issues.append(ValidationIssue("unknown-unit-label", loc, str(exc)))
+                continue
+            if unit in out:
+                if os.path.isfile(os.path.join(root, loc)):  # else absent, as _read says
+                    issues.append(ValidationIssue("duplicate-unit-file", loc, f"a second "
+                                                  f"{role} file of {unit.identifier}; skipped"))
                 continue
             result = parsed(loc, parse, unit, issues=issues, location=loc)
             if result is _ABSENT:
@@ -845,9 +863,9 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
         return None
     if text is None:
         return None
-    # every str.splitlines break is whitespace to str.split, so counting on
-    # the whole text equals the sum of the per-line counts
-    lines = text.splitlines()
+    # a line end is whitespace to str.split, so counting on the whole text
+    # equals the sum of the per-line counts
+    lines = _lines(text)
     token_count = len(text.split())
 
     paper = PaperAnnotation(

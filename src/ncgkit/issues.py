@@ -26,6 +26,7 @@ ISSUE_CODES = {
     "duplicate-paper-id": (ERROR, "paper id occurs under more than one task"),
     "format-error": (ERROR, "a file could not be parsed in non-strict mode"),
     "unknown-unit-label": (WARNING, "file name does not map to an information unit"),
+    "duplicate-unit-file": (ERROR, "a second file of one unit and role; skipped"),
     "duplicate-sentence-index": (WARNING, "sentence index listed more than once"),
     "span-out-of-range": (ERROR, "phrase span outside its sentence; span dropped"),
     "span-text-mismatch": (WARNING, "phrase surface text repaired from sentence tokens"),

@@ -242,12 +242,9 @@ def export_ntriples(graph: Graph) -> str:
 _LINE_RE = re.compile(
     r'^<([^>]+)> <([^>]+)> (?:<([^>]+)>|"([^"\\]*(?:\\.[^"\\]*)*)") \.$')
 
-#: The line breaks of ``str.splitlines``.
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-#: One match per line of ``str.splitlines`` in the same order, plus at most
-#: one empty line at the end.
-_SPLIT_LINES_RE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
+#: One match per line, ended by LF, CR or CRLF (the N-Triples EOL), in
+#: order, plus at most one empty line at the end.
+_LINES_RE = re.compile("([^\r\n]*)(?:\r\n|[\r\n]|\\Z)")
 
 
 def import_ntriples(text: str) -> Graph:
@@ -255,8 +252,8 @@ def import_ntriples(text: str) -> Graph:
 
     Label statements restore node and predicate surface labels; quoted
     objects become literal nodes with minted URIs.  Statement order in the
-    rebuilt graph is the file's line order.  Lines are those of
-    ``str.splitlines``, read one at a time.
+    rebuilt graph is the file's line order.  A line ends at LF, CR or
+    CRLF, the N-Triples EOL; lines are read one at a time.
 
     Raises:
         ValueError: a line that is not a statement of the export subset;
@@ -265,7 +262,7 @@ def import_ntriples(text: str) -> Graph:
     raw_edges: list[tuple[str, str, str | None, str | None]] = []
     labels: dict[str, str] = {}
     uris: dict[str, str] = {}
-    for lineno, raw in enumerate(_SPLIT_LINES_RE.finditer(text), 1):
+    for lineno, raw in enumerate(_LINES_RE.finditer(text), 1):
         line = raw.group(1).strip()
         if not line or line.startswith("#"):
             continue

@@ -9,8 +9,9 @@ canonicalises the arguments, then writes each slot once through its slot
 descriptor.  :class:`Node` is slotted and mutable; trees are built by
 parsers and treated as read-only afterwards.
 
-Tree order is defined here only: :meth:`Node.walk` and :meth:`Node.walk_edges`
-go pre-order with an explicit stack, so a tree of any depth can be walked.
+Tree order is defined here only: :meth:`Node.walk_edges` goes pre-order with
+an explicit stack, so a tree of any depth can be walked, and
+:meth:`Node.walk` is the root followed by the node children it yields.
 A node's ``==`` and ``repr`` are the dataclass ones, computed over one edge
 walk, so a tree of any depth compares and prints.
 
@@ -382,17 +383,12 @@ class Node:
         self.edges.append((predicate, child))
 
     def walk(self):
-        """Yield this node and every descendant node, pre-order."""
+        """Yield this node and every descendant node, pre-order: this node,
+        then the node children of :meth:`walk_edges`."""
         yield self
-        stack = [iter(self.edges)]  # the unvisited edges of each open node
-        while stack:
-            for _, child in stack[-1]:
-                if isinstance(child, Node):
-                    yield child
-                    stack.append(iter(child.edges))
-                    break
-            else:
-                stack.pop()
+        for _, _, _, child in self.walk_edges():
+            if isinstance(child, Node):
+                yield child
 
     def walk_edges(self):
         """Yield ``(depth, node, predicate, child)`` for every edge below this

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .codec import unit_triples
 from .issues import ERROR, ValidationIssue
 from .model import (
+    CONTRIBUTION,
     Corpus,
     PaperAnnotation,
     PredicateKind,
@@ -73,24 +74,25 @@ class ValidationReport:
                        for i in self.issues)
 
 
-def _nested_units(tree: UnitTree):
-    """``(node, unit)`` of each node below the unit node that names a unit."""
+def _read_tree(unit: UnitLabel, tree: UnitTree, pool: list[str]):
+    """One ``tree.nodes()`` pass: add the canonical provenance to ``pool``,
+    and return the ``(node, unit)`` of each node below the unit node that
+    names a unit, and a filler-placement issue for each name/hasAcronym edge
+    of a node other than Approach or Model, which they are meant to name."""
+    nested, misplaced = [], []
     top = tree.unit_node
     for node in tree.nodes():
-        if node is tree.root or node is top:
-            continue
-        unit = lookup_unit_label(node.label)
-        if unit is not None:
-            yield node, unit
-
-
-def _sentence_pool(paper: PaperAnnotation) -> list[str]:
-    """Canonical texts a surface form may be grounded in."""
-    pool = paper.contribution_texts()  # sentence texts are single-space joins
-    for tree in (paper.units or {}).values():
-        for node in tree.nodes():
-            pool.extend(canonical_text(p) for p in node.provenance)
-    return pool
+        pool.extend(canonical_text(p) for p in node.provenance)
+        named = lookup_unit_label(node.label)
+        if named is not None and node is not tree.root and node is not top:
+            nested.append((node, named))
+        for predicate, _child in node.edges:
+            if (predicate.kind in (PredicateKind.FILLER_NAME, PredicateKind.FILLER_HAS_ACRONYM)
+                    and named not in (UnitLabel.APPROACH, UnitLabel.MODEL)):
+                misplaced.append(ValidationIssue(
+                    "filler-placement", f"{unit.identifier}/{node.label}",
+                    f"{predicate.text!r} used on a node other than Approach/Model"))
+    return nested, misplaced
 
 
 def validate_paper(paper: PaperAnnotation,
@@ -113,12 +115,14 @@ def validate_paper(paper: PaperAnnotation,
     policy = policy or ValidationPolicy()
     report = ValidationReport(paper.paper_id)
     issues = report.issues
-    units = paper.units or {}
     by_unit = unit_triples(paper)  # in identifier order
+    pool = paper.contribution_texts()  # canonical texts a surface may be grounded in
+    nested, misplaced = {}, {}
+    for unit, tree in (paper.units or {}).items():  # one pass per tree
+        nested[unit], misplaced[unit] = _read_tree(unit, tree, pool)
 
-    _check_mandatory(paper, by_unit, units, issues)
-    _check_encapsulation(units, issues)
-    pool = _sentence_pool(paper)
+    _check_mandatory(paper, by_unit, nested, issues)
+    _check_encapsulation(nested, issues)
     # canonical text holds no newline, so a surface found in the joined
     # pool lies inside one text
     grounded = _Grounding("\n".join(pool))
@@ -134,16 +138,15 @@ def validate_paper(paper: PaperAnnotation,
                 distinct[key] = triple
         if pool:
             _check_surfaces(unit, distinct.values(), grounded, policy, issues)
-        if unit in units:
-            _check_filler_placement(unit, units[unit], issues)
+        issues.extend(misplaced.get(unit, ()))
     _check_sentence_bounds(paper, issues)
     _check_phrase_length(paper, policy, issues)
     return report
 
 
-def _check_mandatory(paper: PaperAnnotation, present, units: dict[UnitLabel, UnitTree],
+def _check_mandatory(paper: PaperAnnotation, present, nested_units: dict[UnitLabel, list],
                      issues: list[ValidationIssue]) -> None:
-    """Unit presence from ``present``; Results nested in a tree from ``units``."""
+    """Unit presence from ``present``; Results nested in a tree from ``nested_units``."""
     where = paper.paper_id
     if UnitLabel.RESEARCH_PROBLEM not in present:
         issues.append(ValidationIssue("mandatory-unit-missing", where,
@@ -160,19 +163,19 @@ def _check_mandatory(paper: PaperAnnotation, present, units: dict[UnitLabel, Uni
             "both Approach and Model annotated; the scheme expects one"))
 
     results_ok = UnitLabel.RESULTS in present or any(
-        nested is UnitLabel.RESULTS for enc in ENCAPSULATING_UNITS & units.keys()
-        for _, nested in _nested_units(units[enc]))
+        nested is UnitLabel.RESULTS for enc in ENCAPSULATING_UNITS & nested_units.keys()
+        for _, nested in nested_units[enc])
     if not results_ok:
         issues.append(ValidationIssue("mandatory-unit-missing", where,
                                       "no Results unit, top-level or encapsulated"))
 
 
-def _check_encapsulation(units: dict[UnitLabel, UnitTree],
+def _check_encapsulation(nested_units: dict[UnitLabel, list],
                          issues: list[ValidationIssue]) -> None:
-    for unit in sorted(units, key=lambda u: u.identifier):
+    for unit in sorted(nested_units, key=lambda u: u.identifier):
         if unit in ENCAPSULATING_UNITS:
             continue
-        for node, nested in _nested_units(units[unit]):
+        for node, nested in nested_units[unit]:
             if nested in SUB_UNIT_LABELS:
                 issues.append(ValidationIssue(
                     "encapsulation-violation", f"{unit.identifier}/{node.label}",
@@ -210,28 +213,13 @@ def _check_surfaces(unit: UnitLabel, triples, grounded: _Grounding,
         for role, surface in (("subject", triple.subject), ("object", triple.object)):
             # the exemption is by role, so it stays out of the memo: a
             # predicate and a node may share a text
-            if surface == "Contribution" or lookup_unit_label(surface) is not None:
+            if surface == CONTRIBUTION or lookup_unit_label(surface) is not None:
                 continue
             if not grounded[surface]:
                 issues.append(ValidationIssue(
                     "provenance-missing", f"{unit.identifier}/{triple.subject}",
                     f"{role} {surface!r} not found in any source sentence",
                     severity=severity))
-
-
-def _check_filler_placement(unit: UnitLabel, tree: UnitTree,
-                            issues: list[ValidationIssue]) -> None:
-    """name/hasAcronym are meant to name the Approach or Model node."""
-    for node in tree.nodes():
-        for predicate, _child in node.edges:
-            if predicate.kind in (PredicateKind.FILLER_NAME,
-                                  PredicateKind.FILLER_HAS_ACRONYM):
-                subject_unit = lookup_unit_label(node.label)
-                if subject_unit not in (UnitLabel.APPROACH, UnitLabel.MODEL):
-                    issues.append(ValidationIssue(
-                        "filler-placement", f"{unit.identifier}/{node.label}",
-                        f"{predicate.text!r} used on a node other than "
-                        f"Approach/Model"))
 
 
 def _check_sentence_bounds(paper: PaperAnnotation,

@@ -178,6 +178,18 @@ class TestStats:
             "corpus: nosuch\tempty-task\tWarning\tno papers found for the listed task "
             "'nosuch'\n")
 
+    def test_a_form_feed_inside_a_line_ends_no_sentence(self, tmp_path, capsys):
+        paper = tmp_path / "t" / "p"
+        paper.mkdir(parents=True)
+        (paper / "text.txt").write_bytes(b"We propose\x0cX model .\nIt works .\n")
+        (paper / "sentences.txt").write_text("1\n2\n", encoding="utf-8")
+        (paper / "phrases.tsv").write_text("2\t0\t2\tIt works\n", encoding="utf-8")
+        assert run(["stats", "--manifest", str(tmp_path), "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        # both contribution sentences of a 2-sentence text
+        assert json.loads(out)["overall"]["avg_ann_sentences"] == 1.0
+        assert err == "corpus: t/p\tmissing-units\tWarning\tno information-unit files found\n"
+
     def test_env_var_manifest(self, tiny_root, tmp_path, monkeypatch):
         monkeypatch.setenv("NCG_MANIFEST", str(tiny_root))
         out = tmp_path / "stats.tsv"

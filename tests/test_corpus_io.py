@@ -579,6 +579,30 @@ def make_paper(root, task, paper, text="a b c\nd e f\n", sentences="1\n",
     return d
 
 
+#: The characters ``str.splitlines`` breaks at that end no line in text
+#: mode: VT, FF, FS, GS, RS, NEL, LS and PS.  Each is whitespace to ``str.split``.
+IN_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def text_mode_lines(fh) -> list[str]:
+    """The lines of a file opened in text mode, without their line ends."""
+    return [line.removesuffix("\n") for line in fh]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_the_line_parsers_read_cr_and_crlf_as_lf(newline):
+    sentences = [Sentence("p", 1, ("a", "b")), Sentence("p", 2, ("c",))]
+    phrases = "1\t0\t2\ta b\n\n2\t0\t1\tc\n"
+    triples = "(a||b||c)\n\n(c||d||e)\n"
+    assert parse_sentence_indices("1\n\n2\n".replace("\n", newline)) == {1, 2}
+    assert (parse_phrase_file(phrases.replace("\n", newline), sentences)
+            == parse_phrase_file(phrases, sentences))
+    assert parse_triple_lines(triples.replace("\n", newline)) == parse_triple_lines(triples)
+    with pytest.raises(FormatError) as caught:
+        parse_triple_lines(f"{triples}bad\n".replace("\n", newline))
+    assert caught.value.line == 4
+
+
 MINIMAL_UNITS = {
     "ResearchProblem": {"has": {"Research Problem": {"has": "a b c"}}},
     "Model": {"has": {"Model": {"name": "d"}}},
@@ -948,10 +972,10 @@ class TestLoadCorpus:
             path.parent.mkdir(parents=True)
             path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
             with open(path, encoding="utf-8-sig") as fh:
-                read = fh.read()
+                lines = text_mode_lines(fh)
             corpus, _ = load_corpus(CorpusManifest(root_path=tmp))
         eager = [Sentence("p", i, tuple(line.split())) if line.split() else None
-                 for i, line in enumerate(read.splitlines(), 1)]
+                 for i, line in enumerate(lines, 1)]
         paper = corpus.get("p")
         assert isinstance(paper.sentences, DocumentLines)
         assert paper.sentences == eager and eager == paper.sentences
@@ -962,22 +986,22 @@ class TestLoadCorpus:
         assert paper.total_token_count == sum(len(s.tokens) for s in eager if s)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.permutations(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
-                            "\x85", "\u2028", "\u2029"]),
+    @given(st.permutations(["\n", "\r", "\r\n", *IN_LINE_BREAKS]),
            st.lists(st.text(max_size=4), min_size=12, max_size=12))
     def test_token_count_is_the_sum_over_lines(self, breaks, pieces):
-        # every break of str.splitlines, each between two drawn pieces
+        # each line end and each of the eight in-line breaks, each between
+        # two drawn pieces
         text = "".join(p + b for p, b in zip(pieces, breaks + [""]))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t" / "p" / "text.txt"
             path.parent.mkdir(parents=True)
             path.write_bytes(text.encode("utf-8"))
             with open(path, encoding="utf-8-sig") as fh:
-                read = fh.read()
+                lines = text_mode_lines(fh)
             corpus, _ = load_corpus(CorpusManifest(root_path=tmp))
         paper = corpus.get("p")
-        assert paper.total_token_count == sum(len(line.split()) for line in read.splitlines())
-        assert paper.total_sentence_count == len(read.splitlines())
+        assert paper.total_token_count == sum(len(line.split()) for line in lines)
+        assert paper.total_sentence_count == len(lines)
 
     def test_trial_load_builds_no_triple_from_a_file_with_a_tree(self, trial_root,
                                                                 monkeypatch):
@@ -1062,6 +1086,95 @@ class TestLoadCorpus:
         corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
         assert len(corpus) == 1
         assert "duplicate-paper-id" in {i.code for i in issues}
+
+    @pytest.mark.parametrize("folder, suffix, role, bodies", [
+        ("info-units", ".json", "units",
+         [json.dumps({"has": {"Approach": {"uses": word}}}) for word in ("a", "b")]),
+        ("triples", ".txt", "triples",
+         [f"(Contribution||has||Approach)\n(Approach||uses||{word})\n" for word in "ab"]),
+    ], ids=["units", "triples"])
+    def test_a_second_file_of_a_unit_is_skipped(self, tmp_path, folder, suffix, role,
+                                                bodies):
+        d = make_paper(tmp_path, "t", "p")
+        (d / folder).mkdir(exist_ok=True)
+        # method is an alias of Approach, and Approach.json comes first in path order
+        for name, body in zip(("Approach", "method"), bodies):
+            (d / folder / f"{name}{suffix}").write_text(body, encoding="utf-8")
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert [t.key() for t in corpus.get("p").triples[UnitLabel.APPROACH]] == [
+            ("Contribution", "has", "Approach"), ("Approach", "uses", "a")]
+        assert [i.as_line() for i in issues if i.code == "duplicate-unit-file"] == [
+            f"t/p/{folder}/method{suffix}\tduplicate-unit-file\tError\t"
+            f"a second {role} file of Approach; skipped"]
+        assert "triples-file-mismatch" not in {i.code for i in issues}
+        # a directory in place of the second file is absent, not a second file
+        (d / folder / f"method{suffix}").unlink()
+        (d / folder / f"method{suffix}").mkdir()
+        _, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert "duplicate-unit-file" not in {i.code for i in issues}
+
+    @pytest.mark.parametrize("folder, suffix, broken, good", [
+        ("info-units", ".json", "{", json.dumps({"has": {"Approach": {"uses": "b"}}})),
+        ("triples", ".txt", "not a triple\n",
+         "(Contribution||has||Approach)\n(Approach||uses||b)\n"),
+    ], ids=["units", "triples"])
+    def test_a_unit_file_that_fails_to_parse_claims_nothing(self, tmp_path, folder,
+                                                           suffix, broken, good):
+        d = make_paper(tmp_path, "t", "p")
+        (d / folder).mkdir(exist_ok=True)
+        (d / folder / f"Approach{suffix}").write_text(broken, encoding="utf-8")
+        (d / folder / f"method{suffix}").write_text(good, encoding="utf-8")
+        corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert [t.key() for t in corpus.get("p").triples[UnitLabel.APPROACH]] == [
+            ("Contribution", "has", "Approach"), ("Approach", "uses", "b")]
+        assert [i.location for i in issues if i.severity == ERROR] == [
+            f"t/p/{folder}/Approach{suffix}:1"]
+
+    @pytest.mark.parametrize("name, body", [
+        ("phrases.tsv", "1\t0\t1\ta\x0c\nnot a phrase line\n"),
+        ("triples/Results.txt", "(Contribution||has||Results)\x0c\nnot a triple line\n"),
+    ])
+    def test_a_format_error_after_an_in_line_break_names_the_lf_line(self, tmp_path,
+                                                                      name, body):
+        d = make_paper(tmp_path, "t", "p")
+        (d / name).parent.mkdir(exist_ok=True)
+        (d / name).write_bytes(body.encode("utf-8"))
+        _, issues = load_corpus(CorpusManifest(root_path=tmp_path))
+        assert [i.location for i in issues if i.code == "format-error"] == [f"t/p/{name}:2"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_in_line_breaks_load_as_spaces(self, data):
+        """A plaintext line, a phrase surface or a triple field holding any of
+        the eight in-line breaks loads as its copy with each replaced by a
+        space, papers and issues alike."""
+        words = st.lists(st.tuples(st.sampled_from(["a", "b", "c", "Results", "on"]),
+                                   st.sampled_from([" ", *IN_LINE_BREAKS])),
+                         min_size=1, max_size=4).map(lambda ws: "".join(w + s for w, s in ws))
+        lines = data.draw(st.lists(st.just("") | words, min_size=1, max_size=5))
+        phrases = data.draw(st.lists(st.tuples(st.integers(1, len(lines) + 1),
+                                               st.integers(0, 3), st.integers(1, 4), words),
+                                     max_size=5))
+        triples = data.draw(st.lists(st.tuples(words | st.just("Results"), words, words),
+                                     max_size=5))
+        files = {
+            "text.txt": "".join(f"{line}\n" for line in lines),
+            "sentences.txt": "1\n",
+            "phrases.tsv": "".join(f"{i}\t{s}\t{e}\t{surface}\n"
+                                   for i, s, e, surface in phrases),
+            "triples/Results.txt": "(Contribution||has||Results)\n" + "".join(
+                f"({s}||{p}||{o})\n" for s, p, o in triples),
+        }
+        spaces = dict.fromkeys(map(ord, IN_LINE_BREAKS), " ")
+        loaded = []
+        for table in ({}, spaces):
+            with tempfile.TemporaryDirectory() as tmp:
+                for name, body in files.items():
+                    path = Path(tmp) / "t" / "p" / name
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_bytes(body.translate(table).encode("utf-8"))
+                loaded.append(load_corpus(CorpusManifest(root_path=tmp)))
+        assert loaded[0] == loaded[1]
 
 
 # bytes biased towards BOMs, line ends and broken UTF-8

@@ -290,14 +290,18 @@ def test_export_of_imported_graph_writes_a_repeated_label_line_once():
     ]
 
 
-#: Every line break of ``str.splitlines``, and whitespace that is not one.
+#: The N-Triples EOL (LF, CRLF, CR), then the eight other breaks of
+#: ``str.splitlines``, which end no line.
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029"]
+IN_LINE_BREAKS = LINE_BREAKS[3:]
+#: The first seven are statements, the rest are not.
 IMPORT_LINES = [
     '<ncg:p/Contribution> <ncg:pred/has> <ncg:p/Results/1> .',
     '<ncg:p/Contribution> <ncg:pred/label> "Contribution" .',
     '<ncg:p/Results/1> <ncg:pred/label> "Results" .',
     '<ncg:p/Results/1> <ncg:pred/on> "x\\ny" .',
+    '<ncg:p/Results/1> <ncg:pred/on> "x\u2028\x0cy\x85" .',
     ' \t<ncg:p/Results/1> <ncg:pred/on> "z" .\x1f',
     '<ncg:pred/on> <ncg:pred/label> "on" .',
     "", "  ", "# comment", "not a statement", '<ncg:p/Results/1> <ncg:pred/on> "z',
@@ -318,18 +322,27 @@ def import_outcome(text):
                 max_size=10).map(lambda parts: "".join(a + b for a, b in parts)),
        st.booleans())
 @example('# h\x1c\x1c<a> x\r\n', False)
-def test_import_reads_the_lines_of_splitlines(text, drop_last_break):
+def test_import_reads_the_lines_of_n_triples_eol(text, drop_last_break):
     if drop_last_break:
         text = text[:-1]
     outcome = import_outcome(text)
-    assert outcome == import_outcome("\n".join(text.splitlines()))
-    bad = [n for n, line in enumerate(text.splitlines(), 1)
+    lines = re.split("\r\n|[\r\n]", text)  # the N-Triples EOL
+    assert outcome == import_outcome("\n".join(lines))
+    bad = [n for n, line in enumerate(lines, 1)
            if line.strip() and not line.strip().startswith("#")
-           and line.strip() not in {s.strip() for s in IMPORT_LINES[:6]}]
+           and line.strip() not in {s.strip() for s in IMPORT_LINES[:7]}]
     if bad:
         assert outcome.startswith(f"line {bad[0]}: ")
     else:
         assert isinstance(outcome, tuple)
+
+
+@pytest.mark.parametrize("char", IN_LINE_BREAKS)
+def test_a_literal_holding_an_in_line_break_round_trips(char):
+    graph = import_ntriples(f'<ncg:a> <ncg:pred/on> "x{char}y" .\n')
+    assert [edge[2] for edge in edge_signature(graph)] == [f"x{char}y"]
+    again = import_ntriples(export_ntriples(graph))
+    assert edge_signature(again) == edge_signature(graph)
 
 
 #: The statement pattern with its literal written as an alternation, as

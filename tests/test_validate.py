@@ -318,6 +318,7 @@ SEVERITIES = {
     "empty-corpus": WARNING, "empty-task": WARNING, "missing-text": ERROR, "missing-sentences": WARNING,
     "missing-phrases": WARNING, "missing-units": WARNING, "missing-triples": WARNING,
     "duplicate-paper-id": ERROR, "format-error": ERROR, "unknown-unit-label": WARNING,
+    "duplicate-unit-file": ERROR,
     "duplicate-sentence-index": WARNING, "span-out-of-range": ERROR,
     "span-text-mismatch": WARNING, "single-pipe-delimiter": WARNING,
     "root-not-unit": WARNING, "nest-failed": WARNING, "triples-file-mismatch": WARNING,
