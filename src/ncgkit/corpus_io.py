@@ -42,6 +42,7 @@ from .errors import (
     SpanOutOfRange,
     SpanTextMismatch,
     UnknownUnitLabel,
+    position,
 )
 from .issues import ValidationIssue
 from .model import (
@@ -265,7 +266,7 @@ def parse_sentence_indices(text: str, *, issues: list[ValidationIssue] | None = 
             raise FormatError(f"not a positive sentence index: {line!r}",
                               path=location, line=lineno)
         if value in out:
-            _note(issues, "duplicate-sentence-index", f"{location}:{lineno}",
+            _note(issues, "duplicate-sentence-index", position(location, lineno),
                   f"index {value} listed more than once")
         out.add(value)
     return out
@@ -349,7 +350,7 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
         except SpanOutOfRange as exc:
             if strict:
                 raise
-            _note(issues, "span-out-of-range", f"{location}:{lineno}", exc.args[0])
+            _note(issues, "span-out-of-range", position(location, lineno), exc.args[0])
             continue
         covered = " ".join(sent.tokens[start_tok:end_tok])
         if surface != covered:
@@ -359,7 +360,7 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                     raise SpanTextMismatch(
                         f"surface {surface!r} != covered tokens {covered!r}",
                         path=location, line=lineno)
-                _note(issues, "span-text-mismatch", f"{location}:{lineno}",
+                _note(issues, "span-text-mismatch", position(location, lineno),
                       f"surface {surface!r} repaired to {covered!r}")
         spans.append(span(idx, start_tok, end_tok, covered))
     return spans
@@ -621,7 +622,7 @@ def _triple_fields(text: str, *, issues: list[ValidationIssue] | None,
             for piece in fields:
                 refined.extend(piece.split("|"))
             if len(refined) == 3:
-                _note(issues, "single-pipe-delimiter", f"{location}:{lineno}",
+                _note(issues, "single-pipe-delimiter", position(location, lineno),
                       f"single | delimiter in {line!r}")
                 fields = refined
         if len(fields) != 3:
@@ -804,41 +805,46 @@ def _unit_files(manifest: CorpusManifest, root: str, role: str, task: str,
     return out
 
 
-#: What ``parsed`` in :func:`_load_paper` returns when no regular file is there.
-_ABSENT = object()
+def _paper_path(pattern: str, ids: dict[str, str]) -> str:
+    """A paper's path below the root: the text pattern up to its ``{paper}`` component."""
+    parts = pattern.split("/")
+    return _rel("/".join(parts[:_component(parts, "paper") + 1]).format(**ids))
 
 
 def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
                 issues: list[ValidationIssue]) -> PaperAnnotation | None:
-    strict = manifest.strict
+    ids = {"task": task, "paper": paper_id}
+    here = _paper_path(manifest.layout["text"], ids)
 
-    def locate(role: str) -> str:
-        return _rel(manifest.layout[role].format(task=task, paper=paper_id))
-
-    def parsed(loc: str, parse: Callable[..., object], *args, suffix: str = "", **kw):
-        """parse(text of the file at loc, *args, **kw), or _ABSENT when no
-        regular file is at loc; a FormatError raises in strict mode and
-        otherwise becomes None and a format-error issue at loc or loc:line,
-        its message the error's bare text + suffix."""
+    def parsed(loc: str, parse: Callable[..., object], *args,
+               missing: tuple[str, str] | None = None, suffix: str = "", **kw):
+        """parse(text of the file at loc, *args, **kw), or None.  When no regular
+        file is at loc, the ``missing`` (code, message) issue is noted, if given.
+        A FormatError raises in strict mode and otherwise becomes a format-error
+        issue at loc or loc:line, its message the error's bare text + suffix."""
         try:
             text = _read(os.path.join(root, loc), loc)
-            return _ABSENT if text is None else parse(text, *args, **kw)
+            if text is not None:
+                return parse(text, *args, **kw)
         except FormatError as exc:
-            if strict:
+            if manifest.strict:
                 raise
-            where = loc if exc.line is None else f"{loc}:{exc.line}"
-            issues.append(ValidationIssue("format-error", where, exc.args[0] + suffix))
+            issues.append(ValidationIssue("format-error", position(loc, exc.line),
+                                          exc.args[0] + suffix))
             return None
+        if missing is not None:
+            issues.append(ValidationIssue(missing[0], loc, missing[1]))
+        return None
 
     def per_unit(role: str, parse: Callable[..., object]) -> dict | None:
-        """The first parsed file of each unit of a per-unit role; None if it has no files."""
+        """The first parsed file of each unit of a per-unit role; None when the
+        role has no file there: none parsed and none reported."""
         out = {}
-        found = False
+        reported = len(issues)
         for name, loc in _unit_files(manifest, root, role, task, paper_id):
             try:
                 unit = normalize_unit_label(name)
             except UnknownUnitLabel as exc:
-                found = True
                 issues.append(ValidationIssue("unknown-unit-label", loc, str(exc)))
                 continue
             if unit in out:
@@ -847,113 +853,91 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
                                                   f"{role} file of {unit.identifier}; skipped"))
                 continue
             result = parsed(loc, parse, unit, issues=issues, location=loc)
-            if result is _ABSENT:
-                continue
-            found = True
             if result is not None:
                 out[unit] = result
-        return out if found else None
+        return out if out or len(issues) > reported else None
 
-    loc = locate("text")
-    text = parsed(loc, str, suffix="; paper skipped")
-    if text is _ABSENT:
-        if strict:
-            raise FormatError("missing plaintext file", path=loc)
-        issues.append(ValidationIssue("missing-text", loc, "plaintext absent; paper skipped"))
-        return None
+    loc = _rel(manifest.layout["text"].format(**ids))
+    text = parsed(loc, str, missing=("missing-text", "plaintext absent; paper skipped"),
+                  suffix="; paper skipped")
     if text is None:
+        if manifest.strict:  # a file that failed has raised, so this one is absent
+            raise FormatError("missing plaintext file", path=loc)
         return None
-    # a line end is whitespace to str.split, so counting on the whole text
-    # equals the sum of the per-line counts
-    lines = _lines(text)
+    sentences = DocumentLines(paper_id, _lines(text))
+    # a line end is whitespace to str.split, so this is the sum of the per-line
+    # counts; taken before the other layers are read, it adds nothing to load's peak
     token_count = len(text.split())
-
-    paper = PaperAnnotation(
-        paper_id=paper_id,
-        task=task,
-        total_sentence_count=manifest.sentence_totals.get(paper_id, len(lines)),
-        total_token_count=manifest.token_totals.get(paper_id, token_count),
-        sentences=DocumentLines(paper_id, lines),
-    )
-
-    loc = locate("sentences")
-    indices = parsed(loc, parse_sentence_indices, issues=issues, location=loc)
-    if indices is _ABSENT:
-        issues.append(ValidationIssue("missing-sentences", loc, "sentence-index file absent"))
-    else:
-        paper.contribution_sentence_indices = indices
-
-    loc = locate("phrases")
-    phrases = parsed(loc, parse_phrase_file, paper.sentences, strict=strict,
-                     offset_unit=manifest.offset_unit, issues=issues, location=loc)
-    if phrases is _ABSENT:
-        issues.append(ValidationIssue("missing-phrases", loc, "phrase file absent"))
-    else:
-        paper.phrases = phrases
-
-    paper.units = per_unit("units", parse_unit_file)
-    if paper.units is None:
-        issues.append(ValidationIssue("missing-units", f"{task}/{paper_id}",
-                                      "no information-unit files found"))
+    loc = _rel(manifest.layout["sentences"].format(**ids))
+    indices = parsed(loc, parse_sentence_indices, issues=issues, location=loc,
+                     missing=("missing-sentences", "sentence-index file absent"))
+    loc = _rel(manifest.layout["phrases"].format(**ids))
+    phrases = parsed(loc, parse_phrase_file, sentences, strict=manifest.strict,
+                     offset_unit=manifest.offset_unit, issues=issues, location=loc,
+                     missing=("missing-phrases", "phrase file absent"))
+    trees = per_unit("units", parse_unit_file)
+    if trees is None:
+        issues.append(ValidationIssue("missing-units", here, "no information-unit files found"))
     file_lines = per_unit("triples", lambda text, unit, **kw: _triple_fields(text, **kw))
-    if file_lines is None and paper.units:
-        issues.append(ValidationIssue(
-            "missing-triples", f"{task}/{paper_id}",
-            "no triples files; derived by flattening the unit trees"))
+    if file_lines is None and trees:
+        issues.append(ValidationIssue("missing-triples", here,
+                                      "no triples files; derived by flattening the unit trees"))
+    units, triples = _reconcile(here, trees, file_lines, issues)
+    return PaperAnnotation(
+        paper_id=paper_id, task=task,
+        total_sentence_count=manifest.sentence_totals.get(paper_id, len(sentences)),
+        total_token_count=manifest.token_totals.get(paper_id, token_count),
+        contribution_sentence_indices=indices, phrases=phrases, units=units,
+        triples=triples, sentences=sentences)
 
-    _reconcile_units_and_triples(task, paper, file_lines, issues)
-    return paper
 
+def _reconcile(here: str, trees: dict[UnitLabel, UnitTree] | None,
+               file_lines: dict[UnitLabel, list[tuple[str, str, str]]] | None,
+               issues: list[ValidationIssue]
+               ) -> tuple[dict[UnitLabel, UnitTree] | None, dict[UnitLabel, list[Triple]] | None]:
+    """A paper's units and triples from its trees and its triples files' lines.
 
-def _reconcile_units_and_triples(
-        task: str, paper: PaperAnnotation,
-        file_lines: dict[UnitLabel, list[tuple[str, str, str]]] | None,
-        issues: list[ValidationIssue]) -> None:
-    """Fill ``paper.triples`` from the trees and the triples files' lines.
-
-    ``file_lines`` holds each file's fields as written, and is None when
-    the paper has no triples files.  Triples without a tree get nest()
-    output where they form a tree.  Every tree, shipped or rebuilt, stores
+    ``file_lines`` holds each file's fields as written; either map is None
+    when the paper has no such files.  Tree units are visited in path
+    order, then units with only a triples file, whose triples get nest()
+    output where they form a tree.  Every tree, shipped or rebuilt, gives
     its flatten() output as the unit's triples.  A shipped triples file
     must be set-equal to the flattened tree, compared by canonical key; any
     difference is itemized as a warning, never silently dropped.  Triple
     objects are built from a file only for units without a tree.
     """
-    units = paper.units or {}
+    shipped = trees or {}
     lines_by_unit = file_lines or {}
-    triples: dict[UnitLabel, list[Triple]] = dict.fromkeys(lines_by_unit)
-    for unit, tree in units.items():
-        flat = flatten(tree)
-        if unit in lines_by_unit:
-            tree_keys = {t.key() for t in flat.triples}
+    units: dict[UnitLabel, UnitTree] = {}
+    triples: dict[UnitLabel, list[Triple]] = {}
+    for unit in {**shipped, **lines_by_unit}:
+        tree = shipped.get(unit)
+        lines = lines_by_unit.get(unit)
+        if tree is None:
+            listed = _triples(lines)
+            try:
+                tree = nest(listed, unit)
+            except NotATree as exc:
+                issues.append(ValidationIssue("nest-failed", f"{here}/{unit.identifier}",
+                                              str(exc)))
+                triples[unit] = listed
+                continue
+        units[unit] = tree
+        triples[unit] = flat = flatten(tree).triples
+        if unit in shipped and lines is not None:
+            tree_keys = {t.key() for t in flat}
             # tree keys are canonical, so fields as written that equal them
             # are canonical too
-            file_keys = set(lines_by_unit[unit])
+            file_keys = set(lines)
             if file_keys != tree_keys:
                 file_keys = {tuple(map(canonical_text, fields)) for fields in file_keys}
             if file_keys != tree_keys:
-                missing = sorted(tree_keys - file_keys)
-                extra = sorted(file_keys - tree_keys)
                 issues.append(ValidationIssue(
-                    "triples-file-mismatch", f"{task}/{paper.paper_id}/{unit.identifier}",
-                    f"tree-only: {missing}; file-only: {extra}"))
-        triples[unit] = flat.triples
-    for unit, lines in lines_by_unit.items():
-        if unit in units:
-            continue
-        listed = _triples(lines)
-        try:
-            units[unit] = nest(listed, unit)
-        except NotATree as exc:
-            issues.append(ValidationIssue(
-                "nest-failed", f"{task}/{paper.paper_id}/{unit.identifier}", str(exc)))
-            triples[unit] = listed
-            continue
-        triples[unit] = flatten(units[unit]).triples
-    if paper.units is not None or units:
-        paper.units = units
-    if file_lines is not None or triples:
-        paper.triples = triples
+                    "triples-file-mismatch", f"{here}/{unit.identifier}",
+                    f"tree-only: {sorted(tree_keys - file_keys)}; "
+                    f"file-only: {sorted(file_keys - tree_keys)}"))
+    # a map left empty is the one read: None when the paper has no such files
+    return units or trees, triples or file_lines
 
 
 def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]]:
@@ -990,7 +974,7 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
         for paper_id in paper_ids:
             if paper_id in seen:
                 issues.append(ValidationIssue(
-                    "duplicate-paper-id", f"{task}/{paper_id}",
+                    "duplicate-paper-id", _paper_path(text, {"task": task, "paper": paper_id}),
                     "paper id already seen under another task; skipped"))
                 continue
             paper = _load_paper(manifest, root_dir, task, paper_id, issues)
@@ -1000,5 +984,5 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
         if papers:
             corpus.tasks[task] = papers
     if not seen:
-        issues.append(ValidationIssue("empty-corpus", str(root), "no papers found"))
+        issues.append(ValidationIssue("empty-corpus", ".", "no papers found"))
     return corpus, issues

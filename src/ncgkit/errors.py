@@ -1,6 +1,13 @@
-"""Exception hierarchy shared by all ncgkit modules."""
+"""Exception hierarchy shared by all ncgkit modules, and one spelling of ``path:line``."""
 
 from __future__ import annotations
+
+
+def position(path: str | None, line: int | None) -> str:
+    """Where in a file: ``path:line``, ``path`` or ``line N``; "" if both are unset."""
+    if line is None:
+        return path or ""
+    return f"{path}:{line}" if path else f"line {line}"
 
 
 class NcgError(Exception):
@@ -24,14 +31,8 @@ class FormatError(NcgError):
         super().__init__(message)
 
     def __str__(self) -> str:
-        where = ""
-        if self.path is not None:
-            where = f"{self.path}: "
-            if self.line is not None:
-                where = f"{self.path}:{self.line}: "
-        elif self.line is not None:
-            where = f"line {self.line}: "
-        return where + super().__str__()
+        where = position(self.path, self.line)
+        return f"{where}: {super().__str__()}" if where else super().__str__()
 
 
 class AlternationError(FormatError):

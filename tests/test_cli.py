@@ -178,6 +178,17 @@ class TestStats:
             "corpus: nosuch\tempty-task\tWarning\tno papers found for the listed task "
             "'nosuch'\n")
 
+    def test_an_empty_corpus_is_located_at_the_root_however_named(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        (tmp_path / "empty" / "task").mkdir(parents=True)
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        errs = []
+        for name in (str(tmp_path / "empty"), "../empty", os.path.join("..", "empty", ".")):
+            assert run(["stats", "--manifest", name]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs == ["corpus: .\tempty-corpus\tWarning\tno papers found\n"] * 3
+
     def test_a_form_feed_inside_a_line_ends_no_sentence(self, tmp_path, capsys):
         paper = tmp_path / "t" / "p"
         paper.mkdir(parents=True)

@@ -60,6 +60,12 @@ class TestSentenceIndices:
         assert parse_sentence_indices("7\n7\n", issues=issues) == {7}
         assert [i.code for i in issues] == ["duplicate-sentence-index"]
 
+    def test_a_note_without_a_location_names_its_line(self):
+        issues = []
+        parse_sentence_indices("1\n1\n", issues=issues)
+        assert [i.location for i in issues] == ["line 2"]
+        assert str(FormatError("x", line=2)) == "line 2: x"
+
     def test_non_integer_line(self):
         with pytest.raises(FormatError):
             parse_sentence_indices("3\nseven\n")
@@ -120,6 +126,13 @@ class TestPhraseFile:
                                   issues=issues)
         assert spans[0].text == "adding features"
         assert [(i.code, i.severity) for i in issues] == [("span-text-mismatch", WARNING)]
+
+    def test_a_note_without_a_location_names_its_line(self):
+        issues = []
+        parse_phrase_file("159\t14\t20\tx y\n159\t2\t4\tadding feature\n",
+                          [sentence_159()], issues=issues)
+        assert [(i.code, i.location) for i in issues] == [
+            ("span-out-of-range", "line 1"), ("span-text-mismatch", "line 2")]
 
     def test_mismatch_messages_name_the_canonical_surface(self):
         line = "159\t2\t4\tadding  feature"
@@ -499,6 +512,13 @@ class TestTripleLines:
         assert triples[0].key() == ("Contribution", "has", "Results")
         assert [i.code for i in issues] == ["single-pipe-delimiter"]
 
+    def test_a_note_without_a_location_names_its_line(self):
+        issues = []
+        parse_triple_lines("\n(Contribution|has||Results)\n", issues=issues)
+        assert [i.location for i in issues] == ["line 2"]
+        parse_triple_lines("(Contribution|has||Results)\n", issues=issues, location="t.txt")
+        assert [i.location for i in issues] == ["line 2", "t.txt:1"]
+
     def test_field_count_violation(self):
         with pytest.raises(FormatError):
             parse_triple_lines("(a||b)")
@@ -612,10 +632,14 @@ MINIMAL_UNITS_LABELS = (UnitLabel.RESEARCH_PROBLEM, UnitLabel.MODEL, UnitLabel.R
 
 
 class TestLoadCorpus:
-    def test_empty_directory(self, tmp_path):
+    def test_empty_directory(self, tmp_path, monkeypatch):
         corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
         assert len(corpus) == 0
-        assert [i.code for i in issues] == ["empty-corpus"]
+        assert [i.as_line() for i in issues] == [".\tempty-corpus\tWarning\tno papers found"]
+        # the root is located at . however it is spelled
+        monkeypatch.chdir(tmp_path.parent)
+        relative = load_corpus(CorpusManifest(root_path=Path(tmp_path.name)))[1]
+        assert relative == issues
 
     def test_basic_load(self, tmp_path):
         make_paper(tmp_path, "t1", "p1", units=MINIMAL_UNITS)
@@ -859,6 +883,8 @@ class TestLoadCorpus:
         assert got.paper_ids() == want.paper_ids() == [p.name for p in papers]
         assert [i.code for i in got_issues] == [i.code for i in want_issues] == [
             "missing-triples"]
+        # a paper is located at the text pattern's path through its {paper} component
+        assert [i.location for i in got_issues] == [f"data/papers/{papers[-1].name}.d"]
         assert corpus_stats(got) == corpus_stats(want)
         assert corpus_stats(want).overall.ann_phrases == len(papers)
         assert all(set(p.triples) == set(p.units) for p in got.papers())
@@ -1301,6 +1327,19 @@ class TestLoadIssues:
         assert set(e.units) == set(e.triples) == set(MINIMAL_UNITS_LABELS)
         # unit files that all fail leave an empty map; no unit files leave None
         assert (f.units, f.triples, g.units, g.triples) == ({}, None, None, None)
+
+    def test_paper_and_unit_issues_follow_the_layout(self, tmp_path):
+        for root in (tmp_path / "default", tmp_path / "moved" / "data"):
+            make_messy_corpus(root)
+            make_paper(root, "u", "c", units=MINIMAL_UNITS)
+        default = load_corpus(CorpusManifest(root_path=tmp_path / "default"))[1]
+        layout = {role: "data/" + pattern for role, pattern in DEFAULT_LAYOUT.items()}
+        moved = load_corpus(CorpusManifest(root_path=tmp_path / "moved", layout=layout))[1]
+        assert {"missing-units", "missing-triples", "duplicate-paper-id",
+                "triples-file-mismatch", "nest-failed"} <= {i.code for i in default}
+        assert [(i.code, i.location, i.message) for i in moved] == [
+            (i.code, f"data/{i.location}", i.message) for i in default]
+        assert [i.location for i in moved if i.code == "duplicate-paper-id"] == ["data/u/c"]
 
     def test_dangling_predicate_is_reported_at_its_unit_file(self, tmp_path):
         results = {"has": {"Results": {"improves": "e f", "on": {}, "by": " "}}}
