@@ -63,6 +63,7 @@ from .model import (
     DocumentLines,
     Node,
     PaperAnnotation,
+    PhraseColumns,
     PhraseSpan,
     Predicate,
     PredicateKind,

@@ -29,6 +29,7 @@ import re
 import reprlib
 import stat
 import string
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -51,7 +52,7 @@ from .model import (
     DocumentLines,
     Node,
     PaperAnnotation,
-    PhraseSpan,
+    PhraseColumns,
     Predicate,
     Sentence,
     Triple,
@@ -293,21 +294,20 @@ def _char_span_to_tokens(sentence: Sentence, start: int, end: int) -> tuple[int,
 def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                       strict: bool = False, offset_unit: str = "token",
                       issues: list[ValidationIssue] | None = None,
-                      location: str = "") -> list[PhraseSpan]:
+                      location: str = "") -> PhraseColumns:
     """Parse a 4-column TSV of phrase spans, validating against the sentences.
 
     The surface text must equal the covered tokens joined by spaces, once
     its whitespace is canonical.  Out-of-range spans raise in strict mode
     and are dropped with an error issue otherwise; text mismatches raise in
     strict mode and are otherwise repaired from the sentence tokens with a
-    warning, so every returned span satisfies its invariants.
+    warning, so every returned span satisfies its invariants.  Each text is
+    stored canonical, as ``PhraseSpan`` would make it.
     """
-    # a loaded paper's tokens come from str.split, so their join is canonical
-    span = PhraseSpan._from_canonical if isinstance(sentences, DocumentLines) else PhraseSpan
     by_index: dict[int, Sentence] | None = None
     # each referenced sentence is looked up, and so tokenized, once
     found: dict[int, Sentence | None] = {}
-    spans: list[PhraseSpan] = []
+    indices, starts, ends, texts = array("I"), array("I"), array("I"), []
     for lineno, raw in enumerate(_lines(text), 1):
         cols = raw.split("\t")
         try:
@@ -362,8 +362,11 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                         path=location, line=lineno)
                 _note(issues, "span-text-mismatch", position(location, lineno),
                       f"surface {surface!r} repaired to {covered!r}")
-        spans.append(span(idx, start_tok, end_tok, covered))
-    return spans
+        indices.append(idx)
+        starts.append(start_tok)
+        ends.append(end_tok)
+        texts.append(canonical_text(covered))
+    return PhraseColumns(indices, starts, ends, texts)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .codec import unit_triples
 from .errors import GranularityUnavailable, MissingTotals
-from .model import Corpus, PaperAnnotation, UnitLabel
+from .model import Corpus, PaperAnnotation, PhraseColumns, UnitLabel
 
 
 def _ratio(num: float, den: float) -> float:
@@ -112,9 +112,9 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
             row.total_tokens += paper.total_token_count
             if paper.contribution_sentence_indices:
                 row.ann_sentences += len(paper.contribution_sentence_indices)
-            for span in paper.phrases or []:
-                row.ann_phrases += 1
-                row.phrase_tokens += span.token_count()
+            phrases = PhraseColumns.of(paper.phrases or [])
+            row.ann_phrases += len(phrases)
+            row.phrase_tokens += sum(phrases.end_toks) - sum(phrases.start_toks)
             row.ann_triples += sum(map(len, by_unit.values()))
         overall.add(row)
     return CorpusStats(per_task, overall)
@@ -167,7 +167,7 @@ class MatchConfig:
     sentence with token Jaccard >= 0.5 match one to one, as many as can be
     matched).  ``triple_scope``: per-unit keeps triples within their
     information unit; per-paper pools them.  ``text_fold`` optionally case
-    folds text before comparison.
+    folds text, which is canonical already, before comparison.
     """
 
     phrase_match: str = "exact-text"
@@ -181,10 +181,6 @@ class MatchConfig:
             raise ValueError(f"bad triple_scope: {self.triple_scope!r}")
         if self.text_fold not in (None, "casefold"):
             raise ValueError(f"bad text_fold: {self.text_fold!r}")
-
-    def fold(self, text: str) -> str:
-        """The matching form of a model text, which is already canonical."""
-        return text.casefold() if self.text_fold == "casefold" else text
 
 
 @dataclass
@@ -204,54 +200,56 @@ def _layer_present(paper: PaperAnnotation, granularity: str) -> bool:
 
 
 def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set | list:
-    """The paper's items at one granularity: a set, or the list of its spans
-    for partial overlap, where equal spans each count.  Only one paper's
-    items are ever compared, so no item holds the paper id."""
+    """The paper's items at one granularity: a set, or for partial overlap
+    the list of its ``(index, start, end)`` spans, where equal spans each
+    count.  Only one paper's items are ever compared, so no item holds the
+    paper id.  Whether texts are case folded is decided once per call."""
     if granularity == "units":
         return set(unit_triples(paper))
     if granularity == "sentences":
         return set(paper.contribution_sentence_indices or ())
     if granularity == "phrases":
-        spans = paper.phrases or []
-        if config.phrase_match == "partial-overlap":
-            return spans
-        if config.phrase_match == "exact-span":
-            return {(s.sentence_index, s.start_tok, s.end_tok) for s in spans}
-        return {(s.sentence_index, config.fold(s.text)) for s in spans}
-    items = set()
-    for unit, triples in unit_triples(paper).items():
-        scope = unit if config.triple_scope == "per-unit" else None
-        for t in triples:
-            items.add((scope, config.fold(t.subject),
-                       config.fold(t.predicate.text), config.fold(t.object)))
-    return items
+        spans = PhraseColumns.of(paper.phrases or [])
+        if config.phrase_match != "exact-text":
+            keys = zip(spans.sentence_indices, spans.start_toks, spans.end_toks)
+            return list(keys) if config.phrase_match == "partial-overlap" else set(keys)
+        texts = spans.texts()
+        return set(zip(spans.sentence_indices,
+                       map(str.casefold, texts) if config.text_fold else texts))
+    per_unit = config.triple_scope == "per-unit"
+    keys = ((unit if per_unit else None, t.subject, t.predicate.text, t.object)
+            for unit, triples in unit_triples(paper).items() for t in triples)
+    if config.text_fold:
+        return {(scope, s.casefold(), p.casefold(), o.casefold()) for scope, s, p, o in keys}
+    return set(keys)
 
 
 def _max_matching(gold: list, pred: list) -> int:
     """Size of a maximum one-to-one matching of gold to predicted spans.
 
-    A pair can match when both spans lie in one sentence and their token
-    Jaccard is at least 0.5, which in integers is 3·overlap >= the sum of
-    their lengths.  The matching grows by one augmenting path at a time, as
-    in Hopcroft and Karp (1973) without their phases.
+    Spans are ``(index, start, end)`` tuples.  A pair can match when both
+    spans lie in one sentence and their token Jaccard is at least 0.5,
+    which in integers is 3·overlap >= the sum of their lengths.  The
+    matching grows by one augmenting path at a time, as in Hopcroft and
+    Karp (1973) without their phases.
     """
     # each sentence's predicted spans in start order, and their starts
     by_sentence: dict[int, list[int]] = {}
-    for j in sorted(range(len(pred)), key=lambda j: pred[j].start_tok):
-        by_sentence.setdefault(pred[j].sentence_index, []).append(j)
-    starts = {index: [pred[j].start_tok for j in js] for index, js in by_sentence.items()}
+    for j in sorted(range(len(pred)), key=lambda j: pred[j][1]):
+        by_sentence.setdefault(pred[j][0], []).append(j)
+    starts = {index: [pred[j][1] for j in js] for index, js in by_sentence.items()}
     candidates = []
-    for g in gold:
-        size = g.end_tok - g.start_tok
-        # a match is at most twice as long as g and overlaps it, so it
-        # starts after g.start_tok - 2·size and before g.end_tok
-        window = starts.get(g.sentence_index, [])
-        lo = bisect_left(window, g.start_tok - 2 * size + 1)
-        hi = bisect_left(window, g.end_tok, lo)
+    for index, start, end in gold:
+        size = end - start
+        # a match is at most twice as long as the gold span and overlaps
+        # it, so it starts after start - 2·size and before end
+        window = starts.get(index, [])
+        lo = bisect_left(window, start - 2 * size + 1)
+        hi = bisect_left(window, end, lo)
         candidates.append([
-            j for j in by_sentence.get(g.sentence_index, [])[lo:hi]
-            if 3 * (min(g.end_tok, pred[j].end_tok) - max(g.start_tok, pred[j].start_tok))
-            >= size + pred[j].end_tok - pred[j].start_tok])
+            j for j in by_sentence.get(index, [])[lo:hi]
+            if 3 * (min(end, pred[j][2]) - max(start, pred[j][1]))
+            >= size + pred[j][2] - pred[j][1]])
     owner: list[int | None] = [None] * len(pred)
     matched: list[int | None] = [None] * len(gold)
     return sum(_augment(root, candidates, owner, matched) for root in range(len(gold)))

@@ -19,11 +19,15 @@ Surface text is canonical by construction: node labels, literal children,
 predicate texts, triple fields and phrase texts pass through
 :func:`canonical_text` when their value is built, so consumers compare them
 as they are.  A string that is already canonical is kept, not copied.
-Where the parts are canonical already, the loader skips the check:
+Where the parts are canonical already, the check is skipped:
 ``PhraseSpan._from_canonical`` and ``Triple._from_canonical`` write them
-straight to the slots, for a span's covered-token join and for a
-flattened tree's labels.  They give values equal to the public
+straight to the slots, for a text that :class:`PhraseColumns` stored and
+for a flattened tree's labels.  They give values equal to the public
 constructor's, and check nothing.
+
+A loaded paper holds its text as :class:`DocumentLines` and its phrases as
+:class:`PhraseColumns`, sequences equal to the eager lists, which work the
+same; consumers read phrases as columns, through :meth:`PhraseColumns.of`.
 """
 
 from __future__ import annotations
@@ -166,7 +170,33 @@ class Sentence:
 _SENTENCE_SLOTS = _slot_setters(Sentence)
 
 
-class DocumentLines(Sequence):
+class _BufferView(Sequence):
+    """A read-only sequence whose items are stored in one ``bytes`` with an
+    array ``_ends`` of item-end offsets, and built on access by ``_item``.
+    It compares equal to, and prints as, the list of its items."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._ends)))]
+        end = self._ends[index]
+        index %= len(self._ends)
+        return self._item(index, self._ends[index - 1] if index else 0, end)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (type(self), list)):
+            return NotImplemented
+        return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class DocumentLines(_BufferView):
     """Read-only view of a paper's plaintext lines as sentences.
 
     Holds the lines' UTF-8 encoding as one ``bytes`` object plus an array of
@@ -196,15 +226,7 @@ class DocumentLines(Sequence):
     def _line(self, start: int, end: int) -> str:
         return self._data[start:end].decode("utf-8", "surrogatepass")
 
-    def __len__(self) -> int:
-        return len(self._ends)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self._ends)))]
-        end = self._ends[index]
-        index %= len(self._ends)
-        start = self._ends[index - 1] if index else 0
+    def _item(self, index: int, start: int, end: int) -> Sentence | None:
         return self._sentence(index + 1, self._line(start, end))
 
     def __iter__(self):
@@ -213,23 +235,15 @@ class DocumentLines(Sequence):
             yield self._sentence(index, self._line(start, end))
             start = end
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (DocumentLines, list)):
-            return NotImplemented
-        return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class PhraseSpan:
     """A scientific-term or predicate phrase inside one sentence.
 
-    Token offsets are 0-based, start inclusive, end exclusive.  ``text`` is
-    canonical (a canonical argument is kept) and must equal the covered
-    tokens joined by single spaces; parsers enforce this against the
-    referenced sentence.
+    ``sentence_index`` is 1-based, as a sentence's is.  Token offsets are
+    0-based, start inclusive, end exclusive.  ``text`` is canonical (a
+    canonical argument is kept) and must equal the covered tokens joined by
+    single spaces; parsers enforce this against the referenced sentence.
     """
 
     sentence_index: int
@@ -239,6 +253,8 @@ class PhraseSpan:
 
     def __init__(self, sentence_index: int, start_tok: int, end_tok: int,
                  text: str) -> None:
+        if sentence_index < 1:
+            raise ValueError(f"sentence index must be >= 1, got {sentence_index}")
         if start_tok < 0 or start_tok >= end_tok:
             raise ValueError(f"bad span offsets [{start_tok}, {end_tok})")
         set_sentence_index, set_start_tok, set_end_tok, set_text = _PHRASE_SPAN_SLOTS
@@ -265,6 +281,52 @@ class PhraseSpan:
 
 
 _PHRASE_SPAN_SLOTS = _slot_setters(PhraseSpan)
+
+
+class PhraseColumns(_BufferView):
+    """Read-only sequence of phrase spans held as columns: sentence indices
+    and token offsets as three ``array('I')``, which must fit 32 bits, and
+    the texts as one UTF-8 ``bytes``, a line feed after each but the last,
+    with an array of text-end offsets.  A canonical text holds no line feed,
+    so :meth:`texts` decodes them all in one pass.  Consumers read the
+    columns and :meth:`texts`; item ``i`` is built on access as the equal
+    ``PhraseSpan``, and nothing is cached."""
+
+    __slots__ = ("sentence_indices", "start_toks", "end_toks", "_data", "_ends")
+
+    def __init__(self, sentence_indices: array, start_toks: array, end_toks: array,
+                 texts: list[str]) -> None:
+        """Columns kept as they are, each span as ``PhraseSpan._from_canonical``
+        asks; nothing is checked."""
+        self.sentence_indices = sentence_indices
+        self.start_toks = start_toks
+        self.end_toks = end_toks
+        encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+        self._data = b"\n".join(encoded)
+        # each text's end plus its line feed, where the next text starts
+        self._ends = array("I", accumulate(len(text) + 1 for text in encoded))
+
+    @classmethod
+    def of(cls, spans: Sequence[PhraseSpan]) -> "PhraseColumns":
+        """``spans`` itself when it is columns already, else its spans as columns."""
+        if isinstance(spans, cls):
+            return spans
+        return cls(array("I", [s.sentence_index for s in spans]),
+                   array("I", [s.start_tok for s in spans]),
+                   array("I", [s.end_tok for s in spans]), [s.text for s in spans])
+
+    def texts(self) -> list[str]:
+        """Every span's text, in order."""
+        return self._data.decode("utf-8", "surrogatepass").split("\n") if self else []
+
+    def _item(self, index: int, start: int, end: int) -> PhraseSpan:
+        return PhraseSpan._from_canonical(
+            self.sentence_indices[index], self.start_toks[index], self.end_toks[index],
+            self._data[start:end - 1].decode("utf-8", "surrogatepass"))
+
+    def __iter__(self):
+        return map(PhraseSpan._from_canonical, self.sentence_indices, self.start_toks,
+                   self.end_toks, self.texts())
 
 
 class PredicateKind(Enum):
@@ -486,7 +548,8 @@ class PaperAnnotation:
     document when the plaintext was loaded, one entry per line; a loaded
     paper holds a :class:`DocumentLines`, which keeps the text as one UTF-8
     ``bytes`` with line-end offsets and tokenizes a line when it is read,
-    and a list of ``Sentence | None`` works the same.  Validators
+    and a list of ``Sentence | None`` works the same.  ``phrases`` is a
+    :class:`PhraseColumns` when loaded, or any sequence of spans.  Validators
     ground surface forms in the contribution sentences.  When both maps
     hold a unit, ``triples[u]`` is ``flatten(units[u]).triples``;
     ``load_corpus`` guarantees this.
@@ -497,7 +560,7 @@ class PaperAnnotation:
     total_sentence_count: int | None = None
     total_token_count: int | None = None
     contribution_sentence_indices: set[int] | None = None
-    phrases: list[PhraseSpan] | None = None
+    phrases: Sequence[PhraseSpan] | None = None
     units: dict[UnitLabel, UnitTree] | None = None
     triples: dict[UnitLabel, list[Triple]] | None = None
     sentences: Sequence[Sentence | None] | None = None

@@ -16,6 +16,7 @@ from .model import (
     CONTRIBUTION,
     Corpus,
     PaperAnnotation,
+    PhraseColumns,
     PredicateKind,
     UnitLabel,
     UnitTree,
@@ -237,8 +238,10 @@ def _check_phrase_length(paper: PaperAnnotation, policy: ValidationPolicy,
                          issues: list[ValidationIssue]) -> None:
     if policy.max_phrase_tokens <= 0 or not paper.phrases:
         return
-    for span in paper.phrases:
-        if span.token_count() > policy.max_phrase_tokens:
+    phrases = PhraseColumns.of(paper.phrases)
+    for i, (start, end) in enumerate(zip(phrases.start_toks, phrases.end_toks)):
+        if end - start > policy.max_phrase_tokens:
+            span = phrases[i]
             issues.append(ValidationIssue(
                 "phrase-too-long", f"{paper.paper_id}:{span.sentence_index}",
                 f"phrase of {span.token_count()} tokens exceeds "

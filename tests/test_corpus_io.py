@@ -19,6 +19,7 @@ from ncgkit import (
     FormatError,
     NcgError,
     Node,
+    PhraseColumns,
     PhraseSpan,
     PredicateKind,
     Sentence,
@@ -196,12 +197,19 @@ class TestPhraseFile:
                               offset_unit="char", strict=True)
 
     @settings(max_examples=200)
-    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c d"]), max_size=4)
-                    .map(" ".join), max_size=6).map("\n".join),
-           st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 5), st.integers(-1, 6),
-                              st.sampled_from(["a", "b c", "d a"])), max_size=5),
-           st.booleans())
-    def test_positional_lookup_matches_search_by_index(self, doc, rows, strict):
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c d", "\u2013", "\U0001d465"]),
+                             max_size=4).map(" ".join), max_size=6).map("\n".join),
+           st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7), st.integers(-1, 8),
+                              st.sampled_from(["a", "b c", " d  a", "\u2013 \U0001d465"])),
+                    max_size=5),
+           st.booleans(), st.sampled_from(["token", "char"]))
+    @example("a b\n\u2013 \U0001d465", [(1, 0, 2, "b c"), (5, 0, 1, "a"),
+                                         (2, 0, 2, " \u2013  \U0001d465")], False, "token")
+    @example("a b\nc", [(1, 2, 3, "b"), (1, 1, 3, "b"), (2, 0, 1, "a")], False, "char")
+    def test_positional_lookup_matches_search_by_index(self, doc, rows, strict, offset_unit):
+        """A loaded paper's lines and any list of sentences give the same
+        columns, issues and errors: spans out of range are dropped, and a
+        mismatched text is stored as the covered join."""
         lines = doc.splitlines()
         eager = [Sentence("p", i, tuple(line.split())) if line.split() else None
                  for i, line in enumerate(lines, 1)]
@@ -212,9 +220,14 @@ class TestPhraseFile:
         def outcome(sentences):
             issues = []
             try:
-                spans = parse_phrase_file(text, sentences, strict=strict, issues=issues)
+                spans = parse_phrase_file(text, sentences, strict=strict,
+                                          offset_unit=offset_unit, issues=issues)
             except NcgError as exc:
                 return type(exc), str(exc)
+            assert isinstance(spans, PhraseColumns)
+            assert spans.texts() == [
+                " ".join(eager[s.sentence_index - 1].tokens[s.start_tok:s.end_tok])
+                for s in spans]
             return spans, [i.as_line() for i in issues]
 
         lazy = outcome(DocumentLines("p", lines))
@@ -1105,6 +1118,28 @@ class TestLoadCorpus:
         finally:
             tracemalloc.stop()
         assert retained / lines < 60
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                        reason="object sizes are those of CPython 3.11")
+    def test_phrase_columns_retained_bytes_per_span(self, trial_root):
+        # CPython 3.11, trial corpus: about 137 bytes per span when each
+        # span was a PhraseSpan holding its own str, and about 37 as
+        # columns of 4-byte integers and one UTF-8 buffer per paper
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus, _ = load_corpus(CorpusManifest(root_path=trial_root))
+            gc.collect()
+            loaded = tracemalloc.get_traced_memory()[0]
+            spans = 0
+            for paper in corpus.papers():
+                spans += len(paper.phrases)
+                paper.phrases = None
+            gc.collect()
+            retained = loaded - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / spans <= 64
 
     def test_duplicate_paper_id_across_tasks(self, tmp_path):
         make_paper(tmp_path, "t1", "p", units=MINIMAL_UNITS)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from ncgkit import (
     MatchConfig,
     MissingTotals,
     PaperAnnotation,
+    PhraseColumns,
     PhraseSpan,
     Sentence,
     Triple,
@@ -23,7 +25,9 @@ from ncgkit import (
     render,
     score,
     unit_stats,
+    validate_corpus,
 )
+from ncgkit.metrics import PHRASE_MATCHES
 from scoring_oracle import oracle_counts, random_corpus
 
 
@@ -328,6 +332,32 @@ class TestScoreAgainstOracle:
                 for task, (tp, fp, fn) in per_task.items():
                     got = report.per_task[task]
                     assert (got.tp, got.fp, got.fn) == (tp, fp, fn)
+
+    def test_lists_and_columns_score_alike(self):
+        """Every consumer reads a paper's phrases as columns, so lists,
+        columns and a mix of the two give one report, the oracle's."""
+        def columns(corpus):
+            return Corpus({task: [replace(p, phrases=PhraseColumns.of(p.phrases))
+                                  for p in papers] for task, papers in corpus.tasks.items()})
+
+        rng = random.Random(99)
+        policy = ValidationPolicy(max_phrase_tokens=3)
+        too_long = 0
+        for _ in range(100):
+            gold, pred = random_corpus(rng), random_corpus(rng)
+            for config in [MatchConfig(phrase_match=match, text_fold=fold)
+                           for match in PHRASE_MATCHES for fold in (None, "casefold")]:
+                _, totals = oracle_counts(gold, pred, "phrases", config)
+                for g in (gold, columns(gold)):
+                    for p in (pred, columns(pred)):
+                        report = score(g, p, "phrases", config)
+                        assert report == score(gold, pred, "phrases", config)
+                        assert (report.micro.tp, report.micro.fp, report.micro.fn) == totals
+            assert corpus_stats(columns(gold)) == corpus_stats(gold)
+            reports = validate_corpus(gold, policy)
+            assert validate_corpus(columns(gold), policy) == reports
+            too_long += sum(i.code == "phrase-too-long" for r in reports for i in r.issues)
+        assert too_long
 
     def test_each_config_changes_some_count(self):
         """The random corpora give each mode a case where it differs from

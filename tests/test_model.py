@@ -18,6 +18,7 @@ from ncgkit import (
     PaperAnnotation,
     Predicate,
     PredicateKind,
+    PhraseColumns,
     PhraseSpan,
     Sentence,
     Triple,
@@ -300,6 +301,57 @@ class TestDocumentLines:
         assert retained(plain + ["\U0001d465"]) < 1.1 * retained(plain + ["x"])
 
 
+#: Spans whose texts hold non-ASCII and astral characters and lone
+#: surrogates; ``PhraseSpan`` makes each text canonical.
+SPANS = st.tuples(st.integers(1, 2**32 - 1), st.integers(0, 2**31 - 1), st.integers(1, 2**31),
+                  st.text() | st.text(st.sampled_from("ab \t\n\ud800\udfff\u2013\U0001d465"))
+                  ).map(lambda t: PhraseSpan(t[0], t[1], t[1] + t[2], t[3]))
+
+
+class TestPhraseColumns:
+    EAGER = [PhraseSpan(3, 0, 2, "adding features"), PhraseSpan(1, 1, 2, "\u2013"),
+             PhraseSpan(3, 0, 2, "adding features")]
+
+    def test_items_are_built_on_access(self):
+        spans = PhraseColumns.of(self.EAGER)
+        assert isinstance(spans, PhraseColumns) and len(spans) == 3
+        assert spans[1] == PhraseSpan(1, 1, 2, "\u2013") and spans[-1] == spans[0]
+        assert list(spans.sentence_indices) == [3, 1, 3]
+        assert list(spans.start_toks) == [0, 1, 0] and list(spans.end_toks) == [2, 2, 2]
+        assert spans.texts() == ["adding features", "\u2013", "adding features"]
+        assert PhraseColumns.of([]).texts() == []
+        assert PhraseColumns.of([PhraseSpan(1, 0, 1, "")]).texts() == [""]
+
+    @given(st.lists(SPANS, max_size=5).flatmap(
+               lambda pool: st.lists(st.sampled_from(pool), max_size=8) if pool
+               else st.just([])),
+           st.integers(-10, 10), st.slices(10))
+    @example([], 0, slice(None))
+    @example([PhraseSpan(1, 0, 1, "a\ud800 \U0001d465"), PhraseSpan(2, 3, 4, "\udfff")] * 2,
+             -1, slice(None, None, -2))
+    def test_matches_the_eager_list(self, eager, index, window):
+        spans = PhraseColumns.of(eager)
+        assert PhraseColumns.of(spans) is spans
+        assert len(spans) == len(eager)
+        assert list(spans) == eager
+        assert spans.texts() == [s.text for s in eager]
+        assert spans == eager and eager == spans
+        assert spans == PhraseColumns.of(list(eager)) and not spans != eager
+        assert repr(spans) == repr(eager)
+        assert spans[window] == eager[window]
+        if -len(eager) <= index < len(eager):
+            assert spans[index] == eager[index]
+        for outside in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                spans[outside]
+        other = eager[:-1] if eager else [PhraseSpan(1, 0, 1, "x")]
+        assert spans != other and other != spans
+        assert spans != PhraseColumns.of(other)
+        assert spans != tuple(eager)
+        with pytest.raises(TypeError):
+            hash(spans)
+
+
 class TestSentence:
     def test_text_is_space_joined_tokens(self):
         s = Sentence("p", 3, ("adding", "features"))
@@ -392,13 +444,14 @@ class TestValueTypes:
 @pytest.mark.parametrize("build, message", [
     (lambda: PhraseSpan(1, 2, 2, "x"), "bad span offsets [2, 2)"),
     (lambda: PhraseSpan(1, -1, 2, "x"), "bad span offsets [-1, 2)"),
+    (lambda: PhraseSpan(0, 0, 1, "x"), "sentence index must be >= 1, got 0"),
     (lambda: Triple("a", Predicate("b"), " \t"), "empty triple field in ('a', 'b', '')"),
     (lambda: Triple("\u3000", HAS, "o"), "empty triple field in ('', 'has', 'o')"),
     (lambda: Sentence("p", 0, ("x",)), "sentence index must be >= 1, got 0"),
     (lambda: Sentence("p", 1, ()), "sentence has no tokens"),
     (lambda: replace(Triple("s", HAS, "o"), object=""), "empty triple field in ('s', 'has', '')"),
     (lambda: Predicate(" \n"), "empty predicate"),
-], ids=["empty-span", "negative-start", "empty-object", "blank-subject", "index-0",
+], ids=["empty-span", "negative-start", "span-index-0", "empty-object", "blank-subject", "index-0",
         "no-tokens", "replace", "blank-predicate"])
 def test_value_type_errors(build, message):
     with pytest.raises(ValueError) as info:
