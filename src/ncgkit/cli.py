@@ -47,7 +47,7 @@ from .metrics import (
     score_all,
     unit_stats,
 )
-from .model import UnitLabel, normalize_unit_label
+from .model import Corpus, UnitLabel, normalize_unit_label
 from .validate import PROVENANCE_CHECKS, ValidationPolicy, summarize_reports, validate_corpus
 
 
@@ -392,7 +392,8 @@ def cmd_build_kg(args) -> int:
 
 def cmd_traverse(args) -> int:
     corpus, _ = _load(args.manifest, args.strict)
-    graph = build_graph(corpus)
+    paper = corpus.get(args.paper)  # per-paper URIs never cross papers
+    graph = build_graph(Corpus({paper.task: [paper]} if paper is not None else {}))
     results = traverse(graph, args.paper, args.start, args.depth)
     lines = []
     for path, node in results:
@@ -425,10 +426,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NcgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NcgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

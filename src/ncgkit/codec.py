@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotATree
-from .model import CONTRIBUTION, Node, PaperAnnotation, Triple, UnitLabel, UnitTree
+from .model import CONTRIBUTION, Node, Triple, UnitLabel, UnitTree
 
 
 @dataclass
@@ -50,16 +50,6 @@ def flatten(tree: UnitTree) -> FlattenedUnit:
         obj = child.label if isinstance(child, Node) else child
         emit(triple(node.label, predicate, obj))
     return out
-
-
-def unit_triples(paper: PaperAnnotation) -> dict[UnitLabel, list[Triple]]:
-    """Each unit of ``paper.units`` or ``paper.triples`` in identifier order,
-    with its stored triples, or its tree flattened where the map lacks the
-    unit (a tree built in memory).  The keys are the one list of a paper's units."""
-    stored = paper.triples or {}
-    units = paper.units or {}
-    return {unit: stored[unit] if unit in stored else flatten(units[unit]).triples
-            for unit in sorted(stored.keys() | units.keys(), key=lambda u: u.identifier)}
 
 
 def nest(triples: list[Triple], unit: UnitLabel) -> UnitTree:

@@ -13,7 +13,6 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .codec import unit_triples
 from .errors import UnknownPaper
 from .model import Corpus, Node, PaperAnnotation, UnitLabel, lookup_unit_label
 
@@ -37,7 +36,7 @@ class ComparisonTable:
 def _research_problem_objects(paper) -> set[str]:
     """Objects of the paper's ResearchProblem triples, with or without a tree."""
     return {triple.object
-            for triple in unit_triples(paper).get(UnitLabel.RESEARCH_PROBLEM, ())
+            for triple in (paper.triples or {}).get(UnitLabel.RESEARCH_PROBLEM, ())
             if lookup_unit_label(triple.object) is not UnitLabel.RESEARCH_PROBLEM}
 
 

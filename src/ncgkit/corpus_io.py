@@ -277,18 +277,17 @@ def parse_sentence_indices(text: str, *, issues: list[ValidationIssue] | None = 
 # phrase spans
 
 
-def _char_span_to_tokens(sentence: Sentence, start: int, end: int) -> tuple[int, int]:
-    """Map a character span over the space-joined text onto token offsets."""
-    bounds = []
-    pos = 0
-    for tok in sentence.tokens:
-        bounds.append((pos, pos + len(tok)))
-        pos += len(tok) + 1
-    starts = {b[0]: i for i, b in enumerate(bounds)}
-    ends = {b[1]: i + 1 for i, b in enumerate(bounds)}
-    if start not in starts or end not in ends:
-        raise SpanOutOfRange(f"char span [{start}, {end}) not on token boundaries")
-    return starts[start], ends[end]
+def _char_span_to_tokens(sentence: Sentence, start: int,
+                         end: int) -> tuple[int | None, int | None]:
+    """Map a character span over the space-joined text onto token offsets,
+    None for a bound that is not on a token boundary."""
+    starts, ends, pos = {}, {}, 0
+    for i, tok in enumerate(sentence.tokens):
+        starts[pos] = i
+        pos += len(tok)
+        ends[pos] = i + 1
+        pos += 1
+    return starts.get(start), ends.get(end)
 
 
 def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
@@ -341,6 +340,9 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
                                      path=location, line=lineno)
             if offset_unit == "char":
                 start_tok, end_tok = _char_span_to_tokens(sent, start, end)
+                if start_tok is None or end_tok is None:
+                    raise SpanOutOfRange(f"char span [{start}, {end}) not on token "
+                                         f"boundaries", path=location, line=lineno)
             else:
                 start_tok, end_tok = start, end
             if not 0 <= start_tok < end_tok <= len(sent.tokens):
@@ -901,9 +903,9 @@ def _reconcile(here: str, trees: dict[UnitLabel, UnitTree] | None,
     """A paper's units and triples from its trees and its triples files' lines.
 
     ``file_lines`` holds each file's fields as written; either map is None
-    when the paper has no such files.  Tree units are visited in path
-    order, then units with only a triples file, whose triples get nest()
-    output where they form a tree.  Every tree, shipped or rebuilt, gives
+    when the paper has no such files.  Units with only a triples file get
+    nest() output where their triples form a tree; the maps' order is left
+    to :class:`PaperAnnotation`.  Every tree, shipped or rebuilt, gives
     its flatten() output as the unit's triples.  A shipped triples file
     must be set-equal to the flattened tree, compared by canonical key; any
     difference is itemized as a warning, never silently dropped.  Triple

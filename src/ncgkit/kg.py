@@ -132,14 +132,13 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
     shared_uris: dict[str, str] | None = {} if merge == SURFACE_MERGE else None
     for paper in corpus.papers():
         root = graph.ensure_node(_root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
-        units = paper.units or {}
-        for unit in sorted(units, key=lambda u: u.identifier):
+        for unit, tree in (paper.units or {}).items():
             prefix = _uri_prefix(paper.paper_id, unit)
             # (uri, sha256 of the path) of the last node at each depth: a
             # child's path hash extends a copy of its parent's, which gives
             # the _hash_slug of the path in time linear in the depth
             parents = [(root.uri, hashlib.sha256())]
-            for depth, _, predicate, child in units[unit].root.walk_edges():
+            for depth, _, predicate, child in tree.root.walk_edges():
                 if child is None:
                     continue
                 node_uri, path_hash = parents[depth]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 
-from .codec import unit_triples
 from .errors import GranularityUnavailable, MissingTotals
 from .model import Corpus, PaperAnnotation, PhraseColumns, UnitLabel
 
@@ -106,7 +105,7 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
         for paper in papers:
             if paper.total_sentence_count is None or paper.total_token_count is None:
                 raise MissingTotals(f"paper {paper.paper_id} lacks totals")
-            by_unit = unit_triples(paper)
+            by_unit = paper.triples or {}
             row.total_ius += len(by_unit)
             row.total_sentences += paper.total_sentence_count
             row.total_tokens += paper.total_token_count
@@ -144,7 +143,7 @@ def unit_stats(corpus: Corpus) -> UnitStats:
     """Triples and paper coverage per information unit, all 12 rows."""
     per_unit = {unit: UnitStatsRow() for unit in UnitLabel}
     for paper in corpus.papers():
-        for unit, triples in unit_triples(paper).items():
+        for unit, triples in (paper.triples or {}).items():
             per_unit[unit].n_papers += 1
             per_unit[unit].n_triples += len(triples)
     return UnitStats(per_unit)
@@ -205,7 +204,7 @@ def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set
     count.  Only one paper's items are ever compared, so no item holds the
     paper id.  Whether texts are case folded is decided once per call."""
     if granularity == "units":
-        return set(unit_triples(paper))
+        return set(paper.triples or ())
     if granularity == "sentences":
         return set(paper.contribution_sentence_indices or ())
     if granularity == "phrases":
@@ -218,7 +217,7 @@ def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set
                        map(str.casefold, texts) if config.text_fold else texts))
     per_unit = config.triple_scope == "per-unit"
     keys = ((unit if per_unit else None, t.subject, t.predicate.text, t.object)
-            for unit, triples in unit_triples(paper).items() for t in triples)
+            for unit, triples in (paper.triples or {}).items() for t in triples)
     if config.text_fold:
         return {(scope, s.casefold(), p.casefold(), o.casefold()) for scope, s, p, o in keys}
     return set(keys)

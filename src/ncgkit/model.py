@@ -550,9 +550,11 @@ class PaperAnnotation:
     ``bytes`` with line-end offsets and tokenizes a line when it is read,
     and a list of ``Sentence | None`` works the same.  ``phrases`` is a
     :class:`PhraseColumns` when loaded, or any sequence of spans.  Validators
-    ground surface forms in the contribution sentences.  When both maps
-    hold a unit, ``triples[u]`` is ``flatten(units[u]).triples``;
-    ``load_corpus`` guarantees this.
+    ground surface forms in the contribution sentences.  Both unit maps are
+    in :attr:`UnitLabel.identifier` order, and ``triples`` holds every unit
+    of either: a unit it lacks gets its tree flattened.  When both maps hold
+    a unit, ``triples[u]`` is ``flatten(units[u]).triples``; ``load_corpus``
+    guarantees this.
     """
 
     paper_id: str
@@ -564,6 +566,18 @@ class PaperAnnotation:
     units: dict[UnitLabel, UnitTree] | None = None
     triples: dict[UnitLabel, list[Triple]] | None = None
     sentences: Sequence[Sentence | None] | None = None
+
+    def __post_init__(self) -> None:
+        """Order both unit maps and give ``triples`` every unit; a map that
+        was None stays None when nothing is added to it."""
+        units, stored = self.units or {}, self.triples or {}
+        listed = sorted(units.keys() | stored.keys(), key=lambda unit: unit.identifier)
+        if self.units is not None:
+            self.units = {unit: units[unit] for unit in listed if unit in units}
+        if listed or self.triples is not None:
+            from .codec import flatten  # codec imports this module
+            self.triples = {unit: stored[unit] if unit in stored else flatten(units[unit]).triples
+                            for unit in listed}
 
     def sentence(self, index: int) -> Sentence | None:
         if self.sentences is None or not 1 <= index <= len(self.sentences):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .codec import unit_triples
 from .issues import ERROR, ValidationIssue
 from .model import (
     CONTRIBUTION,
@@ -109,14 +108,14 @@ def validate_paper(paper: PaperAnnotation,
     carries neither contribution sentences nor provenance strings; they
     see each distinct triple of a unit once, so a repeated triple gets its
     findings once, next to its ``duplicate-triple`` error.  Unit
-    presence and the triple checks cover every unit of
-    :func:`~ncgkit.codec.unit_triples`, tree or not; encapsulation, filler
-    placement and nested Results read the trees.
+    presence and the triple checks cover every unit of ``paper.triples``,
+    which lists each unit, tree or not, in identifier order; encapsulation,
+    filler placement and nested Results read the trees.
     """
     policy = policy or ValidationPolicy()
     report = ValidationReport(paper.paper_id)
     issues = report.issues
-    by_unit = unit_triples(paper)  # in identifier order
+    by_unit = paper.triples or {}
     pool = paper.contribution_texts()  # canonical texts a surface may be grounded in
     nested, misplaced = {}, {}
     for unit, tree in (paper.units or {}).items():  # one pass per tree
@@ -173,10 +172,10 @@ def _check_mandatory(paper: PaperAnnotation, present, nested_units: dict[UnitLab
 
 def _check_encapsulation(nested_units: dict[UnitLabel, list],
                          issues: list[ValidationIssue]) -> None:
-    for unit in sorted(nested_units, key=lambda u: u.identifier):
+    for unit, units_below in nested_units.items():
         if unit in ENCAPSULATING_UNITS:
             continue
-        for node, nested in nested_units[unit]:
+        for node, nested in units_below:
             if nested in SUB_UNIT_LABELS:
                 issues.append(ValidationIssue(
                     "encapsulation-violation", f"{unit.identifier}/{node.label}",

@@ -456,6 +456,20 @@ class TestBadManifest:
             CorpusManifest(root_path=tiny_root, layout=layout, **kwargs)
         assert str(info.value).startswith(expected)
 
+    def test_strict_char_offsets_off_token_boundaries_name_the_file(self, tiny_root,
+                                                                     tmp_path, capsys):
+        (tiny_root / "parsing").rename(tiny_root / "papers")
+        (tiny_root / "papers" / "p1" / "phrases.tsv").write_text("2\t1\t5\tur mo\n",
+                                                                  encoding="utf-8")
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(f"[corpus]\nroot = {tiny_root}\noffset_unit = char\n",
+                            encoding="utf-8")
+        assert run(["stats", "--strict", "--manifest", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: papers/p1/phrases.tsv:1: "
+                                "char span [1, 5) not on token boundaries\n")
+
     def test_zero_and_large_totals_are_counts(self, tiny_root, tmp_path):
         manifest = tmp_path / "m.ini"
         manifest.write_text(f"[corpus]\nroot = {tiny_root}\n[totals.tokens]\n"

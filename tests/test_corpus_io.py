@@ -192,9 +192,18 @@ class TestPhraseFile:
         assert (spans[0].start_tok, spans[0].end_tok) == (2, 4)
 
     def test_char_offsets_must_align(self):
-        with pytest.raises(SpanOutOfRange):
+        """Off token boundaries, a strict load names the line, as for token
+        offsets; a lenient one notes the issue there."""
+        location = "papers/p1/phrases.tsv"
+        with pytest.raises(SpanOutOfRange) as info:
             parse_phrase_file("159\t1\t5\ts expe", [sentence_159()],
-                              offset_unit="char", strict=True)
+                              offset_unit="char", strict=True, location=location)
+        assert str(info.value) == f"{location}:1: char span [1, 5) not on token boundaries"
+        issues = []
+        assert parse_phrase_file("159\t1\t5\ts expe", [sentence_159()], offset_unit="char",
+                                 issues=issues, location=location) == []
+        assert [i.as_line() for i in issues] == [
+            f"{location}:1\tspan-out-of-range\tError\tchar span [1, 5) not on token boundaries"]
 
     @settings(max_examples=200)
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c d", "\u2013", "\U0001d465"]),

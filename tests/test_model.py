@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgkit import (
+    CONTRIBUTION,
     Corpus,
     CorpusManifest,
     DocumentLines,
+    MatchConfig,
     Node,
     PaperAnnotation,
     Predicate,
@@ -25,10 +27,20 @@ from ncgkit import (
     UnitLabel,
     UnitTree,
     UnknownUnitLabel,
+    build_graph,
     canonical_text,
+    compare,
+    corpus_stats,
+    export_ntriples,
+    flatten,
     lookup_unit_label,
     load_corpus,
     normalize_unit_label,
+    render,
+    score,
+    traverse,
+    unit_stats,
+    validate_paper,
 )
 from corpusgen import write_chain_corpus
 from tree_oracle import edges_preorder, generated, nodes_preorder, small_trees
@@ -536,6 +548,73 @@ class TestContainers:
         corpus = Corpus({"t": [paper]})
         assert corpus.get("p") is paper
         assert corpus.get("q") is None
+
+
+def _reversed(units: dict | None) -> dict | None:
+    return None if units is None else dict(reversed(units.items()))
+
+
+def _outputs(paper: PaperAnnotation, trees: bool = True) -> list:
+    """What every consumer of the unit maps gives for a one-paper corpus;
+    with ``trees``, the tree readers too."""
+    corpus = Corpus({paper.task: [paper]})
+    out = [corpus_stats(corpus), unit_stats(corpus).sorted_rows(),
+           score(corpus, corpus, "units")]
+    out += [score(corpus, corpus, "triples", MatchConfig(triple_scope=scope))
+            for scope in ("per-unit", "per-paper")]
+    if trees:
+        graph = build_graph(corpus)
+        out += [validate_paper(paper).as_lines(), export_ntriples(graph),
+                [(path, node.label) for path, node in
+                 traverse(graph, paper.paper_id, CONTRIBUTION, 99)]]
+        out += [render(compare(corpus, unit, [paper.paper_id])) for unit in UnitLabel]
+    return out
+
+
+class TestUnitOrder:
+    """A paper lists its units once, in identifier order, with every unit's
+    triples, however its maps were given."""
+
+    def test_maps_are_ordered_and_every_tree_is_flattened(self):
+        trees = {}
+        for unit in (UnitLabel.RESULTS, UnitLabel.APPROACH):
+            node = Node(unit.display)
+            node.add(Predicate("improves"), "x")
+            trees[unit] = UnitTree.from_unit_node(unit, node)
+        paper = PaperAnnotation("p", "t", units=trees)
+        assert list(paper.units) == list(paper.triples) == [UnitLabel.APPROACH,
+                                                            UnitLabel.RESULTS]
+        for unit, tree in trees.items():
+            assert paper.units[unit] is tree
+            assert paper.triples[unit] == flatten(tree).triples
+        stored = [Triple.of("Contribution", "has", "Code")]
+        paper = PaperAnnotation("p", "t", units=trees, triples={UnitLabel.CODE: stored})
+        assert list(paper.units) == [UnitLabel.APPROACH, UnitLabel.RESULTS]
+        assert list(paper.triples) == [UnitLabel.APPROACH, UnitLabel.CODE, UnitLabel.RESULTS]
+        assert paper.triples[UnitLabel.CODE] is stored
+        # a map that was None stays None when nothing is added to it
+        empty = PaperAnnotation("p", "t", units={})
+        assert (empty.units, empty.triples) == ({}, None)
+
+    def test_twins_built_in_any_order_give_the_loaded_outputs(self, trial_root,
+                                                              unit_profile_root):
+        """Trees alone in reverse order, or both maps in reverse order, give
+        what the loaded paper gives; its triples alone in reverse order give
+        what it gives to the readers of triples."""
+        count = 0
+        for root in (trial_root, unit_profile_root):
+            corpus, _ = load_corpus(CorpusManifest(root_path=root))
+            for paper in corpus.papers():
+                count += 1
+                expected = _outputs(paper)
+                assert _outputs(replace(paper, units=_reversed(paper.units),
+                                        triples=None)) == expected
+                assert _outputs(replace(paper, units=_reversed(paper.units),
+                                        triples=_reversed(paper.triples))) == expected
+                assert _outputs(replace(paper, units=None,
+                                        triples=_reversed(paper.triples)),
+                                trees=False) == _outputs(paper, trees=False)
+        assert count == 100
 
 
 class TestNodeEqualityAndRepr:

@@ -214,7 +214,9 @@ class TestDuplicatesAndBounds:
                  "Model": GOOD_UNITS["Model"]}
         paper = build_paper(units, GOOD_LINES)
         tree = parse_unit_file(results_unit_text, UnitLabel.RESULTS)
-        paper.units[UnitLabel.RESULTS] = tree
+        # a paper's triples are made when it is built, so the tree goes in then
+        paper = replace(paper, units={**paper.units, UnitLabel.RESULTS: tree})
+        assert UnitLabel.RESULTS in paper.triples
         report = validate_paper(paper, ValidationPolicy(provenance_check="Off"))
         assert not any(i.code == "duplicate-triple" for i in report.issues)
 
