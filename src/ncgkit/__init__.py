@@ -13,6 +13,7 @@ from .codec import FlattenedUnit, flatten, nest, roundtrip_check, trees_equivale
 from .compare import ComparisonTable, compare, render, table_to_dict
 from .corpus_io import (
     CorpusManifest,
+    iter_papers,
     load_corpus,
     parse_phrase_file,
     parse_sentence_indices,

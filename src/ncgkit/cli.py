@@ -5,10 +5,12 @@ flatten, nest, build-kg, traverse, compare.  Corpus-reading commands take
 ``--manifest`` (falling back to the NCG_MANIFEST environment variable); a
 directory passed as manifest means "default layout rooted here".  Every
 corpus load writes each load issue to stderr as ``<side>: <issue line>``,
-where the side is ``gold`` or ``pred`` for score and ``corpus`` otherwise;
-a ``--check`` file is read before the corpus.  ``score`` without
-``--granularity`` scores each granularity both corpora have files for.
-Outputs are byte-identical across runs.  Exit codes: 0 success, 1
+where the side is ``gold`` or ``pred`` for score and ``corpus`` otherwise,
+once the corpus is read; a ``--check`` file is read before the corpus.
+validate, stats and unit-stats read one paper at a time and keep only
+their output, so their memory does not grow with the corpus.  ``score``
+without ``--granularity`` scores each granularity both corpora have files
+for.  Outputs are byte-identical across runs.  Exit codes: 0 success, 1
 validation errors or ``--check`` mismatch, 2 usage or format error.
 """
 
@@ -17,7 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from .compare import compare, render, table_to_dict
@@ -27,6 +31,7 @@ from .corpus_io import (
     _json_object,
     _read_file,
     _RepeatedKey,
+    iter_papers,
     load_corpus,
     parse_triple_lines,
     parse_unit_file,
@@ -47,7 +52,7 @@ from .metrics import (
     score_all,
     unit_stats,
 )
-from .model import Corpus, UnitLabel, normalize_unit_label
+from .model import Corpus, PaperAnnotation, UnitLabel, normalize_unit_label
 from .validate import PROVENANCE_CHECKS, ValidationPolicy, summarize_reports, validate_corpus
 
 
@@ -173,16 +178,24 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str | None, strict: bool = False, side: str = "corpus") -> tuple:
-    """load_corpus of a manifest INI file or a default-layout root directory,
-    writing each load issue to stderr as ``<side>: <issue line>``."""
+def _load(path: str | None, strict: bool = False, side: str = "corpus",
+          use: Callable[[Iterator[PaperAnnotation]], object] | None = None) -> tuple:
+    """The corpus of a manifest INI file or a default-layout root directory,
+    and its load issues.  The corpus is what ``use`` makes of its papers as
+    iter_papers streams them, one at a time, or without ``use`` the whole
+    corpus, as load_corpus collects it.  Then each load issue is written to
+    stderr as ``<side>: <issue line>``."""
     if not path:
         raise NcgError("no manifest given: pass --manifest or set NCG_MANIFEST")
     path = Path(path)
     manifest = CorpusManifest(root_path=path) if path.is_dir() else CorpusManifest.from_ini(path)
     if strict:
         manifest.strict = True
-    corpus, issues = load_corpus(manifest)
+    if use is None:
+        corpus, issues = load_corpus(manifest)
+    else:
+        issues = []
+        corpus = use(iter_papers(manifest, issues))
     for issue in issues:
         print(f"{side}: {issue.as_line()}", file=sys.stderr)
     return corpus, issues
@@ -193,10 +206,10 @@ def _load(path: str | None, strict: bool = False, side: str = "corpus") -> tuple
 
 
 def cmd_validate(args) -> int:
-    corpus, load_issues = _load(args.manifest, args.strict)
     policy = ValidationPolicy(provenance_check=args.provenance_check,
                               max_phrase_tokens=args.max_phrase_tokens)
-    reports = validate_corpus(corpus, policy)
+    reports, load_issues = _load(args.manifest, args.strict,
+                                 use=lambda papers: validate_corpus(papers, policy))
     if args.format == "json":
         payload = {
             "load_issues": [vars(i) for i in load_issues],
@@ -230,7 +243,7 @@ def _stats_row_dict(row) -> dict:
 
 def cmd_stats(args) -> int:
     expected = _read_expected(args.check, {"ratio_tolerance": 0, "per_task": 2, "overall": 1})
-    stats = corpus_stats(_load(args.manifest, args.strict)[0])
+    stats = _load(args.manifest, args.strict, use=corpus_stats)[0]
     per_task = {task: _stats_row_dict(row) for task, row in stats.per_task.items()}
     overall = _stats_row_dict(stats.overall)
     tolerance = float(expected.get("ratio_tolerance", 0.005))
@@ -246,7 +259,7 @@ def cmd_stats(args) -> int:
 def cmd_unit_stats(args) -> int:
     expected = _read_expected(args.check, {"ratio_tolerance": 0, "units": 2})
     rows = {unit.identifier: {"triples": r.n_triples, "papers": r.n_papers, "ratio": r.ratio}
-            for unit, r in unit_stats(_load(args.manifest, args.strict)[0]).sorted_rows()}
+            for unit, r in _load(args.manifest, args.strict, use=unit_stats)[0].sorted_rows()}
     failures = _check(rows, expected.get("units", {}),
                       float(expected.get("ratio_tolerance", 0.01)), "units.{}: unknown unit")
     return _table(args, "unit", list(rows.items()), rows, failures)
@@ -255,7 +268,10 @@ def cmd_unit_stats(args) -> int:
 def _read_expected(path: str | None, depths: dict[str, int]) -> dict:
     """The JSON object of a --check file ({} without one); each key of
     ``depths`` it has holds numbers under that many levels of objects, and
-    no object there repeats a key, or FormatError names the key."""
+    no object there repeats a key, or FormatError names the key.  Each
+    number is finite, within the range of a float, which it is compared
+    as; a ``ratio_tolerance`` is also not negative, as a negative one
+    fails every ratio."""
     if not path:
         return {}
     try:
@@ -279,10 +295,17 @@ def _read_expected(path: str | None, depths: dict[str, int]) -> dict:
                               path=path)
         elif value != value:
             raise FormatError(f"{key}: NaN equals no value", path=path)
+        # compared, not converted: float() of a huge JSON integer overflows
+        elif not -sys.float_info.max <= value <= sys.float_info.max:
+            raise FormatError(f"{key}: expected a finite number, got {reprlib.repr(value)}",
+                              path=path)
 
     for key, depth in depths.items():
         if key in data:
             check(data[key], depth, key)
+    if data.get("ratio_tolerance", 0) < 0:
+        raise FormatError(f"ratio_tolerance: expected a number of at least 0, "
+                          f"got {data['ratio_tolerance']}", path=path)
     return data
 
 

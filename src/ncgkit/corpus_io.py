@@ -30,7 +30,7 @@ import reprlib
 import stat
 import string
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -301,7 +301,9 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
     and are dropped with an error issue otherwise; text mismatches raise in
     strict mode and are otherwise repaired from the sentence tokens with a
     warning, so every returned span satisfies its invariants.  Each text is
-    stored canonical, as ``PhraseSpan`` would make it.
+    stored canonical, as ``PhraseSpan`` would make it: a sentence's tokens
+    are those of ``str.split``, as :class:`DocumentLines` makes them, so
+    the covered tokens joined by single spaces are canonical already.
     """
     by_index: dict[int, Sentence] | None = None
     # each referenced sentence is looked up, and so tokenized, once
@@ -367,7 +369,8 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
         indices.append(idx)
         starts.append(start_tok)
         ends.append(end_tok)
-        texts.append(canonical_text(covered))
+        # tokens of str.split joined by single spaces: canonical as they are
+        texts.append(covered)
     return PhraseColumns(indices, starts, ends, texts)
 
 
@@ -426,13 +429,12 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
         raise FormatError("unit file must be a JSON object", path=location)
 
     root = Node(CONTRIBUTION)
-    _fill_tree(root, data, location)
+    dangling = _fill_tree(root, data, location)
     if "\\u" in text:  # only a \u escape gives a surrogate: the text is UTF-8
         _refuse_surrogates(root, location)
-    for _, node, predicate, child in root.walk_edges():
-        if child is None:
-            _note(issues, "dangling-predicate", location or unit.identifier,
-                  f"predicate {predicate.text!r} of {node.label!r} has no value")
+    for node, predicate in dangling:
+        _note(issues, "dangling-predicate", location or unit.identifier,
+              f"predicate {predicate.text!r} of {node.label!r} has no value")
     content_edges = [(p, c) for p, c in root.edges if c is not None]
     pred, child = content_edges[0] if len(content_edges) == 1 else (None, None)
     if not (isinstance(child, Node) and pred.text == "has"
@@ -442,10 +444,15 @@ def parse_unit_file(text: str, unit: UnitLabel, *,
     return UnitTree(unit, root)
 
 
-def _fill_tree(root: Node, data: dict, location: str) -> None:
+def _fill_tree(root: Node, data: dict, location: str) -> list[tuple[Node, Predicate]]:
     """Read a unit file's object into ``root``, a value's nodes before the next
-    key.  Each open value is ``(node, predicate, pairs)``: a node's object
-    (``predicate`` None), a predicate's node map, or its list (keys None)."""
+    key, and return the ``(node, predicate)`` of each dangling edge.  Edges
+    are added in pre-order, so the dangling ones come as ``walk_edges``
+    yields them.  Keys with one text share one Predicate.  Each open value
+    is ``(node, predicate, pairs)``: a node's object (``predicate`` None), a
+    predicate's node map, or its list (keys None)."""
+    predicates: dict[str, Predicate] = {}
+    dangling = []
     stack = [(root, None, iter(data.items()))]
     while stack:
         node, predicate, pairs = stack[-1]
@@ -459,7 +466,9 @@ def _fill_tree(root: Node, data: dict, location: str) -> None:
                 raise FormatError("empty predicate key" if predicate is None
                                   else "empty node label", path=location)
             elif predicate is None:  # a predicate of node
-                edge = Predicate(key)
+                edge = predicates.get(key)
+                if edge is None:
+                    edge = predicates[key] = Predicate(key)
             elif value.__class__ is dict:  # a node label, whose value is its object
                 child = Node(key)
                 node.add(predicate, child)
@@ -472,14 +481,17 @@ def _fill_tree(root: Node, data: dict, location: str) -> None:
                 raise AlternationError(f"node {canonical_text(key)!r} maps to {what}; a "
                                        f"predicate map is required at node depth", path=location)
             if value.__class__ is str:
-                node.add(edge, value)  # a blank literal dangles
+                if node.add(edge, value) is None:  # a blank literal dangles
+                    dangling.append((node, edge))
             elif value.__class__ is bool:
                 node.add(edge, "true" if value else "false")
             elif not value:  # null, [] or {}
                 node.add(edge, None)
+                dangling.append((node, edge))
             elif isinstance(value, list) and all(v.__class__ is str for v in value):
                 for element in value:  # a list of strings, the common case
-                    node.add(edge, element)
+                    if node.add(edge, element) is None:
+                        dangling.append((node, edge))
             elif isinstance(value, list):
                 stack.append((node, edge, zip(repeat(None), value)))
                 break
@@ -488,6 +500,7 @@ def _fill_tree(root: Node, data: dict, location: str) -> None:
                 break
         else:
             stack.pop()
+    return dangling
 
 
 def _provenance(value, location: str) -> list[str]:
@@ -945,33 +958,35 @@ def _reconcile(here: str, trees: dict[UnitLabel, UnitTree] | None,
     return units or trees, triples or file_lines
 
 
-def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]]:
-    """Assemble a Corpus from disk, collecting recoverable issues.
+def iter_papers(manifest: CorpusManifest,
+                issues: list[ValidationIssue]) -> Iterator[PaperAnnotation]:
+    """Yield each paper of the corpus as it is loaded, appending recoverable
+    issues to ``issues`` as they are found.
 
     The manifest's text pattern says where the tasks (unless the manifest
     lists them) and each task's papers are.  Missing optional files yield
     warnings; a missing plaintext file yields an error and the paper is
     skipped (non-strict mode).  A listed task under whose directory no
-    paper is found yields an ``empty-task`` warning.  Loading is deterministic: tasks and papers
-    are visited in sorted order unless the manifest pins task order.
+    paper is found yields an ``empty-task`` warning, and a corpus that
+    yields no paper an ``empty-corpus`` one, after the last paper.  Tasks
+    and papers are visited in sorted order unless the manifest pins task
+    order, so a task's papers come together.  Only the ids already yielded
+    are kept, so a consumer that drops each paper holds one at a time.
 
     Raises:
         OSError: the root is not a directory, or a directory the layout
-            goes through is there but cannot be listed.
+            goes through is there but cannot be listed; on iteration.
     """
     root = Path(manifest.root_path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root does not exist: {root}")
-    issues: list[ValidationIssue] = []
     root_dir = str(root)
     text = manifest.layout["text"]
     tasks = manifest.task_names
     if tasks is None:
         tasks = _names(root_dir, text, "task", {})[1]
-    corpus = Corpus()
     seen: set[str] = set()
     for task in tasks:
-        papers: list[PaperAnnotation] = []
         searched, paper_ids = _names(root_dir, text, "paper", {"task": task})
         if not paper_ids and manifest.task_names is not None:
             issues.append(ValidationIssue("empty-task", _rel(searched),
@@ -984,10 +999,22 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
                 continue
             paper = _load_paper(manifest, root_dir, task, paper_id, issues)
             if paper is not None:
-                papers.append(paper)
                 seen.add(paper_id)
-        if papers:
-            corpus.tasks[task] = papers
+                yield paper
     if not seen:
         issues.append(ValidationIssue("empty-corpus", ".", "no papers found"))
+
+
+def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]]:
+    """Assemble a Corpus from disk, collecting recoverable issues: the papers
+    of :func:`iter_papers`, grouped by task, and its issues in order.  A task
+    with no paper loaded has no entry.
+
+    Raises:
+        OSError: as :func:`iter_papers`.
+    """
+    issues: list[ValidationIssue] = []
+    corpus = Corpus()
+    for paper in iter_papers(manifest, issues):
+        corpus.tasks.setdefault(paper.task, []).append(paper)
     return corpus, issues

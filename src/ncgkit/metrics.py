@@ -10,6 +10,7 @@ macro as the harmonic F1 of task-averaged P and R.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from .errors import GranularityUnavailable, MissingTotals
@@ -92,29 +93,37 @@ class CorpusStats:
     overall: StatsRow
 
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
+def corpus_stats(papers: Iterable[PaperAnnotation]) -> CorpusStats:
     """Count annotation elements per task and overall.
+
+    ``papers`` is a :class:`Corpus` or any iterable of papers, such as the
+    stream of :func:`~ncgkit.corpus_io.iter_papers`; each paper is read
+    once and not kept.  A paper counts under its ``task``.  Tasks come in
+    the order of their first paper, and a Corpus keeps a row for each of
+    its tasks, an empty one included.
 
     Raises:
         MissingTotals: a paper lacks sentence or token totals.
     """
-    per_task: dict[str, StatsRow] = {}
+    per_task = {task: StatsRow() for task in papers.tasks} if isinstance(papers, Corpus) else {}
+    for paper in papers:
+        if paper.total_sentence_count is None or paper.total_token_count is None:
+            raise MissingTotals(f"paper {paper.paper_id} lacks totals")
+        row = per_task.get(paper.task)
+        if row is None:
+            row = per_task[paper.task] = StatsRow()
+        by_unit = paper.triples or {}
+        row.total_ius += len(by_unit)
+        row.total_sentences += paper.total_sentence_count
+        row.total_tokens += paper.total_token_count
+        if paper.contribution_sentence_indices:
+            row.ann_sentences += len(paper.contribution_sentence_indices)
+        phrases = PhraseColumns.of(paper.phrases or [])
+        row.ann_phrases += len(phrases)
+        row.phrase_tokens += sum(phrases.end_toks) - sum(phrases.start_toks)
+        row.ann_triples += sum(map(len, by_unit.values()))
     overall = StatsRow()
-    for task, papers in corpus.tasks.items():
-        row = per_task.setdefault(task, StatsRow())
-        for paper in papers:
-            if paper.total_sentence_count is None or paper.total_token_count is None:
-                raise MissingTotals(f"paper {paper.paper_id} lacks totals")
-            by_unit = paper.triples or {}
-            row.total_ius += len(by_unit)
-            row.total_sentences += paper.total_sentence_count
-            row.total_tokens += paper.total_token_count
-            if paper.contribution_sentence_indices:
-                row.ann_sentences += len(paper.contribution_sentence_indices)
-            phrases = PhraseColumns.of(paper.phrases or [])
-            row.ann_phrases += len(phrases)
-            row.phrase_tokens += sum(phrases.end_toks) - sum(phrases.start_toks)
-            row.ann_triples += sum(map(len, by_unit.values()))
+    for row in per_task.values():
         overall.add(row)
     return CorpusStats(per_task, overall)
 
@@ -139,10 +148,11 @@ class UnitStats:
                       key=lambda kv: (-kv[1].ratio, kv[0].identifier))
 
 
-def unit_stats(corpus: Corpus) -> UnitStats:
-    """Triples and paper coverage per information unit, all 12 rows."""
+def unit_stats(papers: Iterable[PaperAnnotation]) -> UnitStats:
+    """Triples and paper coverage per information unit, all 12 rows, over a
+    :class:`Corpus` or any iterable of papers."""
     per_unit = {unit: UnitStatsRow() for unit in UnitLabel}
-    for paper in corpus.papers():
+    for paper in papers:
         for unit, triples in (paper.triples or {}).items():
             per_unit[unit].n_papers += 1
             per_unit[unit].n_triples += len(triples)
@@ -216,8 +226,11 @@ def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set
         return set(zip(spans.sentence_indices,
                        map(str.casefold, texts) if config.text_fold else texts))
     per_unit = config.triple_scope == "per-unit"
-    keys = ((unit if per_unit else None, t.subject, t.predicate.text, t.object)
-            for unit, triples in (paper.triples or {}).items() for t in triples)
+    # the scope is the unit's identifier, a str: a UnitLabel would hash
+    # through Enum.__hash__, in Python, once per triple
+    keys = ((scope, t.subject, t.predicate.text, t.object)
+            for unit, triples in (paper.triples or {}).items()
+            for scope in [unit.identifier if per_unit else None] for t in triples)
     if config.text_fold:
         return {(scope, s.casefold(), p.casefold(), o.casefold()) for scope, s, p, o in keys}
     return set(keys)

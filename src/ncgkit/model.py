@@ -20,10 +20,11 @@ predicate texts, triple fields and phrase texts pass through
 :func:`canonical_text` when their value is built, so consumers compare them
 as they are.  A string that is already canonical is kept, not copied.
 Where the parts are canonical already, the check is skipped:
-``PhraseSpan._from_canonical`` and ``Triple._from_canonical`` write them
-straight to the slots, for a text that :class:`PhraseColumns` stored and
-for a flattened tree's labels.  They give values equal to the public
-constructor's, and check nothing.
+``Sentence._from_canonical``, ``PhraseSpan._from_canonical`` and
+``Triple._from_canonical`` write them straight to the slots, for a line
+that :class:`DocumentLines` tokenized, a text that :class:`PhraseColumns`
+stored and a flattened tree's labels.  They give values equal to the
+public constructor's, and check nothing.
 
 A loaded paper holds its text as :class:`DocumentLines` and its phrases as
 :class:`PhraseColumns`, sequences equal to the eager lists, which work the
@@ -166,6 +167,19 @@ class Sentence:
         set_tokens(self, tokens)
         set_text(self, " ".join(tokens))
 
+    @classmethod
+    def _from_canonical(cls, paper_id: str, index: int, tokens: tuple[str, ...],
+                        text: str) -> "Sentence":
+        """A sentence whose caller guarantees ``index >= 1``, non-empty
+        ``tokens`` and ``text == " ".join(tokens)``; nothing is checked."""
+        sentence = _new(cls)
+        set_paper_id, set_index, set_tokens, set_text = _SENTENCE_SLOTS
+        set_paper_id(sentence, paper_id)
+        set_index(sentence, index)
+        set_tokens(sentence, tokens)
+        set_text(sentence, text)
+        return sentence
+
 
 _SENTENCE_SLOTS = _slot_setters(Sentence)
 
@@ -204,10 +218,12 @@ class DocumentLines(_BufferView):
     line instead of one ``str`` per line.  UTF-8, not one ``str``, because
     a ``str`` stores every character as wide as its widest: one character
     above U+00FF would double the whole paper.  A line is sliced out,
-    decoded and tokenized only when it is read: item ``i`` is
-    ``Sentence(paper_id, i + 1, tokens)``, or None for a blank line.
-    Nothing is cached.  Any list of strings round-trips exactly, lines
-    holding break characters or lone surrogates included.  It compares
+    decoded and tokenized only when it is read: item ``i`` equals
+    ``Sentence(paper_id, i + 1, tokens)``, or is None for a blank line.
+    It is built without that constructor's checks, which the line's
+    ``str.split`` tokens pass by construction.  Nothing is cached.  Any
+    list of strings round-trips exactly, lines holding break characters
+    or lone surrogates included.  It compares
     equal to a list of the same items, such as the eager list of sentences.
     """
 
@@ -221,7 +237,10 @@ class DocumentLines(_BufferView):
 
     def _sentence(self, index: int, line: str) -> Sentence | None:
         tokens = tuple(line.split())
-        return Sentence(self.paper_id, index, tokens) if tokens else None
+        # index counts from 1 and tokens is not empty; canonical_text(line)
+        # is " ".join(line.split()), the text Sentence would join
+        return (Sentence._from_canonical(self.paper_id, index, tokens, canonical_text(line))
+                if tokens else None)
 
     def _line(self, start: int, end: int) -> str:
         return self._data[start:end].decode("utf-8", "surrogatepass")
@@ -438,11 +457,13 @@ class Node:
         if not self.label:
             raise ValueError("empty node label")
 
-    def add(self, predicate: Predicate, child: "Node | str | None") -> None:
-        """Append an edge; a literal is canonicalized, and a blank one dangles."""
+    def add(self, predicate: Predicate, child: "Node | str | None") -> "Node | str | None":
+        """Append an edge and return the child stored: a literal is
+        canonicalized, and a blank one dangles, stored as None."""
         if isinstance(child, str):
             child = canonical_text(child) or None
         self.edges.append((predicate, child))
+        return child
 
     def walk(self):
         """Yield this node and every descendant node, pre-order: this node,
@@ -598,13 +619,17 @@ class PaperAnnotation:
 
 @dataclass
 class Corpus:
-    """Papers grouped by task, in stable task and paper order."""
+    """Papers grouped by task, in stable task and paper order.  Iterating a
+    corpus yields its papers in that order, as :meth:`papers` does."""
 
     tasks: dict[str, list[PaperAnnotation]] = field(default_factory=dict)
 
     def papers(self):
         for papers in self.tasks.values():
             yield from papers
+
+    def __iter__(self):
+        return self.papers()
 
     def paper_ids(self) -> list[str]:
         return [p.paper_id for p in self.papers()]

@@ -8,12 +8,13 @@ per-paper, so a paper's report does not depend on the rest of the corpus.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .issues import ERROR, ValidationIssue
 from .model import (
     CONTRIBUTION,
-    Corpus,
     PaperAnnotation,
     PhraseColumns,
     PredicateKind,
@@ -82,7 +83,7 @@ def _read_tree(unit: UnitLabel, tree: UnitTree, pool: list[str]):
     nested, misplaced = [], []
     top = tree.unit_node
     for node in tree.nodes():
-        pool.extend(canonical_text(p) for p in node.provenance)
+        pool.extend(map(canonical_text, node.provenance))
         named = lookup_unit_label(node.label)
         if named is not None and node is not tree.root and node is not top:
             nested.append((node, named))
@@ -104,9 +105,11 @@ def validate_paper(paper: PaperAnnotation,
     encapsulation of sub-units, the has/name/hasAcronym filler whitelist,
     provenance grounding of surface forms, duplicate triples, sentence
     index bounds, and the optional phrase-length lint.  The two
-    text-grounding checks need source text and are skipped when the paper
-    carries neither contribution sentences nor provenance strings; they
-    see each distinct triple of a unit once, so a repeated triple gets its
+    text-grounding checks look a surface up in the paper's provenance
+    strings and its contribution sentences; they are skipped when the
+    paper carries neither.  Each distinct surface is looked up, and
+    checked for the subject/object exemption, once per paper.  They see
+    each distinct triple of a unit once, so a repeated triple gets its
     findings once, next to its ``duplicate-triple`` error.  Unit
     presence and the triple checks cover every unit of ``paper.triples``,
     which lists each unit, tree or not, in identifier order; encapsulation,
@@ -116,16 +119,18 @@ def validate_paper(paper: PaperAnnotation,
     report = ValidationReport(paper.paper_id)
     issues = report.issues
     by_unit = paper.triples or {}
-    pool = paper.contribution_texts()  # canonical texts a surface may be grounded in
+    provenance: list[str] = []
     nested, misplaced = {}, {}
     for unit, tree in (paper.units or {}).items():  # one pass per tree
-        nested[unit], misplaced[unit] = _read_tree(unit, tree, pool)
+        nested[unit], misplaced[unit] = _read_tree(unit, tree, provenance)
+    sources = _Sources(provenance, paper)
 
     _check_mandatory(paper, by_unit, nested, issues)
     _check_encapsulation(nested, issues)
-    # canonical text holds no newline, so a surface found in the joined
-    # pool lies inside one text
-    grounded = _Grounding("\n".join(pool))
+    grounded = _Memo(sources.__contains__)
+    # a subject or object naming the root or a unit needs no grounding
+    placed = _Memo(lambda surface: surface == CONTRIBUTION
+                   or lookup_unit_label(surface) is not None or grounded[surface])
     for unit, triples in by_unit.items():
         distinct = {}
         for triple in triples:
@@ -136,8 +141,8 @@ def validate_paper(paper: PaperAnnotation,
                     f"duplicate triple {key}"))
             else:
                 distinct[key] = triple
-        if pool:
-            _check_surfaces(unit, distinct.values(), grounded, policy, issues)
+        if sources:
+            _check_surfaces(unit, distinct.values(), grounded, placed, policy, issues)
         issues.extend(misplaced.get(unit, ()))
     _check_sentence_bounds(paper, issues)
     _check_phrase_length(paper, policy, issues)
@@ -183,22 +188,52 @@ def _check_encapsulation(nested_units: dict[UnitLabel, list],
                     f"Experiments or Tasks"))
 
 
-class _Grounding(dict):
-    """Whether a surface occurs in one paper's joined pool, each surface
-    searched once."""
+class _Sources:
+    """The canonical texts one paper's surfaces may be grounded in: its
+    provenance strings, where most surfaces are found, then its
+    contribution sentences, which are read only when a surface is not
+    in the provenance or the paper has none.  Each kind is joined by line
+    feeds, which no canonical surface holds, so a surface found in a
+    join lies inside one text, and the order of the texts changes no
+    finding."""
 
-    def __init__(self, haystack: str) -> None:
+    def __init__(self, provenance: list[str], paper: PaperAnnotation) -> None:
+        self.provenance = provenance
+        self.joined = "\n".join(provenance)
+        self.paper = paper
+
+    @cached_property
+    def contributions(self) -> str:
+        return "\n".join(self.paper.contribution_texts())
+
+    def __bool__(self) -> bool:
+        """Whether the paper carries any text to ground in."""
+        return bool(self.provenance or self.contributions)
+
+    def __contains__(self, surface: str) -> bool:
+        return surface in self.joined or surface in self.contributions
+
+
+class _Memo(dict):
+    """``decide(key)`` for each key, computed once per key."""
+
+    def __init__(self, decide) -> None:
         super().__init__()
-        self.haystack = haystack
+        self.decide = decide
 
-    def __missing__(self, surface: str) -> bool:
-        found = self[surface] = surface in self.haystack
-        return found
+    def __missing__(self, key):
+        value = self[key] = self.decide(key)
+        return value
 
 
-def _check_surfaces(unit: UnitLabel, triples, grounded: _Grounding,
+def _check_surfaces(unit: UnitLabel, triples, grounded: _Memo, placed: _Memo,
                     policy: ValidationPolicy, issues: list[ValidationIssue]) -> None:
-    """Filler whitelist for predicates, provenance grounding for all parts."""
+    """Filler whitelist for predicates, provenance grounding for all parts.
+
+    ``grounded`` says whether a text occurs in the paper's sources, and
+    ``placed`` whether a subject or object is exempt or grounded.  The two
+    are kept apart because the exemption is by role: a predicate and a node
+    may share a text."""
     # the one code whose severity the policy sets; None keeps the code's own
     severity = ERROR if policy.provenance_check == PROVENANCE_ERROR else None
     for triple in triples:
@@ -211,11 +246,7 @@ def _check_surfaces(unit: UnitLabel, triples, grounded: _Grounding,
         if policy.provenance_check == PROVENANCE_OFF:
             continue
         for role, surface in (("subject", triple.subject), ("object", triple.object)):
-            # the exemption is by role, so it stays out of the memo: a
-            # predicate and a node may share a text
-            if surface == CONTRIBUTION or lookup_unit_label(surface) is not None:
-                continue
-            if not grounded[surface]:
+            if not placed[surface]:
                 issues.append(ValidationIssue(
                     "provenance-missing", f"{unit.identifier}/{triple.subject}",
                     f"{role} {surface!r} not found in any source sentence",
@@ -247,11 +278,14 @@ def _check_phrase_length(paper: PaperAnnotation, policy: ValidationPolicy,
                 f"{policy.max_phrase_tokens}: {span.text!r}"))
 
 
-def validate_corpus(corpus: Corpus,
+def validate_corpus(papers: Iterable[PaperAnnotation],
                     policy: ValidationPolicy | None = None) -> list[ValidationReport]:
-    """One report per paper, in corpus order."""
+    """One report per paper, in the order given: a
+    :class:`~ncgkit.model.Corpus`, or a stream such as
+    :func:`~ncgkit.corpus_io.iter_papers`, whose papers are read one at a
+    time and not kept."""
     policy = policy or ValidationPolicy()
-    return [validate_paper(paper, policy) for paper in corpus.papers()]
+    return [validate_paper(paper, policy) for paper in papers]
 
 
 def summarize_reports(reports: list[ValidationReport]) -> Counter:

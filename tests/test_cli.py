@@ -4,12 +4,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from ncgkit import CorpusManifest, UnitLabel, compare, load_corpus
 from ncgkit.cli import build_parser, run
-from corpusgen import write_chain_corpus
+from corpusgen import write_chain_corpus, write_trial_corpus
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -69,8 +70,20 @@ class TestStats:
          "expected a number, got str"),
         (b'{"overall": [], "units": {"Results": 3}}', "expected an object, got"),
         (b'{"ratio_tolerance": NaN}', "ratio_tolerance: NaN equals no value"),
+        # a negative tolerance fails a ratio equal to its want, an infinite
+        # one passes every ratio, and a float() of an integer past the
+        # float range overflows
+        (b'{"ratio_tolerance": -1, "overall": {"avg_ann_sentences": 1.0}}',
+         "ratio_tolerance: expected a number of at least 0, got -1"),
+        (b'{"ratio_tolerance": 1e309}', "ratio_tolerance: expected a finite number, got inf"),
+        (b'{"ratio_tolerance": 1' + b"0" * 400 + b"}",
+         "ratio_tolerance: expected a finite number, got 1000"),
+        (b'{"overall": {"avg_ann_sentences": 1' + b"0" * 400 + b"}, "
+         b'"units": {"Results": {"ratio": -1' + b"0" * 400 + b"}}}",
+         "expected a finite number, got "),
     ], ids=["truncated", "bad-byte", "top-level-list", "string-count", "not-an-object",
-            "nan"])
+            "nan", "negative-tolerance", "infinite-tolerance", "huge-integer-tolerance",
+            "huge-integer-value"])
     def test_malformed_check_file_exits_2(self, tiny_root, tmp_path, capsys,
                                           command, body, message):
         check = tmp_path / "expected.json"
@@ -574,6 +587,50 @@ class TestScore:
         assert [line for line in strict.err.splitlines() if line.startswith("error:")] == [
             "error: papers/dilated-cnn-2017/sentences.txt: "
             "not valid UTF-8 (invalid start byte 0xff)"]
+
+
+def make_replicated_trial_corpus(root, copies):
+    """The trial corpus, each paper under ``copies`` ids."""
+    write_trial_corpus(root)
+    for paper in [p for task in root.iterdir() for p in task.iterdir()]:
+        for k in range(1, copies):
+            shutil.copytree(paper, paper.with_name(f"{paper.name}-{k}"))
+    return root
+
+
+class TestStreaming:
+    """validate, stats and unit-stats hold one paper at a time."""
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_peak_memory_does_not_grow_with_the_paper_count(self, tmp_path, command):
+        # at three times the papers, holding the corpus would add about
+        # 2.5 MB to the traced peak
+        peaks = []
+        for copies in (1, 3):
+            root = make_replicated_trial_corpus(tmp_path / f"x{copies}", copies)
+            tracemalloc.start()
+            try:
+                code = run([command, "--manifest", str(root), "--out", str(tmp_path / "out")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < peaks[0] + 2**20
+
+    @pytest.mark.parametrize("command", ["validate", "stats", "unit-stats"])
+    def test_strict_error_after_a_warning_prints_only_the_error(
+            self, comparison_root, tmp_path, capsys, command):
+        root = tmp_path / "corpus"
+        shutil.copytree(comparison_root, root)
+        # the first paper loads with warnings, the last one fails
+        last = sorted((root / "papers").iterdir())[-1]
+        (last / "sentences.txt").write_text("NaN\n", encoding="utf-8")
+        assert run([command, "--manifest", str(root)]) in (0, 1)
+        assert capsys.readouterr().err.startswith("corpus: ")
+        assert run([command, "--manifest", str(root), "--strict"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: papers/{last.name}/sentences.txt:1: not a positive sentence "
+                f"index: 'NaN'\n")
 
 
 class TestLoadIssuesOnStderr:

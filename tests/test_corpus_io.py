@@ -33,6 +33,7 @@ from ncgkit import (
     corpus_stats,
     export_ntriples,
     flatten,
+    iter_papers,
     load_corpus,
     parse_phrase_file,
     parse_sentence_indices,
@@ -1392,6 +1393,58 @@ class TestLoadIssues:
         assert [i.as_line() for i in issues if i.code == "dangling-predicate"] == [
             f"t/p/info-units/Results.json\tdangling-predicate\tWarning\t"
             f"predicate {p!r} of 'Results' has no value" for p in ("on", "by")]
+
+    def test_dangling_predicates_come_in_pre_order(self):
+        # dangling edges at several depths, inside a mixed list and a list
+        # of strings, and under a key the object repeats, whose values are
+        # read at its first place
+        text = """{"has": {"Results": {
+            "on": {},
+            "improves": {"X": {"by": null, "over": {"Y": {"at": ""}}}},
+            "lists": ["a", null, {"Z": {"with": []}}, " ", "b"],
+            "among": ["x", ""],
+            "on": null,
+            "last": [[null], "v"]}}}"""
+        issues = []
+        tree = parse_unit_file(text, UnitLabel.RESULTS, issues=issues, location="R.json")
+        expected = [("on", "Results"), ("on", "Results"), ("by", "X"), ("at", "Y"),
+                    ("lists", "Results"), ("with", "Z"), ("lists", "Results"),
+                    ("among", "Results"), ("last", "Results")]
+        assert [i.as_line() for i in issues] == [
+            f"R.json\tdangling-predicate\tWarning\tpredicate {p!r} of {n!r} has no value"
+            for p, n in expected]
+        # the order of a walk of the tree
+        assert [(p.text, node.label) for _, node, p, child in tree.root.walk_edges()
+                if child is None] == expected
+
+    def test_iter_papers_streams_what_load_corpus_collects(self, tmp_path, comparison_root):
+        make_messy_corpus(tmp_path)
+        for root in (tmp_path, comparison_root):
+            corpus, issues = load_corpus(CorpusManifest(root_path=root))
+            streamed = []
+            assert list(iter_papers(CorpusManifest(root_path=root), streamed)) == list(corpus)
+            assert streamed == issues
+        # a paper comes before the next one is read
+        streamed = []
+        papers = iter_papers(CorpusManifest(root_path=tmp_path), streamed)
+        assert next(papers).paper_id == "c"
+        assert [i.location for i in streamed][-1] == "t/c/Tasks"
+
+    def test_iter_papers_under_strict_is_load_corpus_under_strict(self, tmp_path,
+                                                                comparison_root):
+        manifest = CorpusManifest(root_path=comparison_root, strict=True)
+        corpus, issues = load_corpus(manifest)
+        streamed = []
+        assert list(iter_papers(manifest, streamed)) == list(corpus)
+        assert streamed == issues and issues
+        make_messy_corpus(tmp_path)
+        manifest = CorpusManifest(root_path=tmp_path, strict=True)
+        with pytest.raises(FormatError) as loaded:
+            load_corpus(manifest)
+        with pytest.raises(FormatError) as streamed:
+            list(iter_papers(manifest, []))
+        assert str(streamed.value) == str(loaded.value) == (
+            "t/a/text.txt: missing plaintext file")
 
     @pytest.mark.parametrize("rel, body, message", [
         ("text.txt", b"a b \xff\n", "t/p/text.txt: not valid UTF-8"),

@@ -27,7 +27,7 @@ from ncgkit import (
     unit_stats,
     validate_corpus,
 )
-from ncgkit.metrics import PHRASE_MATCHES
+from ncgkit.metrics import PHRASE_MATCHES, StatsRow
 from scoring_oracle import oracle_counts, random_corpus
 
 
@@ -108,6 +108,22 @@ class TestCorpusStats:
         assert stats.overall.ann_phrases == 1
         assert stats.overall.ann_triples == 2
         assert stats.overall.total_ius == 2
+
+    def test_any_iterable_of_papers_counts_as_the_corpus_does(self):
+        a, b, c = (stats_paper(pid, task, 10, 40, 2) for pid, task in
+                   (("a", "t2"), ("b", "t1"), ("c", "t2")))
+        corpus = Corpus({"t0": [], "t2": [a, c], "t1": [b]})
+        assert list(corpus) == [a, c, b]
+        streamed = corpus_stats(iter(corpus))
+        # a Corpus keeps a row for each of its tasks, the empty one included
+        whole = corpus_stats(corpus)
+        assert list(whole.per_task) == ["t0", "t2", "t1"]
+        assert whole.per_task["t0"] == StatsRow()
+        del whole.per_task["t0"]
+        assert streamed == whole
+        assert list(streamed.per_task) == ["t2", "t1"]
+        assert streamed.overall.total_sentences == 30
+        assert unit_stats(iter(corpus)) == unit_stats(corpus)
 
     def test_missing_totals(self):
         paper = PaperAnnotation("p", "t")

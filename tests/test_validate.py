@@ -202,6 +202,31 @@ class TestProvenance:
         assert any("'performance over baseline'" in m for m in missing)
         assert not any("'the performance'" in m or "'over baseline'" in m for m in missing)
 
+    @pytest.mark.parametrize("where", ["sentence", "provenance", "split", "neither"])
+    def test_a_surface_is_grounded_wherever_the_paper_holds_it(self, where):
+        source = "this work reports an invented phrase"
+        results = {"reports": "an invented phrase"}
+        lines = list(GOOD_LINES)
+        if where in ("provenance", "split"):
+            results["from sentence"] = "this work reports" if where == "split" else source
+        if where in ("sentence", "split"):
+            lines.append(source)
+        units = {**GOOD_UNITS, "Results": {"has": {"Results": results}}}
+        report = validate_paper(build_paper(units, lines))
+        assert report.as_lines() == ("" if where != "neither" else (
+            "p1\tfiller-whitelist\tError\tpredicate 'reports' not found in any "
+            "annotated sentence and not a filler\n"
+            "p1\tprovenance-missing\tWarning\tobject 'an invented phrase' not found "
+            "in any source sentence\n"))
+
+    def test_a_blank_provenance_string_still_turns_grounding_on(self):
+        results = {"reports": "an invented phrase"}
+        blank = {**results, "from sentence": " "}
+        for tree, codes in ((results, []), (blank, ["filler-whitelist", "provenance-missing"])):
+            units = {**GOOD_UNITS, "Results": {"has": {"Results": tree}}}
+            report = validate_paper(build_paper(units, GOOD_LINES, indices=set()))
+            assert sorted({i.code for i in report.issues}) == codes
+
     def test_unit_names_are_never_provenance_checked(self):
         report = validate_paper(build_paper(GOOD_UNITS, GOOD_LINES))
         assert not any("Results" in i.message and i.code == "provenance-missing"
