@@ -80,6 +80,15 @@ def title_entry(value: str) -> tuple[str, str]:
     return paper_id, title
 
 
+def paper_id_list(value: str) -> list[str]:
+    """A comma-separated argument value of distinct paper ids, at least one;
+    blanks around an id are dropped."""
+    paper_ids = [p.strip() for p in value.split(",") if p.strip()]
+    if not paper_ids or len(set(paper_ids)) < len(paper_ids):
+        raise ValueError(value)
+    return paper_ids
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncg", description="NCG annotation toolkit")
@@ -160,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="tabulated comparison across papers")
     add_corpus_args(p)
     p.add_argument("--unit", required=True)
-    p.add_argument("--papers", required=True,
-                   help="comma-separated paper ids (column order)")
+    p.add_argument("--papers", required=True, type=paper_id_list,
+                   help="comma-separated distinct paper ids (column order)")
     p.add_argument("--depth", type=positive_int, default=1)
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
     p.add_argument("--title", action="append", default=[], type=title_entry,
@@ -428,8 +437,7 @@ def cmd_traverse(args) -> int:
 def cmd_compare(args) -> int:
     corpus, _ = _load(args.manifest, args.strict)
     unit = normalize_unit_label(args.unit)
-    paper_ids = [p.strip() for p in args.papers.split(",") if p.strip()]
-    table = compare(corpus, unit, paper_ids, depth=args.depth, titles=dict(args.title))
+    table = compare(corpus, unit, args.papers, depth=args.depth, titles=dict(args.title))
     if args.format == "json":
         _emit(args, json.dumps(table_to_dict(table), indent=2,
                                ensure_ascii=False) + "\n")

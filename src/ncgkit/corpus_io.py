@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .codec import flatten, nest
+from .codec import nest
 from .errors import (
     AlternationError,
     FormatError,
@@ -900,62 +900,53 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
     if file_lines is None and trees:
         issues.append(ValidationIssue("missing-triples", here,
                                       "no triples files; derived by flattening the unit trees"))
-    units, triples = _reconcile(here, trees, file_lines, issues)
-    return PaperAnnotation(
-        paper_id=paper_id, task=task,
+    return _reconcile(
+        here, trees, file_lines, issues, paper_id=paper_id, task=task,
         total_sentence_count=manifest.sentence_totals.get(paper_id, len(sentences)),
         total_token_count=manifest.token_totals.get(paper_id, token_count),
-        contribution_sentence_indices=indices, phrases=phrases, units=units,
-        triples=triples, sentences=sentences)
+        contribution_sentence_indices=indices, phrases=phrases, sentences=sentences)
 
 
 def _reconcile(here: str, trees: dict[UnitLabel, UnitTree] | None,
                file_lines: dict[UnitLabel, list[tuple[str, str, str]]] | None,
-               issues: list[ValidationIssue]
-               ) -> tuple[dict[UnitLabel, UnitTree] | None, dict[UnitLabel, list[Triple]] | None]:
-    """A paper's units and triples from its trees and its triples files' lines.
+               issues: list[ValidationIssue], **layers) -> PaperAnnotation:
+    """The paper of ``layers``, its trees and its triples files' lines.
 
     ``file_lines`` holds each file's fields as written; either map is None
-    when the paper has no such files.  Units with only a triples file get
-    nest() output where their triples form a tree; the maps' order is left
-    to :class:`PaperAnnotation`.  Every tree, shipped or rebuilt, gives
-    its flatten() output as the unit's triples.  A shipped triples file
-    must be set-equal to the flattened tree, compared by canonical key; any
-    difference is itemized as a warning, never silently dropped.  Triple
-    objects are built from a file only for units without a tree.
+    when the paper has no such files.  A unit with only a triples file gets
+    the nest() output of its triples, or where they form no tree the
+    triples themselves; the paper flattens every tree.  A shipped triples
+    file must be set-equal to the paper's triples of its unit by canonical
+    key; each difference is itemized in a warning, before the nest failures.
     """
-    shipped = trees or {}
-    lines_by_unit = file_lines or {}
-    units: dict[UnitLabel, UnitTree] = {}
-    triples: dict[UnitLabel, list[Triple]] = {}
-    for unit in {**shipped, **lines_by_unit}:
-        tree = shipped.get(unit)
-        lines = lines_by_unit.get(unit)
-        if tree is None:
+    shipped, lines_by_unit = trees or {}, file_lines or {}
+    units = dict(shipped)
+    triples: dict[UnitLabel, list[Triple]] | None = None if file_lines is None else {}
+    failed = []
+    for unit, lines in lines_by_unit.items():
+        if unit not in shipped:
             listed = _triples(lines)
             try:
-                tree = nest(listed, unit)
+                units[unit] = nest(listed, unit)
             except NotATree as exc:
-                issues.append(ValidationIssue("nest-failed", f"{here}/{unit.identifier}",
+                failed.append(ValidationIssue("nest-failed", f"{here}/{unit.identifier}",
                                               str(exc)))
                 triples[unit] = listed
-                continue
-        units[unit] = tree
-        triples[unit] = flat = flatten(tree).triples
-        if unit in shipped and lines is not None:
-            tree_keys = {t.key() for t in flat}
-            # tree keys are canonical, so fields as written that equal them
-            # are canonical too
-            file_keys = set(lines)
-            if file_keys != tree_keys:
-                file_keys = {tuple(map(canonical_text, fields)) for fields in file_keys}
-            if file_keys != tree_keys:
-                issues.append(ValidationIssue(
-                    "triples-file-mismatch", f"{here}/{unit.identifier}",
-                    f"tree-only: {sorted(tree_keys - file_keys)}; "
-                    f"file-only: {sorted(file_keys - tree_keys)}"))
-    # a map left empty is the one read: None when the paper has no such files
-    return units or trees, triples or file_lines
+    # a units map left empty is the one read: None when the paper has no unit files
+    paper = PaperAnnotation(units=units or trees, triples=triples, **layers)
+    for unit in [unit for unit in shipped if unit in lines_by_unit]:
+        tree_keys = {t.key() for t in paper.triples[unit]}
+        # fields as written that equal the canonical tree keys are canonical too
+        file_keys = set(lines_by_unit[unit])
+        if file_keys != tree_keys:
+            file_keys = {tuple(map(canonical_text, fields)) for fields in file_keys}
+        if file_keys != tree_keys:
+            issues.append(ValidationIssue(
+                "triples-file-mismatch", f"{here}/{unit.identifier}",
+                f"tree-only: {sorted(tree_keys - file_keys)}; "
+                f"file-only: {sorted(file_keys - tree_keys)}"))
+    issues += failed
+    return paper
 
 
 def iter_papers(manifest: CorpusManifest,

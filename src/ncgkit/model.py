@@ -260,7 +260,8 @@ class PhraseSpan:
     """A scientific-term or predicate phrase inside one sentence.
 
     ``sentence_index`` is 1-based, as a sentence's is.  Token offsets are
-    0-based, start inclusive, end exclusive.  ``text`` is canonical (a
+    0-based, start inclusive, end exclusive.  All three are below ``2**32``,
+    as :class:`PhraseColumns` stores them.  ``text`` is canonical (a
     canonical argument is kept) and must equal the covered tokens joined by
     single spaces; parsers enforce this against the referenced sentence.
     """
@@ -276,6 +277,9 @@ class PhraseSpan:
             raise ValueError(f"sentence index must be >= 1, got {sentence_index}")
         if start_tok < 0 or start_tok >= end_tok:
             raise ValueError(f"bad span offsets [{start_tok}, {end_tok})")
+        if sentence_index >= 2**32 or end_tok >= 2**32:
+            raise ValueError(f"span {sentence_index} [{start_tok}, {end_tok}) "
+                             f"does not fit 32 bits")
         set_sentence_index, set_start_tok, set_end_tok, set_text = _PHRASE_SPAN_SLOTS
         set_sentence_index(self, sentence_index)
         set_start_tok(self, start_tok)
@@ -560,22 +564,35 @@ class UnitTree:
         return self.root.walk()
 
 
-@dataclass
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change; it equals, prints, pickles and copies as one."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a built paper's unit maps are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+@dataclass(frozen=True)
 class PaperAnnotation:
-    """All annotation layers of one paper.
+    """All annotation layers of one paper, read-only once built.
 
     Layer fields are ``None`` when the corresponding file was absent on
     disk, as opposed to present-but-empty.  ``sentences`` is the full
-    document when the plaintext was loaded, one entry per line; a loaded
-    paper holds a :class:`DocumentLines`, which keeps the text as one UTF-8
-    ``bytes`` with line-end offsets and tokenizes a line when it is read,
-    and a list of ``Sentence | None`` works the same.  ``phrases`` is a
-    :class:`PhraseColumns` when loaded, or any sequence of spans.  Validators
-    ground surface forms in the contribution sentences.  Both unit maps are
-    in :attr:`UnitLabel.identifier` order, and ``triples`` holds every unit
-    of either: a unit it lacks gets its tree flattened.  When both maps hold
-    a unit, ``triples[u]`` is ``flatten(units[u]).triples``; ``load_corpus``
-    guarantees this.
+    document when the plaintext was loaded, one entry per line: a
+    :class:`DocumentLines` when loaded, or a list of ``Sentence | None``.
+    ``phrases`` is a :class:`PhraseColumns` when loaded, or any sequence of
+    spans.  Validators ground surface forms in the contribution sentences.
+    Both unit maps are in :attr:`UnitLabel.identifier` order, and
+    ``triples`` holds every unit of either.  The tree wins: a unit with a
+    tree has ``triples[u] == flatten(units[u]).triples``, and a list given
+    for it is ignored; a unit without one keeps the list given.  Both maps
+    refuse changes; :func:`dataclasses.replace` builds a changed paper.
     """
 
     paper_id: str
@@ -589,16 +606,18 @@ class PaperAnnotation:
     sentences: Sequence[Sentence | None] | None = None
 
     def __post_init__(self) -> None:
-        """Order both unit maps and give ``triples`` every unit; a map that
-        was None stays None when nothing is added to it."""
+        """Order both unit maps, flatten every tree into ``triples`` and make both
+        maps read-only; a map that was None stays None when nothing is added."""
         units, stored = self.units or {}, self.triples or {}
         listed = sorted(units.keys() | stored.keys(), key=lambda unit: unit.identifier)
         if self.units is not None:
-            self.units = {unit: units[unit] for unit in listed if unit in units}
+            object.__setattr__(self, "units", _ReadOnlyDict(
+                (unit, units[unit]) for unit in listed if unit in units))
         if listed or self.triples is not None:
             from .codec import flatten  # codec imports this module
-            self.triples = {unit: stored[unit] if unit in stored else flatten(units[unit]).triples
-                            for unit in listed}
+            object.__setattr__(self, "triples", _ReadOnlyDict(
+                (unit, flatten(units[unit]).triples if unit in units else stored[unit])
+                for unit in listed))
 
     def sentence(self, index: int) -> Sentence | None:
         if self.sentences is None or not 1 <= index <= len(self.sentences):
@@ -607,14 +626,8 @@ class PaperAnnotation:
 
     def contribution_texts(self) -> list[str]:
         """Texts of the selected contribution sentences, where resolvable."""
-        if not self.contribution_sentence_indices:
-            return []
-        out = []
-        for idx in sorted(self.contribution_sentence_indices):
-            sent = self.sentence(idx)
-            if sent is not None:
-                out.append(sent.text)
-        return out
+        sentences = map(self.sentence, sorted(self.contribution_sentence_indices or ()))
+        return [sent.text for sent in sentences if sent is not None]
 
 
 @dataclass

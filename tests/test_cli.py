@@ -784,6 +784,15 @@ class TestCompareCommand:
             compare(corpus, UnitLabel.RESULTS, ["machine-reading-2016"], depth=0)
 
 
+    @pytest.mark.parametrize("papers", [",", " , ", "dilated-cnn-2017,dilated-cnn-2017",
+                                        "dilated-cnn-2017, machine-reading-2016 ,dilated-cnn-2017"])
+    def test_empty_or_repeated_papers_are_usage_errors(self, comparison_root, capsys, papers):
+        assert run(["compare", "--manifest", str(comparison_root), "--unit", "Results",
+                    "--papers", papers, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --papers: invalid paper_id_list value: {papers!r}" in captured.err
+
     def test_title_without_equals_is_usage_error(self, comparison_root, capsys):
         assert run(["compare", "--manifest", str(comparison_root), "--unit", "Results",
                     "--papers", "dilated-cnn-2017,machine-reading-2016",

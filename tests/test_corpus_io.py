@@ -45,6 +45,7 @@ from ncgkit import (
     write_triple_lines,
     write_unit_file,
 )
+from ncgkit import codec
 from ncgkit.corpus_io import DEFAULT_LAYOUT, PROVENANCE_KEY, _read
 from ncgkit.issues import ERROR, WARNING
 from ncgkit.model import Predicate, canonical_text
@@ -845,6 +846,29 @@ class TestLoadCorpus:
                 monkeypatch.setattr(module, "flatten", no_flatten)
         assert outputs() == before
 
+    def test_load_flattens_each_tree_once(self, unit_profile_root, tmp_path, monkeypatch):
+        # a shipped tree with its file, a file that nests and one that does not
+        make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS,
+                   triples={"Results": "(Contribution||has||Results)\n"
+                                       "(Results||improves||e f)\n",
+                            "Code": "(Contribution||has||Code)\n(Code||url||x)\n",
+                            "Tasks": "(Tasks||has||x)\n"})
+        flattened = []
+
+        def spy(tree):
+            flattened.append(tree)
+            return flatten(tree)
+
+        monkeypatch.setattr(codec, "flatten", spy)
+        for root in (unit_profile_root, tmp_path):
+            flattened.clear()
+            corpus, issues = load_corpus(CorpusManifest(root_path=root))
+            trees = [tree for paper in corpus for tree in paper.units.values()]
+            assert sorted(map(id, flattened)) == sorted(map(id, trees))
+        assert len(trees) == 4
+        assert [i.location for i in issues if i.code.startswith(("nest", "triples"))] == [
+            "t/p/Tasks"]
+
     def test_strict_mode_raises_on_bad_file(self, tmp_path):
         make_paper(tmp_path, "t", "p", sentences="NaN\n", units=MINIMAL_UNITS)
         with pytest.raises(FormatError):
@@ -1122,7 +1146,8 @@ class TestLoadCorpus:
             lines = 0
             for paper in corpus.papers():
                 lines += len(paper.sentences)
-                paper.sentences = None
+                # a replace would flatten every tree again inside the window
+                object.__setattr__(paper, "sentences", None)
             gc.collect()
             retained = loaded - tracemalloc.get_traced_memory()[0]
         finally:
@@ -1144,7 +1169,8 @@ class TestLoadCorpus:
             spans = 0
             for paper in corpus.papers():
                 spans += len(paper.phrases)
-                paper.phrases = None
+                # a replace would flatten every tree again inside the window
+                object.__setattr__(paper, "phrases", None)
             gc.collect()
             retained = loaded - tracemalloc.get_traced_memory()[0]
         finally:

@@ -386,6 +386,13 @@ class TestPhraseSpan:
     def test_token_count(self):
         assert PhraseSpan(1, 2, 4, "adding features").token_count() == 2
 
+    def test_the_largest_span_fits_the_columns(self):
+        span = PhraseSpan(2**32 - 1, 2**32 - 2, 2**32 - 1, "x")
+        assert list(PhraseColumns.of([span])) == [span]
+        paper = PaperAnnotation("p", "t", total_sentence_count=1, total_token_count=1,
+                                phrases=[span])
+        assert corpus_stats(Corpus({"t": [paper]})).overall.ann_phrases == 1
+
 
 HAS = Predicate("has")
 IMPROVES = Predicate("improves")
@@ -457,14 +464,16 @@ class TestValueTypes:
     (lambda: PhraseSpan(1, 2, 2, "x"), "bad span offsets [2, 2)"),
     (lambda: PhraseSpan(1, -1, 2, "x"), "bad span offsets [-1, 2)"),
     (lambda: PhraseSpan(0, 0, 1, "x"), "sentence index must be >= 1, got 0"),
+    (lambda: PhraseSpan(2**40, 0, 1, "x"), f"span {2**40} [0, 1) does not fit 32 bits"),
+    (lambda: PhraseSpan(1, 0, 2**32, "x"), f"span 1 [0, {2**32}) does not fit 32 bits"),
     (lambda: Triple("a", Predicate("b"), " \t"), "empty triple field in ('a', 'b', '')"),
     (lambda: Triple("\u3000", HAS, "o"), "empty triple field in ('', 'has', 'o')"),
     (lambda: Sentence("p", 0, ("x",)), "sentence index must be >= 1, got 0"),
     (lambda: Sentence("p", 1, ()), "sentence has no tokens"),
     (lambda: replace(Triple("s", HAS, "o"), object=""), "empty triple field in ('s', 'has', '')"),
     (lambda: Predicate(" \n"), "empty predicate"),
-], ids=["empty-span", "negative-start", "span-index-0", "empty-object", "blank-subject", "index-0",
-        "no-tokens", "replace", "blank-predicate"])
+], ids=["empty-span", "negative-start", "span-index-0", "span-index-2**40", "span-end-2**32",
+        "empty-object", "blank-subject", "index-0", "no-tokens", "replace", "blank-predicate"])
 def test_value_type_errors(build, message):
     with pytest.raises(ValueError) as info:
         build()
@@ -615,6 +624,84 @@ class TestUnitOrder:
                                         triples=_reversed(paper.triples)),
                                 trees=False) == _outputs(paper, trees=False)
         assert count == 100
+
+
+#: Each change a dict allows, with arguments that a plain dict would accept.
+REFUSED_CHANGES = {
+    "__setitem__": (UnitLabel.CODE, []), "__delitem__": (UnitLabel.RESULTS,),
+    "__ior__": ({},), "clear": (), "pop": (UnitLabel.RESULTS,), "popitem": (),
+    "setdefault": (UnitLabel.CODE, []), "update": ({UnitLabel.CODE: []},),
+}
+
+
+class TestBuiltPaperIsReadOnly:
+    """A unit with a tree has its tree's triples, set when the paper is
+    built, and a built paper refuses every change."""
+
+    def test_a_swapped_tree_gives_its_own_triples(self, comparison_root):
+        corpus, _ = load_corpus(CorpusManifest(root_path=comparison_root))
+        paper = corpus.get("dilated-cnn-2017")
+        tree = corpus.get("sentence-similarity-2016").units[UnitLabel.RESULTS]
+        with pytest.raises(TypeError, match="read-only"):
+            paper.units[UnitLabel.RESULTS] = tree
+        twin = replace(paper, units={**paper.units, UnitLabel.RESULTS: tree})
+        assert twin.triples[UnitLabel.RESULTS] == flatten(tree).triples
+        assert len(paper.triples[UnitLabel.RESULTS]) == 6
+        assert len(twin.triples[UnitLabel.RESULTS]) == 13
+        counted = unit_stats(Corpus({twin.task: [twin]})).per_unit[UnitLabel.RESULTS]
+        assert counted.n_triples == 13
+        # replace flattens every tree again, so the other units are unchanged
+        assert {unit: triples for unit, triples in twin.triples.items()
+                if unit is not UnitLabel.RESULTS} == {
+            unit: triples for unit, triples in paper.triples.items()
+            if unit is not UnitLabel.RESULTS}
+
+    def test_a_list_given_for_a_unit_with_a_tree_is_ignored(self):
+        node = Node("Results")
+        node.add(Predicate("improves"), "x")
+        tree = UnitTree.from_unit_node(UnitLabel.RESULTS, node)
+        given = [Triple.of("Contribution", "has", "Results"), Triple.of("Results", "beats", "y")]
+        paper = PaperAnnotation("p", "t", units={UnitLabel.RESULTS: tree},
+                                triples={UnitLabel.RESULTS: given})
+        assert paper.triples[UnitLabel.RESULTS] == flatten(tree).triples != given
+        assert type(paper.triples[UnitLabel.RESULTS]) is list
+
+    def test_maps_and_fields_refuse_every_change(self):
+        node = Node("Results")
+        node.add(Predicate("improves"), "x")
+        stored = [Triple.of("Contribution", "has", "Code")]
+        paper = PaperAnnotation("p", "t", units={
+            UnitLabel.RESULTS: UnitTree.from_unit_node(UnitLabel.RESULTS, node)},
+            triples={UnitLabel.CODE: stored})
+        for mapping in (paper.units, paper.triples):
+            before = dict(mapping)
+            for method, args in REFUSED_CHANGES.items():
+                with pytest.raises(TypeError, match="read-only"):
+                    getattr(mapping, method)(*args)
+            assert mapping == before and isinstance(mapping, dict)
+            assert repr(mapping) == repr(before)
+        for f in fields(PaperAnnotation):
+            with pytest.raises(FrozenInstanceError):
+                setattr(paper, f.name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(paper, f.name)
+        assert paper.triples[UnitLabel.CODE] is stored
+
+    def test_loaded_corpora_survive_pickle_and_copy(self, comparison_root, trial_root):
+        # protocols 0 and 1 cannot pickle the slotted DocumentLines
+        for root in (comparison_root, trial_root):
+            corpus, _ = load_corpus(CorpusManifest(root_path=root))
+            clones = [pickle.loads(pickle.dumps(corpus, protocol))
+                      for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+            for clone in clones + [copy.copy(corpus), copy.deepcopy(corpus)]:
+                assert clone == corpus
+                for paper, original in zip(clone, corpus):
+                    for name in ("units", "triples"):
+                        mapping = getattr(paper, name)
+                        assert type(mapping) is type(getattr(original, name))
+                        assert list(mapping) == list(getattr(original, name))
+                        with pytest.raises(TypeError, match="read-only"):
+                            mapping[UnitLabel.CODE] = []
 
 
 class TestNodeEqualityAndRepr:

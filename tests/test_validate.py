@@ -282,8 +282,8 @@ class TestDuplicatesAndBounds:
 
     def test_phrase_length_lint(self):
         paper = build_paper(GOOD_UNITS, GOOD_LINES)
-        paper.phrases = [PhraseSpan(2, 0, 11, " ".join(
-            paper.sentences[1].tokens[0:11]))]
+        paper = replace(paper, phrases=[PhraseSpan(2, 0, 11, " ".join(
+            paper.sentences[1].tokens[0:11]))])
         report = validate_paper(paper)
         assert any(i.code == "phrase-too-long" and i.severity == WARNING
                    for i in report.issues)
