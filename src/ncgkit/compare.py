@@ -51,6 +51,7 @@ def compare(corpus: Corpus, unit: UnitLabel, paper_ids: list[str],
 
     Raises:
         UnknownPaper: a requested id is not in the corpus.
+        ValueError: ``depth`` is below 1, or an id is requested twice.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -60,7 +61,9 @@ def compare(corpus: Corpus, unit: UnitLabel, paper_ids: list[str],
         by_id.setdefault(paper.paper_id, paper)  # the first, as Corpus.get finds
     papers = []
     for paper_id in paper_ids:
-        paper = by_id.get(paper_id)
+        paper = by_id.pop(paper_id, None)  # so a second request finds none
+        if paper is None and any(p.paper_id == paper_id for p in papers):
+            raise ValueError(f"paper {paper_id!r} requested twice")
         if paper is None:
             raise UnknownPaper(f"paper {paper_id!r} not in corpus")
         papers.append(paper)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .codec import nest
+from . import codec
 from .errors import (
     AlternationError,
     FormatError,
@@ -304,7 +304,56 @@ def parse_phrase_file(text: str, sentences: Sequence[Sentence | None], *,
     stored canonical, as ``PhraseSpan`` would make it: a sentence's tokens
     are those of ``str.split``, as :class:`DocumentLines` makes them, so
     the covered tokens joined by single spaces are canonical already.
+
+    A file of token offsets over a loaded paper's lines is first checked
+    whole, by :func:`_clean_phrase_columns`; only a file that fails the
+    check is parsed line by line, by :func:`_phrase_lines`.
     """
+    if offset_unit == "token" and isinstance(sentences, DocumentLines):
+        columns = _clean_phrase_columns(text, sentences)
+        if columns is not None:
+            return columns
+    return _phrase_lines(text, sentences, strict=strict, offset_unit=offset_unit,
+                         issues=issues, location=location)
+
+
+def _clean_phrase_columns(text: str, lines: DocumentLines) -> PhraseColumns | None:
+    """The columns of a phrase file whose every line is four fields, three
+    ASCII-digit token offsets below ``2**32`` and a surface that equals the
+    covered tokens joined by single spaces; None for any other file.  Such
+    a file is read by :func:`_phrase_lines` to the same columns with no
+    issue and no error."""
+    body = _text_mode(text)
+    if body[-1:] == "\n":  # a final line end starts no line
+        body = body[:-1]
+    rows = body.split("\n")
+    fields = body.replace("\n", "\t").split("\t")
+    # three tabs a row in all, and no row with fewer: four fields in every row
+    if len(fields) != 4 * len(rows) or min(map(str.count, rows, repeat("\t"))) != 3:
+        return None
+    numbers = fields[0::4], fields[1::4], fields[2::4]
+    digits = "".join(map("".join, numbers))
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:  # an empty field, or a value of 2**32 or more
+        indices, starts, ends = (array("I", map(int, column)) for column in numbers)
+    except (ValueError, OverflowError):
+        return None
+    surfaces = fields[3::4]
+    found: dict[int, list[str]] = {}
+    for idx, start, end, surface in zip(indices, starts, ends, surfaces):
+        tokens = found.get(idx)
+        if tokens is None:
+            tokens = found[idx] = lines._tokens(idx)
+        if not start < end <= len(tokens) or surface != " ".join(tokens[start:end]):
+            return None
+    return PhraseColumns(indices, starts, ends, surfaces)
+
+
+def _phrase_lines(text: str, sentences: Sequence[Sentence | None], *, strict: bool,
+                  offset_unit: str, issues: list[ValidationIssue] | None,
+                  location: str) -> PhraseColumns:
+    """The line parser of :func:`parse_phrase_file`, which reads any file."""
     by_index: dict[int, Sentence] | None = None
     # each referenced sentence is looked up, and so tokenized, once
     found: dict[int, Sentence | None] = {}
@@ -772,21 +821,31 @@ def _scandir(root: str, rel: str) -> list[os.DirEntry]:
         return []
 
 
-def _fillers(root: str, pattern: str, placeholder: str, ids: dict[str, str]
-             ) -> tuple[str, list[str], list[tuple[str, os.DirEntry]]]:
+class _Matchers(dict):
+    """One load's name matchers, each built on first use: a layout component,
+    its placeholder written NUL, maps to the ``match`` of the regex whose
+    group 1 is the placeholder's value; a placeholder that repeats in the
+    component takes one value.  A component can hold ``{paper}``, so this
+    holds one matcher a paper at most, and lives as long as the load."""
+
+    def __missing__(self, component: str) -> Callable[[str], re.Match | None]:
+        self[component] = re.compile("^" + re.escape(component).replace("\x00", "(.+)", 1)
+                                     .replace("\x00", r"\1") + "$").match
+        return self[component]
+
+
+def _fillers(root: str, pattern: str, placeholder: str, ids: dict[str, str],
+             matchers: _Matchers) -> tuple[str, list[str], list[tuple[str, os.DirEntry]]]:
     """Where a layout pattern's component holding ``{placeholder}`` is filled.
 
     Lists the directory above that component, its other placeholders filled
     from ``ids``, and returns that directory below the root, the components
     after it, and (value, entry) for each entry, in name order, whose name
-    fills the component with that value; a placeholder that repeats in the
-    component takes one value.
+    fills the component with that value, as ``matchers`` say.
     """
     parts = pattern.split("/")
     index = _component(parts, placeholder)
-    component = parts[index].format(**{placeholder: "\x00"}, **ids)
-    fills = re.compile("^" + re.escape(component).replace("\x00", "(.+)", 1)
-                       .replace("\x00", r"\1") + "$").match
+    fills = matchers[parts[index].format(**{placeholder: "\x00"}, **ids)]
     parent = "/".join(parts[:index]).format(**ids)
     found = []
     for entry in sorted(_scandir(root, _rel(parent)), key=lambda e: e.name):
@@ -796,8 +855,8 @@ def _fillers(root: str, pattern: str, placeholder: str, ids: dict[str, str]
     return parent, parts[index + 1:], found
 
 
-def _names(root: str, pattern: str, placeholder: str, ids: dict[str, str]
-           ) -> tuple[str, list[str]]:
+def _names(root: str, pattern: str, placeholder: str, ids: dict[str, str],
+           matchers: _Matchers) -> tuple[str, list[str]]:
     """The directory listed, below the root, and the values that fill the
     pattern's ``{placeholder}`` component, sorted; an entry below which the
     pattern goes on must be a directory.
@@ -806,15 +865,14 @@ def _names(root: str, pattern: str, placeholder: str, ids: dict[str, str]
     directory lacking its plaintext file is still found and gets a proper
     missing-text error instead of vanishing silently.
     """
-    parent, rest, found = _fillers(root, pattern, placeholder, ids)
+    parent, rest, found = _fillers(root, pattern, placeholder, ids, matchers)
     return parent, sorted({name for name, entry in found if not rest or entry.is_dir()})
 
 
-def _unit_files(manifest: CorpusManifest, root: str, role: str, task: str,
-                paper: str) -> list[tuple[str, str]]:
+def _unit_files(manifest: CorpusManifest, root: str, role: str, ids: dict[str, str],
+                matchers: _Matchers) -> list[tuple[str, str]]:
     """(unit name, location) of each existing per-unit file, in path order."""
-    ids = {"task": task, "paper": paper}
-    parent, rest, found = _fillers(root, manifest.layout[role], "Unit", ids)
+    parent, rest, found = _fillers(root, manifest.layout[role], "Unit", ids, matchers)
     out = []
     for unit, entry in found:
         loc = _rel("/".join([parent, entry.name] + [p.format(Unit=unit, **ids) for p in rest]))
@@ -830,7 +888,7 @@ def _paper_path(pattern: str, ids: dict[str, str]) -> str:
 
 
 def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
-                issues: list[ValidationIssue]) -> PaperAnnotation | None:
+                issues: list[ValidationIssue], matchers: _Matchers) -> PaperAnnotation | None:
     ids = {"task": task, "paper": paper_id}
     here = _paper_path(manifest.layout["text"], ids)
 
@@ -859,7 +917,7 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
         role has no file there: none parsed and none reported."""
         out = {}
         reported = len(issues)
-        for name, loc in _unit_files(manifest, root, role, task, paper_id):
+        for name, loc in _unit_files(manifest, root, role, ids, matchers):
             try:
                 unit = normalize_unit_label(name)
             except UnknownUnitLabel as exc:
@@ -896,45 +954,70 @@ def _load_paper(manifest: CorpusManifest, root: str, task: str, paper_id: str,
     trees = per_unit("units", parse_unit_file)
     if trees is None:
         issues.append(ValidationIssue("missing-units", here, "no information-unit files found"))
-    file_lines = per_unit("triples", lambda text, unit, **kw: _triple_fields(text, **kw))
+    flattened = {unit: codec.flatten(tree).triples for unit, tree in (trees or {}).items()}
+
+    def triple_fields(text: str, unit: UnitLabel, **kw) -> list[tuple[str, str, str]]:
+        """The file's fields, or _AS_FLATTENED for the text its tree's triples write."""
+        if unit in flattened:
+            try:
+                if text == write_triple_lines(flattened[unit]):
+                    return _AS_FLATTENED
+            except FormatError:  # a field the file cannot hold: the text is not the tree's
+                pass
+        return _triple_fields(text, **kw)
+
+    file_lines = per_unit("triples", triple_fields)
     if file_lines is None and trees:
         issues.append(ValidationIssue("missing-triples", here,
                                       "no triples files; derived by flattening the unit trees"))
     return _reconcile(
-        here, trees, file_lines, issues, paper_id=paper_id, task=task,
+        here, trees, flattened, file_lines, issues, paper_id=paper_id, task=task,
         total_sentence_count=manifest.sentence_totals.get(paper_id, len(sentences)),
         total_token_count=manifest.token_totals.get(paper_id, token_count),
         contribution_sentence_indices=indices, phrases=phrases, sentences=sentences)
 
 
+#: A triples file's fields when its text is what its unit's tree writes: they
+#: are that tree's triples, as written.
+_AS_FLATTENED: list[tuple[str, str, str]] = []
+
+
 def _reconcile(here: str, trees: dict[UnitLabel, UnitTree] | None,
+               flattened: dict[UnitLabel, list[Triple]],
                file_lines: dict[UnitLabel, list[tuple[str, str, str]]] | None,
                issues: list[ValidationIssue], **layers) -> PaperAnnotation:
     """The paper of ``layers``, its trees and its triples files' lines.
 
-    ``file_lines`` holds each file's fields as written; either map is None
-    when the paper has no such files.  A unit with only a triples file gets
-    the nest() output of its triples, or where they form no tree the
-    triples themselves; the paper flattens every tree.  A shipped triples
-    file must be set-equal to the paper's triples of its unit by canonical
-    key; each difference is itemized in a warning, before the nest failures.
+    ``flattened`` holds each tree's flattened triples.  ``file_lines`` holds
+    each file's fields as written, or :data:`_AS_FLATTENED`; either map of
+    files is None when the paper has no such files.  A unit with only a
+    triples file gets the nest() output of its triples, or where they form
+    no tree the triples themselves.  A shipped triples file must be
+    set-equal to the paper's triples of its unit by canonical key; each
+    difference is itemized in a warning, before the nest failures.
     """
     shipped, lines_by_unit = trees or {}, file_lines or {}
     units = dict(shipped)
-    triples: dict[UnitLabel, list[Triple]] | None = None if file_lines is None else {}
+    triples = dict(flattened)
     failed = []
     for unit, lines in lines_by_unit.items():
         if unit not in shipped:
             listed = _triples(lines)
             try:
-                units[unit] = nest(listed, unit)
+                units[unit] = codec.nest(listed, unit)
             except NotATree as exc:
                 failed.append(ValidationIssue("nest-failed", f"{here}/{unit.identifier}",
                                               str(exc)))
                 triples[unit] = listed
-    # a units map left empty is the one read: None when the paper has no unit files
-    paper = PaperAnnotation(units=units or trees, triples=triples, **layers)
+            else:
+                triples[unit] = codec.flatten(units[unit]).triples
+    # a map left empty is the one read: None when the paper has no such files
+    paper = PaperAnnotation._from_flattened(
+        units=units or trees, triples=triples or (None if file_lines is None else {}),
+        **layers)
     for unit in [unit for unit in shipped if unit in lines_by_unit]:
+        if lines_by_unit[unit] is _AS_FLATTENED:
+            continue
         tree_keys = {t.key() for t in paper.triples[unit]}
         # fields as written that equal the canonical tree keys are canonical too
         file_keys = set(lines_by_unit[unit])
@@ -973,12 +1056,13 @@ def iter_papers(manifest: CorpusManifest,
         raise FileNotFoundError(f"corpus root does not exist: {root}")
     root_dir = str(root)
     text = manifest.layout["text"]
+    matchers = _Matchers()
     tasks = manifest.task_names
     if tasks is None:
-        tasks = _names(root_dir, text, "task", {})[1]
+        tasks = _names(root_dir, text, "task", {}, matchers)[1]
     seen: set[str] = set()
     for task in tasks:
-        searched, paper_ids = _names(root_dir, text, "paper", {"task": task})
+        searched, paper_ids = _names(root_dir, text, "paper", {"task": task}, matchers)
         if not paper_ids and manifest.task_names is not None:
             issues.append(ValidationIssue("empty-task", _rel(searched),
                                           f"no papers found for the listed task {task!r}"))
@@ -988,7 +1072,7 @@ def iter_papers(manifest: CorpusManifest,
                     "duplicate-paper-id", _paper_path(text, {"task": task, "paper": paper_id}),
                     "paper id already seen under another task; skipped"))
                 continue
-            paper = _load_paper(manifest, root_dir, task, paper_id, issues)
+            paper = _load_paper(manifest, root_dir, task, paper_id, issues, matchers)
             if paper is not None:
                 seen.add(paper_id)
                 yield paper

@@ -221,19 +221,32 @@ class DocumentLines(_BufferView):
     decoded and tokenized only when it is read: item ``i`` equals
     ``Sentence(paper_id, i + 1, tokens)``, or is None for a blank line.
     It is built without that constructor's checks, which the line's
-    ``str.split`` tokens pass by construction.  Nothing is cached.  Any
-    list of strings round-trips exactly, lines holding break characters
-    or lone surrogates included.  It compares
-    equal to a list of the same items, such as the eager list of sentences.
+    ``str.split`` tokens pass by construction; :meth:`_tokens` reads the
+    tokens alone, for a loader that needs no Sentence.  Nothing is cached.
+    Any list of strings round-trips exactly, lines holding break characters
+    or lone surrogates included.  It compares equal to a list of the same
+    items, such as the eager list of sentences.
     """
 
     __slots__ = ("paper_id", "_data", "_ends")
 
     def __init__(self, paper_id: str, lines: list[str]) -> None:
         self.paper_id = paper_id
-        encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
-        self._data = b"".join(encoded)
-        self._ends = array("Q", accumulate(map(len, encoded)))
+        text = "".join(lines)
+        if text.isascii():  # a byte a character: the str lengths are the offsets
+            self._data = text.encode("ascii")
+        else:
+            lines = [line.encode("utf-8", "surrogatepass") for line in lines]
+            self._data = b"".join(lines)
+        self._ends = array("Q", accumulate(map(len, lines)))
+
+    def _tokens(self, index: int) -> list[str]:
+        """The tokens of the sentence with 1-based ``index``, as a list; none
+        for a blank line or an index out of range.  No Sentence is built."""
+        ends = self._ends
+        if not 0 < index <= len(ends):
+            return []
+        return self._line(ends[index - 2] if index > 1 else 0, ends[index - 1]).split()
 
     def _sentence(self, index: int, line: str) -> Sentence | None:
         tokens = tuple(line.split())
@@ -324,10 +337,14 @@ class PhraseColumns(_BufferView):
         self.sentence_indices = sentence_indices
         self.start_toks = start_toks
         self.end_toks = end_toks
-        encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
-        self._data = b"\n".join(encoded)
+        data = "\n".join(texts)
+        if data.isascii():  # a byte a character: the str lengths are the offsets
+            self._data = data.encode("ascii")
+        else:
+            texts = [text.encode("utf-8", "surrogatepass") for text in texts]
+            self._data = b"\n".join(texts)
         # each text's end plus its line feed, where the next text starts
-        self._ends = array("I", accumulate(len(text) + 1 for text in encoded))
+        self._ends = array("I", accumulate(map((1).__add__, map(len, texts))))
 
     @classmethod
     def of(cls, spans: Sequence[PhraseSpan]) -> "PhraseColumns":
@@ -592,7 +609,9 @@ class PaperAnnotation:
     ``triples`` holds every unit of either.  The tree wins: a unit with a
     tree has ``triples[u] == flatten(units[u]).triples``, and a list given
     for it is ignored; a unit without one keeps the list given.  Both maps
-    refuse changes; :func:`dataclasses.replace` builds a changed paper.
+    refuse changes; :func:`dataclasses.replace` builds a changed paper.  A
+    loader that has flattened each tree already builds the paper with
+    :meth:`_from_flattened`, which flattens none again.
     """
 
     paper_id: str
@@ -606,18 +625,35 @@ class PaperAnnotation:
     sentences: Sequence[Sentence | None] | None = None
 
     def __post_init__(self) -> None:
-        """Order both unit maps, flatten every tree into ``triples`` and make both
-        maps read-only; a map that was None stays None when nothing is added."""
+        """Flatten every tree into ``triples``, then :meth:`_settle` the maps."""
+        if self.units:
+            from .codec import flatten  # codec imports this module
+            object.__setattr__(self, "triples", {**(self.triples or {}), **{
+                unit: flatten(tree).triples for unit, tree in self.units.items()}})
+        self._settle()
+
+    @classmethod
+    def _from_flattened(cls, **layers) -> "PaperAnnotation":
+        """The paper of ``layers``, whose caller guarantees that ``triples``
+        maps each unit with a tree to ``flatten(tree).triples``; no tree is
+        flattened and nothing is checked."""
+        paper = _new(cls)
+        for name, default in _PAPER_FIELDS:
+            object.__setattr__(paper, name, layers.get(name, default))
+        paper._settle()
+        return paper
+
+    def _settle(self) -> None:
+        """Order both unit maps and make them read-only; a map that was None
+        stays None when nothing is added."""
         units, stored = self.units or {}, self.triples or {}
         listed = sorted(units.keys() | stored.keys(), key=lambda unit: unit.identifier)
         if self.units is not None:
             object.__setattr__(self, "units", _ReadOnlyDict(
                 (unit, units[unit]) for unit in listed if unit in units))
         if listed or self.triples is not None:
-            from .codec import flatten  # codec imports this module
             object.__setattr__(self, "triples", _ReadOnlyDict(
-                (unit, flatten(units[unit]).triples if unit in units else stored[unit])
-                for unit in listed))
+                (unit, stored[unit]) for unit in listed))
 
     def sentence(self, index: int) -> Sentence | None:
         if self.sentences is None or not 1 <= index <= len(self.sentences):
@@ -628,6 +664,9 @@ class PaperAnnotation:
         """Texts of the selected contribution sentences, where resolvable."""
         sentences = map(self.sentence, sorted(self.contribution_sentence_indices or ()))
         return [sent.text for sent in sentences if sent is not None]
+
+
+_PAPER_FIELDS = tuple((f.name, f.default) for f in fields(PaperAnnotation))
 
 
 @dataclass

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import ncgkit
 
@@ -13,6 +14,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from corpusgen import write_trial_corpus, write_unit_profile_corpus  # noqa: E402
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# HYPOTHESIS_PROFILE=ci: more examples for each property that leaves their
+# number to the profile, and no deadline on a slow runner
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -111,12 +111,10 @@ class TestCompareBehavior:
             for pid in PAPERS:
                 assert table.cell(row, pid) == []
 
-    def test_same_paper_twice_gives_identical_columns(self, survey_corpus):
+    def test_same_paper_twice_is_refused(self, survey_corpus):
         pid = "sentence-similarity-2016"
-        table = compare(survey_corpus, UnitLabel.RESULTS, [pid, pid], depth=1)
-        assert [c[0] for c in table.columns] == [pid, pid]
-        for row in table.rows:
-            assert table.cell(row, pid) == table.cell(row, pid)
+        with pytest.raises(ValueError, match=f"paper '{pid}' requested twice"):
+            compare(survey_corpus, UnitLabel.RESULTS, [pid, PAPERS[0], pid], depth=1)
 
     def test_column_permutation_preserves_cells(self, survey_corpus):
         forward = compare(survey_corpus, UnitLabel.RESULTS, PAPERS, depth=1)

@@ -46,7 +46,13 @@ from ncgkit import (
     write_unit_file,
 )
 from ncgkit import codec
-from ncgkit.corpus_io import DEFAULT_LAYOUT, PROVENANCE_KEY, _read
+from ncgkit.corpus_io import (
+    DEFAULT_LAYOUT,
+    PROVENANCE_KEY,
+    _clean_phrase_columns,
+    _phrase_lines,
+    _read,
+)
 from ncgkit.issues import ERROR, WARNING
 from ncgkit.model import Predicate, canonical_text
 
@@ -93,6 +99,52 @@ def sentence_159() -> Sentence:
               "neural", "networks", "consistently", "improves", "the",
               "performance", "over", "the", "baseline", "performance")
     return Sentence("cho2014", 159, tokens)
+
+
+#: A paper's lines: tokens, ASCII or not, and blank or whitespace-only lines.
+DOC_LINES = st.lists(st.one_of(
+    st.lists(st.sampled_from(["a", "b", "c", "1", "\u2013", "\U0001d465"]),
+             min_size=1, max_size=4).map(" ".join),
+    st.sampled_from(["", " ", "\t", "a \t b"])), max_size=5)
+
+#: Integer fields the whole-file check must leave to the line parser.
+ODD_INTEGERS = ["+1", "-1", "1_0", "\u0661", "", " 1", "01", str(2**32), str(2**64)]
+
+
+@st.composite
+def phrase_file(draw) -> tuple[list[str], list[tuple[str, bool]]]:
+    """A paper's lines and the lines of a phrase file over them, each with
+    whether it is a clean span: in range, ASCII digits, and a surface that
+    is its covered join.  Most rows are clean, so that a file often fails
+    the whole-file check at one row only."""
+    lines = draw(DOC_LINES)
+    tokens = [line.split() for line in lines]
+    spoken = [i for i, t in enumerate(tokens, 1) if t]
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if spoken and draw(st.integers(0, 7)):
+            index = draw(st.sampled_from(spoken))
+            start = draw(st.integers(0, len(tokens[index - 1]) - 1))
+            end = draw(st.integers(start + 1, len(tokens[index - 1])))
+        else:  # also a blank line, index 0, a line past the end and spans out of range
+            index = draw(st.integers(0, len(lines) + 1))
+            start, end = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+        covered = " ".join(tokens[index - 1][start:end]) if 0 < index <= len(lines) else ""
+        clean = start < end and len(covered.split()) == end - start
+        fields = [str(index), str(start), str(end), covered or "a"]
+        change = draw(st.sampled_from(["none"] * 12 + ["integer", "surface", "columns",
+                                                       "blank"]))
+        if change == "integer":
+            fields[draw(st.integers(0, 2))] = draw(st.sampled_from(ODD_INTEGERS))
+        elif change == "surface":
+            fields[3] = draw(st.sampled_from([f" {covered}", f"{covered}  ", "z",
+                                              covered.replace(" ", "  "), ""]))
+        elif change == "columns":
+            fields = fields[:3] if draw(st.booleans()) else fields + ["x"]
+        elif change == "blank":
+            fields = [draw(st.sampled_from(["", " ", "\t\t", " \t"]))]
+        rows.append(("\t".join(fields), clean and change == "none"))
+    return lines, rows
 
 
 class TestPhraseFile:
@@ -244,6 +296,44 @@ class TestPhraseFile:
         lazy = outcome(DocumentLines("p", lines))
         assert lazy == outcome(eager)
         assert lazy == outcome(unordered)
+
+    @given(phrase_file(), st.booleans(), st.sampled_from(["token", "char"]),
+           st.sampled_from(["\n", "\r\n"]), st.booleans())
+    # a row of five fields and one of three, which fall in rows of four
+    @example((["5", "x"], [("1\t0\t1\t5\t2", False), ("0\t1\tx", False)]),
+             True, "token", "\n", True)
+    @example((["5"], [("1\t0\t1\t5", True), ("1\t0\t1\t5\t0", False)]),
+             False, "token", "\n", True)
+    # integers that int() reads but a corpus file does not hold
+    @example((["a b"], [("1\t0\t1\ta", True), ("+1\t0\t1\ta", False)]),
+             False, "token", "\n", True)
+    @example((["a b"], [("\u0661\t0\t1\ta", False)]), True, "token", "\n", True)
+    # an empty span whose surface is its empty join
+    @example((["a b"], [("1\t0\t1\ta", True), ("1\t1\t1\t", False)]),
+             False, "token", "\r\n", False)
+    @example((["a b"], [("1\t0\t1\ta", True), (f"1\t0\t{2**32 + 1}\ta", False)]),
+             False, "token", "\n", True)
+    def test_the_whole_file_check_reads_as_the_line_parser(self, doc, strict, offset_unit,
+                                                           newline, final):
+        """Columns, issues and errors equal the per-line parser's for any file,
+        and a file whose every row is a clean span takes the whole-file check."""
+        lines, rows = doc
+        text = newline.join(row for row, _ in rows) + (newline if final and rows else "")
+        sentences = DocumentLines("p", lines)
+
+        def outcome(parse):
+            issues = []
+            try:
+                spans = parse(text, sentences, strict=strict, offset_unit=offset_unit,
+                              issues=issues, location="p/phrases.tsv")
+            except NcgError as exc:
+                return type(exc), str(exc)
+            return ((spans.sentence_indices, spans.start_toks, spans.end_toks,
+                     spans.texts(), list(spans)), [i.as_line() for i in issues])
+
+        assert outcome(parse_phrase_file) == outcome(_phrase_lines)
+        if rows and all(clean for _, clean in rows):
+            assert _clean_phrase_columns(text, sentences) is not None
 
     @settings(max_examples=100)
     @given(st.integers(0, 15), st.integers(1, 16))
@@ -1102,14 +1192,21 @@ class TestLoadCorpus:
         assert {id(t) for t in built} == {id(t) for t in stored}
 
     def test_each_referenced_sentence_is_built_once(self, trial_root, monkeypatch):
+        # a line is tokenized as a Sentence or, by the whole-file phrase
+        # check, as its tokens alone; either counts
         built = []
-        build = DocumentLines._sentence
+        build, tokens = DocumentLines._sentence, DocumentLines._tokens
 
         def counting(lines, index, line):
             built.append((lines.paper_id, index))
             return build(lines, index, line)
 
+        def counting_tokens(lines, index):
+            built.append((lines.paper_id, index))
+            return tokens(lines, index)
+
         monkeypatch.setattr(DocumentLines, "_sentence", counting)
+        monkeypatch.setattr(DocumentLines, "_tokens", counting_tokens)
         corpus, issues = load_corpus(CorpusManifest(root_path=trial_root))
         assert not issues
         referenced = {(p.paper_id, s.sentence_index) for p in corpus.papers()
@@ -1351,6 +1448,10 @@ def make_messy_corpus(root):
     (d / "phrases.tsv").write_text("", encoding="utf-8")
 
 
+#: The text MINIMAL_UNITS' Results tree writes as triple lines.
+WRITTEN = "(Contribution||has||Results)\n(Results||improves||e f)\n"
+
+
 class TestLoadIssues:
     def test_every_load_issue_line_in_order(self, tmp_path):
         make_messy_corpus(tmp_path)
@@ -1471,6 +1572,62 @@ class TestLoadIssues:
             list(iter_papers(manifest, []))
         assert str(streamed.value) == str(loaded.value) == (
             "t/a/text.txt: missing plaintext file")
+
+    @pytest.mark.parametrize("obj, body, expected", [
+        pytest.param("e f", WRITTEN, [], id="as-written"),
+        pytest.param("e f", "".join(reversed(WRITTEN.splitlines(True))), [],
+                     id="line-order"),
+        pytest.param("e f", WRITTEN.replace("\n", "\r\n"), [], id="crlf"),
+        pytest.param("e f", "\ufeff" + WRITTEN, [], id="bom"),
+        pytest.param("e f", WRITTEN[:-1], [], id="no-final-lf"),
+        pytest.param("e f", WRITTEN.replace("||e f", "|| e \t f "), [],
+                     id="inner-whitespace"),
+        pytest.param("e f", WRITTEN + "(Results||improves||e f)\n", [], id="repeated-line"),
+        pytest.param("e f", WRITTEN.replace("||has||", "|has|"), [
+            "t/p/triples/Results.txt:1\tsingle-pipe-delimiter\tWarning\t"
+            "single | delimiter in '(Contribution|has|Results)'"], id="single-pipe"),
+        pytest.param("e f", WRITTEN.replace("e f", "g h"), [
+            "t/p/Results\ttriples-file-mismatch\tWarning\t"
+            "tree-only: [('Results', 'improves', 'e f')]; "
+            "file-only: [('Results', 'improves', 'g h')]"], id="another-object"),
+        pytest.param("e||f", WRITTEN.replace("e f", "e||f"), [
+            "t/p/triples/Results.txt:2\tformat-error\tError\t"
+            "expected 3 fields after delimiter splitting, got 4"], id="a-field-holds-||"),
+        pytest.param("e||f", WRITTEN.replace("(Results||improves||e f)\n", ""), [
+            "t/p/Results\ttriples-file-mismatch\tWarning\t"
+            "tree-only: [('Results', 'improves', 'e||f')]; file-only: []"],
+            id="a-field-holds-||-the-file-lacks-it"),
+    ])
+    def test_a_triples_file_is_checked_against_its_tree(self, tmp_path, obj, body,
+                                                        expected):
+        """Only the text its tree's triples write skips the line parser: any
+        other file gets that parser's issues, in order."""
+        results = {"has": {"Results": {"improves": obj}}}
+        d = make_paper(tmp_path, "t", "p", units={**MINIMAL_UNITS, "Results": results})
+        (d / "triples").mkdir()
+        (d / "triples" / "Results.txt").write_bytes(body.encode("utf-8"))
+        manifest = CorpusManifest(root_path=tmp_path)
+        corpus, issues = load_corpus(manifest)
+        assert [i.as_line() for i in issues] == [
+            "t/p/phrases.tsv\tmissing-phrases\tWarning\tphrase file absent", *expected]
+        streamed = []
+        assert list(iter_papers(manifest, streamed)) == list(corpus)
+        assert streamed == issues
+        (paper,) = corpus
+        assert [t.key() for t in paper.triples[UnitLabel.RESULTS]] == [
+            ("Contribution", "has", "Results"), ("Results", "improves", obj)]
+
+    @pytest.mark.parametrize("first, second", [
+        ("Model", "Results"), ("Baselines", "Model"), ("Model", "Tasks")])
+    def test_strict_mode_raises_for_the_first_bad_triples_file(self, tmp_path, first,
+                                                             second):
+        # Model and Results have trees; Baselines and Tasks do not
+        make_paper(tmp_path, "t", "p", units=MINIMAL_UNITS, triples={
+            first: f"({first}||x)\n", second: f"{second}||x||y\n"})
+        with pytest.raises(FormatError) as info:
+            load_corpus(CorpusManifest(root_path=tmp_path, strict=True))
+        assert str(info.value) == (f"t/p/triples/{first}.txt:1: expected 3 fields "
+                                   f"after delimiter splitting, got 2")
 
     @pytest.mark.parametrize("rel, body, message", [
         ("text.txt", b"a b \xff\n", "t/p/text.txt: not valid UTF-8"),
