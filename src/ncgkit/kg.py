@@ -8,11 +8,14 @@ merge mode, so a traversal finds it by that URI, in a built graph and in one
 read back from N-Triples alike.  The export is lexicographically sorted,
 making regeneration byte-stable.
 
-The graph holds each fact once: a node's URI is one string, shared by the
-``nodes`` key, the node and every edge tuple that touches it; each edge is
-one ``(subject, predicate, object)`` tuple, shared by ``edges``, the
-de-duplication set and the adjacency lists; and a label is the unit tree's
-own string, not a copy.
+A graph stores its nodes and its edges, and nothing else: a node's URI is
+one string, shared by the ``nodes`` key, the node and every edge tuple that
+touches it; each edge is one ``(subject, predicate, object)`` tuple; and a
+label is the unit tree's own string, not a copy.  The edge set that
+:meth:`Graph.add_edge` checks and the adjacency that :meth:`Graph.outgoing`
+and :func:`traverse` follow are built from ``edges`` the first time they
+are needed, from the same tuples.  :func:`build_graph` and
+:func:`import_ntriples` fill a graph without either.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
+from operator import itemgetter
 from urllib.parse import quote
 
 from .errors import UnknownStartNode
@@ -75,16 +79,21 @@ class Graph:
 
     ``nodes`` maps each URI to its node, in insertion order.  ``edges``
     holds (subject uri, predicate text, object uri) tuples in insertion
-    order; the same tuple objects fill the private de-duplication set and
-    the per-subject adjacency lists, so an edge costs one tuple.  A paper's
-    Contribution root is the node at the URI the scheme coins for it.
+    order.  A paper's Contribution root is the node at the URI the scheme
+    coins for it.  Those two are what a graph stores, compares and prints.
+    The set of edges that :meth:`add_edge` checks and the per-subject
+    adjacency lists that :meth:`outgoing` and :func:`traverse` read are
+    private caches of the same tuples: each is built from ``edges`` the
+    first time it is needed and kept up to date by :meth:`add_edge` from
+    then on.
     """
 
     nodes: dict[str, GraphNode] = field(default_factory=dict)
     edges: list[tuple[str, str, str]] = field(default_factory=list)
-    _edge_set: set[tuple[str, str, str]] = field(default_factory=set, repr=False)
-    _adjacency: dict[str, list[tuple[str, str, str]]] = field(default_factory=dict,
-                                                                repr=False)
+    _edge_set: set[tuple[str, str, str]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _adjacency: dict[str, list[tuple[str, str, str]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def ensure_node(self, uri: str, label: str, kind: str) -> GraphNode:
         """The node at ``uri``, added if new; a RESOURCE kind upgrades a LITERAL.
@@ -101,35 +110,84 @@ class Graph:
         return node
 
     def add_edge(self, subject_uri: str, predicate_text: str, object_uri: str) -> None:
+        """Append the edge unless the graph has it already."""
+        if self._edge_set is None:
+            self._edge_set = set(self.edges)
         key = (subject_uri, predicate_text, object_uri)
         if key in self._edge_set:
             return
         self._edge_set.add(key)
         self.edges.append(key)
-        out = self._adjacency.get(subject_uri)
-        if out is None:
-            self._adjacency[subject_uri] = [key]
-        else:
-            out.append(key)
+        if self._adjacency is not None:
+            self._adjacency.setdefault(subject_uri, []).append(key)
 
     def outgoing(self, uri: str) -> list[tuple[str, str]]:
         """(predicate text, object uri) of each edge leaving ``uri``, in order."""
-        return [(predicate, obj) for _, predicate, obj in self._adjacency.get(uri, ())]
+        return [(predicate, obj) for _, predicate, obj in self._adjacent().get(uri, ())]
+
+    def _adjacent(self) -> dict[str, list[tuple[str, str, str]]]:
+        """The edges leaving each subject, in order, built on first use."""
+        if self._adjacency is None:
+            adjacency: dict[str, list[tuple[str, str, str]]] = {}
+            for edge in self.edges:
+                out = adjacency.get(edge[0])
+                if out is None:
+                    adjacency[edge[0]] = [edge]
+                else:
+                    out.append(edge)
+            self._adjacency = adjacency
+        return self._adjacency
+
+
+def _link(nodes: dict[str, GraphNode], edges: list[tuple[str, str, str]],
+          seen: set[tuple[str, str, str]] | None, subject: str, predicate: str,
+          uri: str, label: str, kind: str) -> str:
+    """Add the edge from ``subject`` to the node at ``uri``, as
+    :meth:`Graph.ensure_node` then :meth:`Graph.add_edge` would, and return
+    the graph's own string for ``uri``.
+
+    ``seen`` holds the edges added so far.  It is None where an object's
+    URI names the whole edge, so that an edge is new exactly when its
+    object node is.
+    """
+    node = nodes.get(uri)
+    if node is None:
+        nodes[uri] = GraphNode(uri, label, kind)
+    else:
+        if kind == RESOURCE and node.kind == LITERAL:
+            node.kind = RESOURCE
+        uri = node.uri
+        if seen is None or (subject, predicate, uri) in seen:
+            return uri
+    edge = (subject, predicate, uri)
+    if seen is not None:
+        seen.add(edge)
+    edges.append(edge)
+    return uri
 
 
 def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
     """Merge every paper's unit trees into one graph.
 
-    ``per-paper`` (default): node identity is (paper, unit, tree path).
+    ``per-paper`` (default): node identity is (paper, unit, tree path).  A
+    node's URI is the slug of its whole path from the Contribution root,
+    so it names its incoming edge too: a child URI seen before is an edge
+    seen before, and this mode keeps no edge set.  One consequence: two
+    paths whose 64-bit slugs collide share one node, and the second path's
+    edge to it is dropped as a repeat.
     ``surface``: nodes with equal canonical labels merge globally, except
     each paper's Contribution root, which stays distinct so per-paper
-    subgraphs remain addressable.
+    subgraphs remain addressable.  Its edges are de-duplicated by a set
+    that lives only for the call.
     """
     if merge not in (PER_PAPER, SURFACE_MERGE):
         raise ValueError(f"merge must be {PER_PAPER!r} or {SURFACE_MERGE!r}")
     graph = Graph()
-    # surface mode: the URI of each label, hashed once per call
-    shared_uris: dict[str, str] | None = {} if merge == SURFACE_MERGE else None
+    nodes, edges = graph.nodes, graph.edges
+    # surface mode: the URI of each label, hashed once per call, and the
+    # edges added so far
+    shared_uris: dict[str, str] = {}
+    seen: set[tuple[str, str, str]] | None = set() if merge == SURFACE_MERGE else None
     for paper in corpus.papers():
         root = graph.ensure_node(_root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
         for unit, tree in (paper.units or {}).items():
@@ -144,7 +202,7 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
                 node_uri, path_hash = parents[depth]
                 is_node = isinstance(child, Node)
                 label = child.label if is_node else child
-                if shared_uris is None:
+                if seen is None:
                     path_hash = path_hash.copy()
                     path_hash.update(f"{_SEP if depth else ''}{predicate.text}{_SEP}{label}"
                                      .encode("utf-8"))
@@ -153,9 +211,8 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
                     child_uri = shared_uris.get(label)
                     if child_uri is None:
                         child_uri = shared_uris[label] = f"ncg:shared/{_hash_slug((label,))}"
-                child_uri = graph.ensure_node(child_uri, label,
-                                              RESOURCE if is_node else LITERAL).uri
-                graph.add_edge(node_uri, predicate.text, child_uri)
+                child_uri = _link(nodes, edges, seen, node_uri, predicate.text, child_uri,
+                                  label, RESOURCE if is_node else LITERAL)
                 if is_node:
                     parents[depth + 1:] = [(child_uri, path_hash)]
     return graph
@@ -195,14 +252,28 @@ def _escape_literal(text: str) -> str:
 #: N-Triples ECHAR escapes (W3C N-Triples grammar, production ECHAR).
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
           '"': '"', "'": "'", "\\": "\\"}
-_ECHAR_RE = re.compile(r"\\([tbnrf\"'\\])")
+#: A backslash and the character after it; a literal that ``_LINE_RE``
+#: matches ends in no lone backslash.
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _echar(match: re.Match) -> str:
+    char = _ECHAR.get(match.group(1))
+    if char is None:
+        raise ValueError(f"not an ECHAR escape: {match.group()!r}")
+    return char
 
 
 def _unescape_literal(text: str) -> str:
-    """Undo every ECHAR escape in one left-to-right pass."""
+    """Undo every ECHAR escape in one left-to-right pass.
+
+    Raises:
+        ValueError: a backslash that starts no ECHAR escape, such as a
+            UCHAR (``\\u0041``), which the export never writes.
+    """
     if "\\" not in text:
         return text
-    return _ECHAR_RE.sub(lambda m: _ECHAR[m.group(1)], text)
+    return _ESCAPE_RE.sub(_echar, text)
 
 
 def export_ntriples(graph: Graph) -> str:
@@ -232,10 +303,11 @@ def export_ntriples(graph: Graph) -> str:
         lines.append(f"<{uri}> <{LABEL_PREDICATE}> {_escape_literal(text)} .")
     lines.sort()
     header = (f"# ncgkit knowledge-graph export; namespace prefix 'ncg:'; "
-              f"labels attached via <{LABEL_PREDICATE}>\n")
+              f"labels attached via <{LABEL_PREDICATE}>")
     # Edges are distinct, but a node coined by an imported file can have
-    # the URI and label of a predicate, which repeats a label line.
-    return header + "\n".join(line for line, _ in groupby(lines)) + "\n"
+    # the URI and label of a predicate, which repeats a label line.  One
+    # join writes the header, the lines and the final line feed.
+    return "\n".join(chain((header,), map(itemgetter(0), groupby(lines)), ("",)))
 
 
 _LINE_RE = re.compile(
@@ -244,6 +316,35 @@ _LINE_RE = re.compile(
 #: One match per line, ended by LF, CR or CRLF (the N-Triples EOL), in
 #: order, plus at most one empty line at the end.
 _LINES_RE = re.compile("([^\r\n]*)(?:\r\n|[\r\n]|\\Z)")
+#: The first character of an N-Triples EOL.
+_EOL_RE = re.compile("[\r\n]")
+
+
+def _labels(text: str) -> dict[str, str]:
+    """The label of each subject that has a label statement, the last one.
+
+    Only the lines holding the label predicate are read: ``str.find``
+    skips the others.  A line that is no label statement, or a malformed
+    one, is left to :func:`import_ntriples`'s statement pass, which refuses
+    bad lines in line order.
+    """
+    labels: dict[str, str] = {}
+    marker = f"> <{LABEL_PREDICATE}> "
+    at = text.find(marker)
+    while at >= 0:
+        # the line around ``at``, between N-Triples EOLs
+        start = text.rfind("\n", 0, at) + 1
+        start = max(start, text.rfind("\r", start, at) + 1)
+        eol = _EOL_RE.search(text, at)
+        end = len(text) if eol is None else eol.start()
+        match = _LINE_RE.match(text[start:end].strip())
+        if match is not None and match.group(2) == LABEL_PREDICATE and match.group(4) is not None:
+            try:
+                labels[match.group(1)] = _unescape_literal(match.group(4))
+            except ValueError:
+                pass
+        at = text.find(marker, end)
+    return labels
 
 
 def import_ntriples(text: str) -> Graph:
@@ -252,15 +353,20 @@ def import_ntriples(text: str) -> Graph:
     Label statements restore node and predicate surface labels; quoted
     objects become literal nodes with minted URIs.  Statement order in the
     rebuilt graph is the file's line order.  A line ends at LF, CR or
-    CRLF, the N-Triples EOL; lines are read one at a time.
+    CRLF, the N-Triples EOL; lines are read one at a time.  The text is
+    read twice, label statements first, so the graph is built as its
+    statements are read, with no list of every edge.
 
     Raises:
-        ValueError: a line that is not a statement of the export subset;
-            the message starts with ``line <n>:``.
+        ValueError: a line that is not a statement of the export subset,
+            a label statement whose object is not a literal, or a literal
+            holding a backslash that starts no ECHAR escape; the message
+            starts with ``line <n>:``.
     """
-    raw_edges: list[tuple[str, str, str | None, str | None]] = []
-    labels: dict[str, str] = {}
-    uris: dict[str, str] = {}
+    labels = _labels(text)
+    graph = Graph()
+    nodes, edges = graph.nodes, graph.edges
+    seen: set[tuple[str, str, str]] = set()
     for lineno, raw in enumerate(_LINES_RE.finditer(text), 1):
         line = raw.group(1).strip()
         if not line or line.startswith("#"):
@@ -269,28 +375,30 @@ def import_ntriples(text: str) -> Graph:
         if match is None:
             raise ValueError(f"line {lineno}: not an N-Triples statement: {line!r}")
         subject, predicate, obj_uri, obj_literal = match.groups()
+        if obj_literal is not None:
+            try:
+                obj_literal = _unescape_literal(obj_literal)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}: {line!r}") from None
         if predicate == LABEL_PREDICATE:
-            labels[subject] = _unescape_literal(obj_literal or "")
-        else:
-            # one string per URI, which the graph then keys its node by
-            subject = uris.setdefault(subject, subject)
-            predicate = uris.setdefault(predicate, predicate)
             if obj_uri is not None:
-                obj_uri = uris.setdefault(obj_uri, obj_uri)
-            raw_edges.append((subject, predicate, obj_uri,
-                              None if obj_literal is None else _unescape_literal(obj_literal)))
-
-    graph = Graph()
-    for subject, predicate, obj_uri, obj_literal in raw_edges:
-        pred_text = labels.get(predicate, predicate)
-        subject = graph.ensure_node(subject, labels.get(subject, subject), RESOURCE).uri
+                raise ValueError(f"line {lineno}: a label statement's object is not a literal: "
+                                 f"{line!r}")
+            continue
+        # one string per predicate, which every edge shares
+        pred_text = labels.setdefault(predicate, predicate)
+        node = nodes.get(subject)
+        if node is None:
+            node = nodes[subject] = GraphNode(subject, labels.get(subject, subject), RESOURCE)
+        elif node.kind == LITERAL:
+            node.kind = RESOURCE
+        subject = node.uri
         if obj_uri is not None:
-            target = graph.ensure_node(obj_uri, labels.get(obj_uri, obj_uri), RESOURCE).uri
+            _link(nodes, edges, seen, subject, pred_text, obj_uri,
+                  labels.get(obj_uri, obj_uri), RESOURCE)
         else:
-            target = graph.ensure_node(
-                f"ncg:lit/{_hash_slug((subject, pred_text, obj_literal))}",
-                obj_literal, LITERAL).uri
-        graph.add_edge(subject, pred_text, target)
+            _link(nodes, edges, seen, subject, pred_text,
+                  f"ncg:lit/{_hash_slug((subject, pred_text, obj_literal))}", obj_literal, LITERAL)
     return graph
 
 
@@ -321,7 +429,7 @@ def traverse(graph: Graph, paper_id: str, start_label: str,
     if root is None:
         raise UnknownStartNode(f"no paper {paper_id!r} in graph")
     target = canonical_text(start_label)
-    nodes, adjacency = graph.nodes, graph._adjacency
+    nodes, adjacency = graph.nodes, graph._adjacent()
     start = None
     queue = [root.uri]
     seen = {root.uri}
