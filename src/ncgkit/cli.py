@@ -7,8 +7,9 @@ directory passed as manifest means "default layout rooted here".  Every
 corpus load writes each load issue to stderr as ``<side>: <issue line>``,
 where the side is ``gold`` or ``pred`` for score and ``corpus`` otherwise,
 once the corpus is read; a ``--check`` file is read before the corpus.
-validate, stats and unit-stats read one paper at a time and keep only
-their output, so their memory does not grow with the corpus.  ``score``
+Every corpus command reads the papers as one stream, one at a time, and
+keeps only what it needs: score both whole corpora, traverse and compare
+the papers they name, the others their output.  ``score``
 without ``--granularity`` scores each granularity both corpora have files
 for.  Outputs are byte-identical across runs.  Exit codes: 0 success, 1
 validation errors or ``--check`` mismatch, 2 usage or format error.
@@ -32,7 +33,6 @@ from .corpus_io import (
     _read_file,
     _RepeatedKey,
     iter_papers,
-    load_corpus,
     parse_triple_lines,
     parse_unit_file,
     write_triple_lines,
@@ -187,27 +187,23 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str | None, strict: bool = False, side: str = "corpus",
-          use: Callable[[Iterator[PaperAnnotation]], object] | None = None) -> tuple:
-    """The corpus of a manifest INI file or a default-layout root directory,
-    and its load issues.  The corpus is what ``use`` makes of its papers as
-    iter_papers streams them, one at a time, or without ``use`` the whole
-    corpus, as load_corpus collects it.  Then each load issue is written to
-    stderr as ``<side>: <issue line>``."""
+def _load(path: str | None, strict: bool, use: Callable[[Iterator[PaperAnnotation]], object],
+          side: str = "corpus") -> tuple:
+    """What ``use`` makes of the papers of a manifest INI file or a
+    default-layout root directory, as iter_papers streams them, one at a
+    time, and the load issues.  Then each load issue is written to stderr
+    as ``<side>: <issue line>``."""
     if not path:
         raise NcgError("no manifest given: pass --manifest or set NCG_MANIFEST")
     path = Path(path)
     manifest = CorpusManifest(root_path=path) if path.is_dir() else CorpusManifest.from_ini(path)
     if strict:
         manifest.strict = True
-    if use is None:
-        corpus, issues = load_corpus(manifest)
-    else:
-        issues = []
-        corpus = use(iter_papers(manifest, issues))
+    issues = []
+    result = use(iter_papers(manifest, issues))
     for issue in issues:
         print(f"{side}: {issue.as_line()}", file=sys.stderr)
-    return corpus, issues
+    return result, issues
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +360,8 @@ def _table(args, first: str, rows: list[tuple[str, dict]], payload: dict,
 
 
 def cmd_score(args) -> int:
-    gold, _ = _load(args.gold, args.strict, side="gold")
-    pred, _ = _load(args.pred, args.strict, side="pred")
+    gold = _load(args.gold, args.strict, use=Corpus.of, side="gold")[0]
+    pred = _load(args.pred, args.strict, use=Corpus.of, side="pred")[0]
     config = MatchConfig(
         phrase_match=args.phrase_match,
         triple_scope=args.triple_scope,
@@ -416,17 +412,17 @@ def cmd_nest(args) -> int:
 
 
 def cmd_build_kg(args) -> int:
-    corpus, _ = _load(args.manifest, args.strict)
-    graph = build_graph(corpus, merge=args.merge)
+    graph = _load(args.manifest, args.strict,
+                  use=lambda papers: build_graph(papers, merge=args.merge))[0]
     _emit(args, export_ntriples(graph))
     return 0
 
 
 def cmd_traverse(args) -> int:
-    corpus, _ = _load(args.manifest, args.strict)
-    paper = corpus.get(args.paper)  # per-paper URIs never cross papers
-    graph = build_graph(Corpus({paper.task: [paper]} if paper is not None else {}))
-    results = traverse(graph, args.paper, args.start, args.depth)
+    # per-paper URIs never cross papers, so the paper's graph is its own
+    papers = _load(args.manifest, args.strict,
+                   use=lambda papers: [p for p in papers if p.paper_id == args.paper])[0]
+    results = traverse(build_graph(papers), args.paper, args.start, args.depth)
     lines = []
     for path, node in results:
         lines.append(("/".join(path) if path else ".") + "\t" + node.label + "\n")
@@ -435,9 +431,10 @@ def cmd_traverse(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    corpus, _ = _load(args.manifest, args.strict)
+    papers = _load(args.manifest, args.strict,
+                   use=lambda papers: [p for p in papers if p.paper_id in args.papers])[0]
     unit = normalize_unit_label(args.unit)
-    table = compare(corpus, unit, args.papers, depth=args.depth, titles=dict(args.title))
+    table = compare(papers, unit, args.papers, depth=args.depth, titles=dict(args.title))
     if args.format == "json":
         _emit(args, json.dumps(table_to_dict(table), indent=2,
                                ensure_ascii=False) + "\n")

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import UnknownPaper
-from .model import Corpus, Node, PaperAnnotation, UnitLabel, lookup_unit_label
+from .model import Node, PaperAnnotation, UnitLabel, lookup_unit_label
 
 RESEARCH_PROBLEM_ROW = "Has research problem"
 EMPTY_TOKEN = "Empty"
@@ -40,48 +41,51 @@ def _research_problem_objects(paper) -> set[str]:
             if lookup_unit_label(triple.object) is not UnitLabel.RESEARCH_PROBLEM}
 
 
-def compare(corpus: Corpus, unit: UnitLabel, paper_ids: list[str],
+def compare(papers: Iterable[PaperAnnotation], unit: UnitLabel, paper_ids: list[str],
             depth: int = 1,
             titles: dict[str, str] | None = None) -> ComparisonTable:
-    """Build the comparison table for the given papers.
+    """Build the comparison table of the papers ``paper_ids`` names, reading
+    ``papers``, a Corpus or any iterable of papers, once, and keeping those.
 
     A paper lacking the unit contributes an all-Empty column.  Row order is
     descending count of papers covered, ties alphabetical, with the fixed
     ResearchProblem row always first.
 
     Raises:
-        UnknownPaper: a requested id is not in the corpus.
+        UnknownPaper: a requested id is not among the papers.
         ValueError: ``depth`` is below 1, or an id is requested twice.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     titles = titles or {}
+    wanted = set(paper_ids)
     by_id: dict[str, PaperAnnotation] = {}
-    for paper in corpus.papers():
-        by_id.setdefault(paper.paper_id, paper)  # the first, as Corpus.get finds
-    papers = []
+    for paper in papers:
+        if paper.paper_id in wanted:
+            by_id.setdefault(paper.paper_id, paper)  # the first, as Corpus.get finds
+    selected = []
     for paper_id in paper_ids:
         paper = by_id.pop(paper_id, None)  # so a second request finds none
-        if paper is None and any(p.paper_id == paper_id for p in papers):
+        if paper is None and any(p.paper_id == paper_id for p in selected):
             raise ValueError(f"paper {paper_id!r} requested twice")
         if paper is None:
             raise UnknownPaper(f"paper {paper_id!r} not in corpus")
-        papers.append(paper)
+        selected.append(paper)
 
     values: dict[str, dict[str, set[str]]] = {}
-    for paper in papers:
+    for paper in selected:
         for row, found in _paper_rows(paper, unit, depth).items():
             values.setdefault(row, {}).setdefault(paper.paper_id, set()).update(found)
 
     properties = sorted(
         (row for row in values if row != RESEARCH_PROBLEM_ROW),
         key=lambda row: (-len(values[row]), row))
-    rows = [RESEARCH_PROBLEM_ROW] + properties if papers else []
+    rows = [RESEARCH_PROBLEM_ROW] + properties if selected else []
 
     cells = {(row, paper_id): sorted(found)
              for row, by_paper in values.items() for paper_id, found in by_paper.items()}
 
-    columns = [(p.paper_id, titles.get(p.paper_id, p.paper_id)) for p in papers]
+    columns = [(p.paper_id, titles.get(p.paper_id, p.paper_id)) for p in selected]
     return ComparisonTable(unit, columns, rows, cells)
 
 

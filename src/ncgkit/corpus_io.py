@@ -1089,7 +1089,4 @@ def load_corpus(manifest: CorpusManifest) -> tuple[Corpus, list[ValidationIssue]
         OSError: as :func:`iter_papers`.
     """
     issues: list[ValidationIssue] = []
-    corpus = Corpus()
-    for paper in iter_papers(manifest, issues):
-        corpus.tasks.setdefault(paper.task, []).append(paper)
-    return corpus, issues
+    return Corpus.of(iter_papers(manifest, issues)), issues

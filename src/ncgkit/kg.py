@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter
 from urllib.parse import quote
 
 from .errors import UnknownStartNode
-from .model import CONTRIBUTION, Corpus, Node, UnitLabel, canonical_text
+from .model import CONTRIBUTION, Node, PaperAnnotation, UnitLabel, canonical_text
 
 RESOURCE = "Resource"
 LITERAL = "Literal"
@@ -83,9 +84,9 @@ class Graph:
     coins for it.  Those two are what a graph stores, compares and prints.
     The set of edges that :meth:`add_edge` checks and the per-subject
     adjacency lists that :meth:`outgoing` and :func:`traverse` read are
-    private caches of the same tuples: each is built from ``edges`` the
-    first time it is needed and kept up to date by :meth:`add_edge` from
-    then on.
+    private caches of the same tuples: each is built from ``edges`` when
+    needed, kept up to date by :meth:`add_edge`, and built again once
+    ``edges`` changes length, as when an edge is appended to it directly.
     """
 
     nodes: dict[str, GraphNode] = field(default_factory=dict)
@@ -94,6 +95,7 @@ class Graph:
         default=None, init=False, repr=False, compare=False)
     _adjacency: dict[str, list[tuple[str, str, str]]] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _covers: int = field(default=0, init=False, repr=False, compare=False)
 
     def ensure_node(self, uri: str, label: str, kind: str) -> GraphNode:
         """The node at ``uri``, added if new; a RESOURCE kind upgrades a LITERAL.
@@ -111,6 +113,7 @@ class Graph:
 
     def add_edge(self, subject_uri: str, predicate_text: str, object_uri: str) -> None:
         """Append the edge unless the graph has it already."""
+        self._sync()
         if self._edge_set is None:
             self._edge_set = set(self.edges)
         key = (subject_uri, predicate_text, object_uri)
@@ -118,6 +121,7 @@ class Graph:
             return
         self._edge_set.add(key)
         self.edges.append(key)
+        self._covers += 1
         if self._adjacency is not None:
             self._adjacency.setdefault(subject_uri, []).append(key)
 
@@ -127,6 +131,7 @@ class Graph:
 
     def _adjacent(self) -> dict[str, list[tuple[str, str, str]]]:
         """The edges leaving each subject, in order, built on first use."""
+        self._sync()
         if self._adjacency is None:
             adjacency: dict[str, list[tuple[str, str, str]]] = {}
             for edge in self.edges:
@@ -137,6 +142,12 @@ class Graph:
                     out.append(edge)
             self._adjacency = adjacency
         return self._adjacency
+
+    def _sync(self) -> None:
+        """Drop the caches unless they cover every edge of ``edges``."""
+        if self._covers != len(self.edges):
+            self._edge_set = self._adjacency = None
+            self._covers = len(self.edges)
 
 
 def _link(nodes: dict[str, GraphNode], edges: list[tuple[str, str, str]],
@@ -166,8 +177,9 @@ def _link(nodes: dict[str, GraphNode], edges: list[tuple[str, str, str]],
     return uri
 
 
-def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
-    """Merge every paper's unit trees into one graph.
+def build_graph(papers: Iterable[PaperAnnotation], merge: str = PER_PAPER) -> Graph:
+    """Merge the unit trees of ``papers``, a Corpus or any iterable of
+    papers such as :func:`~ncgkit.corpus_io.iter_papers`, into one graph.
 
     ``per-paper`` (default): node identity is (paper, unit, tree path).  A
     node's URI is the slug of its whole path from the Contribution root,
@@ -188,7 +200,7 @@ def build_graph(corpus: Corpus, merge: str = PER_PAPER) -> Graph:
     # edges added so far
     shared_uris: dict[str, str] = {}
     seen: set[tuple[str, str, str]] | None = set() if merge == SURFACE_MERGE else None
-    for paper in corpus.papers():
+    for paper in papers:
         root = graph.ensure_node(_root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
         for unit, tree in (paper.units or {}).items():
             prefix = _uri_prefix(paper.paper_id, unit)

@@ -676,6 +676,14 @@ class Corpus:
 
     tasks: dict[str, list[PaperAnnotation]] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, papers) -> Corpus:
+        """The papers of an iterable, grouped by task in the order they come."""
+        corpus = cls()
+        for paper in papers:
+            corpus.tasks.setdefault(paper.task, []).append(paper)
+        return corpus
+
     def papers(self):
         for papers in self.tasks.values():
             yield from papers

@@ -5,10 +5,12 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
-from ncgkit import CorpusManifest, UnitLabel, compare, load_corpus
+from ncgkit import CorpusManifest, UnitLabel, compare, iter_papers, load_corpus
+from ncgkit import cli
 from ncgkit.cli import build_parser, run
 from corpusgen import write_chain_corpus, write_trial_corpus
 
@@ -598,26 +600,46 @@ def make_replicated_trial_corpus(root, copies):
     return root
 
 
-class TestStreaming:
-    """validate, stats and unit-stats hold one paper at a time."""
+#: The arguments besides --manifest that name papers of the trial corpus
+#: (``mt-00``) or of the comparison corpus (the others).
+NAMED = {
+    "traverse": ["--paper", "mt-00", "--start", "Results"],
+    "compare": ["--unit", "Results", "--papers", "mt-01,ner-00"],
+    "traverse-comparison": ["--paper", "dilated-cnn-2017", "--start", "Results"],
+    "compare-comparison": ["--unit", "Results",
+                           "--papers", "robust-lexical-2018,dilated-cnn-2017"],
+}
 
-    @pytest.mark.parametrize("command", ["validate", "stats"])
-    def test_peak_memory_does_not_grow_with_the_paper_count(self, tmp_path, command):
+
+class TestStreaming:
+    """Every corpus command but score holds one paper at a time, and
+    traverse and compare also the papers they name."""
+
+    @pytest.fixture(scope="class")
+    def replicated_roots(self, tmp_path_factory):
+        """The trial corpus once and three times over."""
+        return [make_replicated_trial_corpus(tmp_path_factory.mktemp(f"x{copies}"), copies)
+                for copies in (1, 3)]
+
+    @pytest.mark.parametrize("command", ["validate", "stats", "traverse", "compare"])
+    def test_peak_memory_does_not_grow_with_the_paper_count(
+            self, replicated_roots, tmp_path, command):
         # at three times the papers, holding the corpus would add about
         # 2.5 MB to the traced peak
         peaks = []
-        for copies in (1, 3):
-            root = make_replicated_trial_corpus(tmp_path / f"x{copies}", copies)
+        for root in replicated_roots:
             tracemalloc.start()
             try:
-                code = run([command, "--manifest", str(root), "--out", str(tmp_path / "out")])
+                code = run([command, "--manifest", str(root), *NAMED.get(command, []),
+                            "--out", str(tmp_path / "out")])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert code == 0
         assert peaks[1] < peaks[0] + 2**20
 
-    @pytest.mark.parametrize("command", ["validate", "stats", "unit-stats"])
+    @pytest.mark.parametrize("command", ["validate", "stats", "unit-stats", "build-kg",
+                                         "traverse", "compare"])
     def test_strict_error_after_a_warning_prints_only_the_error(
             self, comparison_root, tmp_path, capsys, command):
         root = tmp_path / "corpus"
@@ -625,12 +647,61 @@ class TestStreaming:
         # the first paper loads with warnings, the last one fails
         last = sorted((root / "papers").iterdir())[-1]
         (last / "sentences.txt").write_text("NaN\n", encoding="utf-8")
-        assert run([command, "--manifest", str(root)]) in (0, 1)
+        extra = NAMED.get(f"{command}-comparison", [])
+        assert run([command, "--manifest", str(root), *extra]) in (0, 1)
         assert capsys.readouterr().err.startswith("corpus: ")
-        assert run([command, "--manifest", str(root), "--strict"]) == 2
+        assert run([command, "--manifest", str(root), *extra, "--strict"]) == 2
         assert capsys.readouterr() == (
             "", f"error: papers/{last.name}/sentences.txt:1: not a positive sentence "
                 f"index: 'NaN'\n")
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("validate", [], set()),
+        ("stats", [], set()),
+        ("unit-stats", [], set()),
+        ("build-kg", [], set()),
+        ("build-kg", ["--merge", "surface"], set()),
+        ("traverse", NAMED["traverse-comparison"], {"dilated-cnn-2017"}),
+        ("compare", NAMED["compare-comparison"], {"robust-lexical-2018", "dilated-cnn-2017"}),
+    ], ids=["validate", "stats", "unit-stats", "build-kg", "build-kg-surface", "traverse",
+            "compare"])
+    def test_each_paper_is_dropped_once_the_next_is_read(
+            self, comparison_root, tmp_path, monkeypatch, command, extra, named):
+        given = []  # a weak reference to each paper the command was given
+
+        def watched(manifest, issues):
+            for paper in iter_papers(manifest, issues):
+                # the command's loop may still hold the paper it was given
+                # last, but no paper before that unless it names it
+                held = [p.paper_id for p in (ref() for ref in given[:-1]) if p is not None]
+                assert set(held) <= named, held
+                given.append(weakref.ref(paper))
+                yield paper
+
+        monkeypatch.setattr(cli, "iter_papers", watched)
+        assert run([command, "--manifest", str(comparison_root), *extra,
+                    "--out", str(tmp_path / "out")]) in (0, 1)
+        assert len(given) == 4
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("traverse", ["--paper", "no-such-id", "--start", "Results"],
+         "no paper 'no-such-id' in graph"),
+        ("compare", ["--unit", "Results", "--papers", "dilated-cnn-2017,no-such-id"],
+         "paper 'no-such-id' not in corpus"),
+    ], ids=["traverse", "compare"])
+    def test_an_unknown_paper_is_one_error_after_every_load_issue(
+            self, comparison_root, tmp_path, capsys, command, extra, message):
+        root = tmp_path / "corpus"
+        shutil.copytree(comparison_root, root)
+        target = root / "papers" / "machine-reading-2016" / "sentences.txt"
+        target.write_bytes(b"\xff" + target.read_bytes())
+        issues = load_corpus(CorpusManifest(root_path=root))[1]
+        assert len(issues) > 1
+        assert run([command, "--manifest", str(root), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"corpus: {issue.as_line()}" for issue in issues] + [
+            f"error: {message}"]
 
 
 class TestLoadIssuesOnStderr:

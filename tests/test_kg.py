@@ -545,6 +545,22 @@ class TestSharing:
             assert graph.outgoing(uri) == [(p, o) for s, p, o in graph.edges if s == uri]
         assert graph.outgoing("ncg:absent") == []
 
+    def test_caches_see_an_edge_appended_to_the_edge_list(self, results_corpus):
+        graph = build_graph(results_corpus)
+        start = next(uri for uri, node in graph.nodes.items() if node.label == "Results")
+        leaf = graph.ensure_node("ncg:leaf", "leaf", LITERAL).uri
+        graph.add_edge(start, "adds", leaf)  # builds the edge set
+        before = [(path, node.label) for path, node in traverse(graph, "wang2018", "Results", 1)]
+        # the traversal built the adjacency; neither cache saw these
+        graph.edges.append((start, "appended", leaf))
+        graph.edges.append((leaf, "from a leaf", start))
+        for uri in graph.nodes:
+            assert graph.outgoing(uri) == [(p, o) for s, p, o in graph.edges if s == uri]
+        after = [(path, node.label) for path, node in traverse(graph, "wang2018", "Results", 1)]
+        assert after == before + [(("appended",), "leaf")]
+        graph.add_edge(start, "appended", leaf)
+        assert graph.edges.count((start, "appended", leaf)) == 1
+
     # CPython 3.11, trial corpus: about 610 bytes per edge when every node
     # kept its tree path and a copied label and every edge two tuples,
     # about 310 with one tuple per edge and shared strings, and about 250
