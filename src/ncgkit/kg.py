@@ -11,17 +11,18 @@ making regeneration byte-stable.
 A graph stores its nodes and its edges, and nothing else: a node's URI is
 one string, shared by the ``nodes`` key, the node and every edge tuple that
 touches it; each edge is one ``(subject, predicate, object)`` tuple; and a
-label is the unit tree's own string, not a copy.  The edge set that
-:meth:`Graph.add_edge` checks and the adjacency that :meth:`Graph.outgoing`
-and :func:`traverse` follow are built from ``edges`` the first time they
-are needed, from the same tuples.  :func:`build_graph` and
-:func:`import_ntriples` fill a graph without either.
+label is the unit tree's own string, not a copy.  A graph is read-only once
+built: :func:`build_graph` and :func:`import_ntriples` fill its nodes and
+edges through one node helper and one edge insertion, and its edge list
+refuses every change afterwards.  So the adjacency that :func:`traverse`
+follows, built from ``edges`` on the first traversal, cannot go stale.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, groupby
@@ -29,7 +30,7 @@ from operator import itemgetter
 from urllib.parse import quote
 
 from .errors import UnknownStartNode
-from .model import CONTRIBUTION, Node, PaperAnnotation, UnitLabel, canonical_text
+from .model import CONTRIBUTION, Node, PaperAnnotation, ReadOnlyList, UnitLabel, canonical_text
 
 RESOURCE = "Resource"
 LITERAL = "Literal"
@@ -74,106 +75,65 @@ class GraphNode:
     kind: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
-    """Nodes plus ordered, de-duplicated labeled edges.
+    """Nodes plus ordered, de-duplicated labeled edges, read-only once built.
 
-    ``nodes`` maps each URI to its node, in insertion order.  ``edges``
-    holds (subject uri, predicate text, object uri) tuples in insertion
-    order.  A paper's Contribution root is the node at the URI the scheme
-    coins for it.  Those two are what a graph stores, compares and prints.
-    The set of edges that :meth:`add_edge` checks and the per-subject
-    adjacency lists that :meth:`outgoing` and :func:`traverse` read are
-    private caches of the same tuples: each is built from ``edges`` when
-    needed, kept up to date by :meth:`add_edge`, and built again once
-    ``edges`` changes length, as when an edge is appended to it directly.
+    ``nodes`` maps each URI to its node, in insertion order.  ``edges`` is
+    a :class:`~ncgkit.model.ReadOnlyList` of (subject uri, predicate text,
+    object uri) tuples in insertion order; other sequences are copied into
+    one.  A paper's Contribution root is the node at the URI the scheme
+    coins for it.  The per-subject adjacency that :func:`traverse` reads is
+    a private cache of the same tuples, set on the first traversal.
     """
 
     nodes: dict[str, GraphNode] = field(default_factory=dict)
-    edges: list[tuple[str, str, str]] = field(default_factory=list)
-    _edge_set: set[tuple[str, str, str]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    edges: ReadOnlyList = field(default_factory=ReadOnlyList)
     _adjacency: dict[str, list[tuple[str, str, str]]] | None = field(
         default=None, init=False, repr=False, compare=False)
-    _covers: int = field(default=0, init=False, repr=False, compare=False)
 
-    def ensure_node(self, uri: str, label: str, kind: str) -> GraphNode:
-        """The node at ``uri``, added if new; a RESOURCE kind upgrades a LITERAL.
-
-        Callers should use the returned node's ``uri``, the graph's own key
-        string, rather than their argument.
-        """
-        node = self.nodes.get(uri)
-        if node is None:
-            node = GraphNode(uri, label, kind)
-            self.nodes[uri] = node
-        elif kind == RESOURCE and node.kind == LITERAL:
-            node.kind = RESOURCE
-        return node
-
-    def add_edge(self, subject_uri: str, predicate_text: str, object_uri: str) -> None:
-        """Append the edge unless the graph has it already."""
-        self._sync()
-        if self._edge_set is None:
-            self._edge_set = set(self.edges)
-        key = (subject_uri, predicate_text, object_uri)
-        if key in self._edge_set:
-            return
-        self._edge_set.add(key)
-        self.edges.append(key)
-        self._covers += 1
-        if self._adjacency is not None:
-            self._adjacency.setdefault(subject_uri, []).append(key)
-
-    def outgoing(self, uri: str) -> list[tuple[str, str]]:
-        """(predicate text, object uri) of each edge leaving ``uri``, in order."""
-        return [(predicate, obj) for _, predicate, obj in self._adjacent().get(uri, ())]
+    def __post_init__(self) -> None:
+        if type(self.edges) is not ReadOnlyList:
+            object.__setattr__(self, "edges", ReadOnlyList(self.edges))
 
     def _adjacent(self) -> dict[str, list[tuple[str, str, str]]]:
         """The edges leaving each subject, in order, built on first use."""
-        self._sync()
         if self._adjacency is None:
-            adjacency: dict[str, list[tuple[str, str, str]]] = {}
+            adjacency: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
             for edge in self.edges:
-                out = adjacency.get(edge[0])
-                if out is None:
-                    adjacency[edge[0]] = [edge]
-                else:
-                    out.append(edge)
-            self._adjacency = adjacency
+                adjacency[edge[0]].append(edge)
+            object.__setattr__(self, "_adjacency", adjacency)
         return self._adjacency
 
-    def _sync(self) -> None:
-        """Drop the caches unless they cover every edge of ``edges``."""
-        if self._covers != len(self.edges):
-            self._edge_set = self._adjacency = None
-            self._covers = len(self.edges)
+
+def _node(nodes: dict[str, GraphNode], uri: str, label: str, kind: str) -> GraphNode:
+    """The node at ``uri``, added if new; a RESOURCE kind upgrades a LITERAL.
+    Callers use its ``uri``, the graph's own key string, not their own."""
+    node = nodes.get(uri)
+    if node is None:
+        node = nodes[uri] = GraphNode(uri, label, kind)
+    elif kind == RESOURCE and node.kind == LITERAL:
+        node.kind = RESOURCE
+    return node
 
 
-def _link(nodes: dict[str, GraphNode], edges: list[tuple[str, str, str]],
+def _link(nodes: dict[str, GraphNode], edges: ReadOnlyList,
           seen: set[tuple[str, str, str]] | None, subject: str, predicate: str,
           uri: str, label: str, kind: str) -> str:
-    """Add the edge from ``subject`` to the node at ``uri``, as
-    :meth:`Graph.ensure_node` then :meth:`Graph.add_edge` would, and return
-    the graph's own string for ``uri``.
+    """Add the edge from ``subject`` to the :func:`_node` at ``uri`` unless
+    the graph has it already, and return the graph's own string for ``uri``.
 
     ``seen`` holds the edges added so far.  It is None where an object's
     URI names the whole edge, so that an edge is new exactly when its
     object node is.
     """
-    node = nodes.get(uri)
-    if node is None:
-        nodes[uri] = GraphNode(uri, label, kind)
-    else:
-        if kind == RESOURCE and node.kind == LITERAL:
-            node.kind = RESOURCE
-        uri = node.uri
-        if seen is None or (subject, predicate, uri) in seen:
-            return uri
+    count = len(nodes)
+    uri = _node(nodes, uri, label, kind).uri
     edge = (subject, predicate, uri)
-    if seen is not None:
-        seen.add(edge)
-    edges.append(edge)
+    if len(nodes) > count or seen is not None and edge not in seen:
+        if seen is not None:
+            seen.add(edge)
+        list.append(edges, edge)
     return uri
 
 
@@ -194,14 +154,14 @@ def build_graph(papers: Iterable[PaperAnnotation], merge: str = PER_PAPER) -> Gr
     """
     if merge not in (PER_PAPER, SURFACE_MERGE):
         raise ValueError(f"merge must be {PER_PAPER!r} or {SURFACE_MERGE!r}")
-    graph = Graph()
-    nodes, edges = graph.nodes, graph.edges
+    nodes: dict[str, GraphNode] = {}
+    edges = ReadOnlyList()
     # surface mode: the URI of each label, hashed once per call, and the
     # edges added so far
     shared_uris: dict[str, str] = {}
     seen: set[tuple[str, str, str]] | None = set() if merge == SURFACE_MERGE else None
     for paper in papers:
-        root = graph.ensure_node(_root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
+        root = _node(nodes, _root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
         for unit, tree in (paper.units or {}).items():
             prefix = _uri_prefix(paper.paper_id, unit)
             # (uri, sha256 of the path) of the last node at each depth: a
@@ -227,7 +187,7 @@ def build_graph(papers: Iterable[PaperAnnotation], merge: str = PER_PAPER) -> Gr
                                   label, RESOURCE if is_node else LITERAL)
                 if is_node:
                     parents[depth + 1:] = [(child_uri, path_hash)]
-    return graph
+    return Graph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +248,37 @@ def _unescape_literal(text: str) -> str:
     return _ESCAPE_RE.sub(_echar, text)
 
 
-def export_ntriples(graph: Graph) -> str:
-    """Serialize the graph as sorted N-Triples (UTF-8, LF).
-
-    One statement per edge; literal objects are inlined as quoted strings;
-    every resource (and every coined predicate) gets a label statement via
-    the fixed label predicate.  No line appears twice.  An empty graph
-    serializes to the empty string.
-    """
-    if not graph.edges and not graph.nodes:
-        return ""
-    predicate_uris = _predicate_uris(graph)
+def _edge_lines(graph: Graph, predicate_uris: dict[str, str]):
+    """The N-Triples line of each edge, in edge order."""
     nodes = graph.nodes
-    lines = []
     for subject, predicate, obj in graph.edges:
         obj_node = nodes[obj]
         if obj_node.kind == LITERAL:
             rendered = _escape_literal(obj_node.label)
         else:
             rendered = f"<{obj}>"
-        lines.append(f"<{subject}> <{predicate_uris[predicate]}> {rendered} .")
-    for node in nodes.values():
+        yield f"<{subject}> <{predicate_uris[predicate]}> {rendered} ."
+
+
+def export_ntriples(graph: Graph) -> str:
+    """Serialize the graph as sorted N-Triples (UTF-8, LF).
+
+    One statement per edge; literal objects are inlined as quoted strings;
+    every resource (and every coined predicate) gets a label statement via
+    the fixed label predicate.  No line appears twice: a label line that
+    repeats is written once.  An empty graph serializes to the empty
+    string.
+
+    Raises:
+        ValueError: two edges write one line, as two literal nodes with
+            one label under one subject and predicate do; the file could
+            not give the graph back.
+    """
+    if not graph.edges and not graph.nodes:
+        return ""
+    predicate_uris = _predicate_uris(graph)
+    lines = list(_edge_lines(graph, predicate_uris))
+    for node in graph.nodes.values():
         if node.kind == RESOURCE:
             lines.append(f"<{node.uri}> <{LABEL_PREDICATE}> {_escape_literal(node.label)} .")
     for text, uri in predicate_uris.items():
@@ -316,10 +286,17 @@ def export_ntriples(graph: Graph) -> str:
     lines.sort()
     header = (f"# ncgkit knowledge-graph export; namespace prefix 'ncg:'; "
               f"labels attached via <{LABEL_PREDICATE}>")
-    # Edges are distinct, but a node coined by an imported file can have
-    # the URI and label of a predicate, which repeats a label line.  One
-    # join writes the header, the lines and the final line feed.
-    return "\n".join(chain((header,), map(itemgetter(0), groupby(lines)), ("",)))
+    # A node coined by an imported file can have the URI and label of a
+    # predicate, which repeats a label line.  One join writes the header,
+    # the lines and the final line feed; only a merged line costs a search.
+    text = "\n".join(chain((header,), map(itemgetter(0), groupby(lines)), ("",)))
+    if text.count("\n") != len(lines) + 1:
+        written = set()
+        for line in _edge_lines(graph, predicate_uris):
+            if line in written:
+                raise ValueError(f"two edges write one N-Triples line: {line!r}")
+            written.add(line)
+    return text
 
 
 _LINE_RE = re.compile(
@@ -376,8 +353,8 @@ def import_ntriples(text: str) -> Graph:
             starts with ``line <n>:``.
     """
     labels = _labels(text)
-    graph = Graph()
-    nodes, edges = graph.nodes, graph.edges
+    nodes: dict[str, GraphNode] = {}
+    edges = ReadOnlyList()
     seen: set[tuple[str, str, str]] = set()
     for lineno, raw in enumerate(_LINES_RE.finditer(text), 1):
         line = raw.group(1).strip()
@@ -399,28 +376,21 @@ def import_ntriples(text: str) -> Graph:
             continue
         # one string per predicate, which every edge shares
         pred_text = labels.setdefault(predicate, predicate)
-        node = nodes.get(subject)
-        if node is None:
-            node = nodes[subject] = GraphNode(subject, labels.get(subject, subject), RESOURCE)
-        elif node.kind == LITERAL:
-            node.kind = RESOURCE
-        subject = node.uri
+        subject = _node(nodes, subject, labels.get(subject, subject), RESOURCE).uri
         if obj_uri is not None:
             _link(nodes, edges, seen, subject, pred_text, obj_uri,
                   labels.get(obj_uri, obj_uri), RESOURCE)
         else:
             _link(nodes, edges, seen, subject, pred_text,
                   f"ncg:lit/{_hash_slug((subject, pred_text, obj_literal))}", obj_literal, LITERAL)
-    return graph
+    return Graph(nodes, edges)
 
 
 def edge_signature(graph: Graph) -> list[tuple[str, str, str, str]]:
     """Label-level view of the edges, for isomorphism comparisons."""
-    sig = []
-    for subject, predicate, obj in graph.edges:
-        sig.append((graph.nodes[subject].label, predicate,
-                    graph.nodes[obj].label, graph.nodes[obj].kind))
-    return sorted(sig)
+    nodes = graph.nodes
+    return sorted((nodes[subject].label, predicate, nodes[obj].label, nodes[obj].kind)
+                  for subject, predicate, obj in graph.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -581,18 +581,31 @@ class UnitTree:
         return self.root.walk()
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError("a built paper or graph is read-only")
+
+
 class _ReadOnlyDict(dict):
     """A dict that refuses every change; it equals, prints, pickles and copies as one."""
 
     __slots__ = ()
 
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a built paper's unit maps are read-only")
-
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
     def __reduce__(self):
         return type(self), (dict(self),)
+
+
+class ReadOnlyList(list):
+    """A list that refuses every change; it equals, prints, pickles and copies as one."""
+
+    __slots__ = ()
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce__(self):
+        return type(self), (list(self),)
 
 
 @dataclass(frozen=True)
@@ -608,8 +621,10 @@ class PaperAnnotation:
     Both unit maps are in :attr:`UnitLabel.identifier` order, and
     ``triples`` holds every unit of either.  The tree wins: a unit with a
     tree has ``triples[u] == flatten(units[u]).triples``, and a list given
-    for it is ignored; a unit without one keeps the list given.  Both maps
-    refuse changes; :func:`dataclasses.replace` builds a changed paper.  A
+    for it is ignored; a unit without one keeps a copy of the list given.
+    Both maps, each unit's triples (a :class:`ReadOnlyList`) and the
+    contribution sentence indices (a ``frozenset``) refuse changes;
+    :func:`dataclasses.replace` builds a changed paper.  A
     loader that has flattened each tree already builds the paper with
     :meth:`_from_flattened`, which flattens none again.
     """
@@ -618,7 +633,7 @@ class PaperAnnotation:
     task: str
     total_sentence_count: int | None = None
     total_token_count: int | None = None
-    contribution_sentence_indices: set[int] | None = None
+    contribution_sentence_indices: frozenset[int] | None = None
     phrases: Sequence[PhraseSpan] | None = None
     units: dict[UnitLabel, UnitTree] | None = None
     triples: dict[UnitLabel, list[Triple]] | None = None
@@ -644,8 +659,9 @@ class PaperAnnotation:
         return paper
 
     def _settle(self) -> None:
-        """Order both unit maps and make them read-only; a map that was None
-        stays None when nothing is added."""
+        """Order both unit maps and make them, each unit's triples and the
+        contribution sentence indices read-only; a map that was None stays
+        None when nothing is added."""
         units, stored = self.units or {}, self.triples or {}
         listed = sorted(units.keys() | stored.keys(), key=lambda unit: unit.identifier)
         if self.units is not None:
@@ -653,7 +669,10 @@ class PaperAnnotation:
                 (unit, units[unit]) for unit in listed if unit in units))
         if listed or self.triples is not None:
             object.__setattr__(self, "triples", _ReadOnlyDict(
-                (unit, stored[unit]) for unit in listed))
+                (unit, ReadOnlyList(stored[unit])) for unit in listed))
+        if self.contribution_sentence_indices is not None:
+            object.__setattr__(self, "contribution_sentence_indices",
+                               frozenset(self.contribution_sentence_indices))
 
     def sentence(self, index: int) -> Sentence | None:
         if self.sentences is None or not 1 <= index <= len(self.sentences):

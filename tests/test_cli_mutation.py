@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from ncgkit import CorpusManifest, NcgError, iter_papers, load_corpus
@@ -118,7 +118,10 @@ def run_captured(argv: list[str]) -> tuple[int, str]:
     return code, stderr.getvalue()
 
 
+# Each example runs every command, so shrinking a failure could take
+# minutes; a failure is reported as found, unshrunk.
 @settings(max_examples=settings().max_examples // 2, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink],
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(DAMAGE, min_size=1, max_size=3), st.booleans())
 def test_a_damaged_corpus_never_escapes_as_a_traceback(subset_root, damages, pred_damaged):

@@ -1,7 +1,10 @@
+import copy
 import gc
+import pickle
 import re
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -311,6 +314,13 @@ ORACLE_PAPERS = st.lists(
 ORACLE_STARTS = ["Contribution", "Results", "a", "b", "a b", "absent"]
 
 
+def oracle_corpus(papers):
+    return corpus_with({
+        paper_id: {unit: UnitTree.from_unit_node(unit, as_node(unit.identifier, edges))
+                   for unit, edges in units.items()}
+        for paper_id, units in papers})
+
+
 def graph_state(graph):
     return [(uri, n.uri, n.label, n.kind) for uri, n in graph.nodes.items()], graph.edges
 
@@ -335,17 +345,13 @@ REPEATS = [("on", "a", None), ("on", "a", None), ("has", "b", [("on", "a", None)
 
 
 @settings(max_examples=100, deadline=None)
-@given(ORACLE_PAPERS, st.sampled_from([PER_PAPER, SURFACE_MERGE]), st.booleans(),
-       st.lists(st.integers(0, 999), min_size=3, max_size=3))
+@given(ORACLE_PAPERS, st.sampled_from([PER_PAPER, SURFACE_MERGE]))
 @example([("a", {UnitLabel.RESULTS: REPEATS}), ("a-b", {UnitLabel.RESULTS: REPEATS[::-1]}),
-          ("pred", {UnitLabel.MODEL: REPEATS})], PER_PAPER, True, [0, 1, 2])
+          ("pred", {UnitLabel.MODEL: REPEATS})], PER_PAPER)
 @example([("a b/c", {UnitLabel.RESULTS: REPEATS}), ("pred", {UnitLabel.CODE: REPEATS[::-1]})],
-         SURFACE_MERGE, False, [5, 4, 3])
-def test_graph_layer_gives_what_the_oracle_gives(papers, merge, traverse_first, picks):
-    corpus = corpus_with({
-        paper_id: {unit: UnitTree.from_unit_node(unit, as_node(unit.identifier, edges))
-                   for unit, edges in units.items()}
-        for paper_id, units in papers})
+         SURFACE_MERGE)
+def test_graph_layer_gives_what_the_oracle_gives(papers, merge):
+    corpus = oracle_corpus(papers)
     paper_ids = [paper_id for paper_id, _ in papers]
     graph, expected = build_graph(corpus, merge), kg_oracle.build_graph(corpus, merge)
     assert graph_state(graph) == graph_state(expected)
@@ -353,23 +359,79 @@ def test_graph_layer_gives_what_the_oracle_gives(papers, merge, traverse_first, 
     assert text == kg_oracle.export_ntriples(expected)
     reimported, expected_reimport = import_ntriples(text), kg_oracle.import_ntriples(text)
     assert graph_state(reimported) == graph_state(expected_reimport)
-
-    # one graph is traversed before edges are added, which builds the
-    # adjacency that add_edge then extends, and the other after
-    for (graph, expected), walk_first in (((graph, expected), traverse_first),
-                                          ((reimported, expected_reimport), not traverse_first)):
-        if walk_first:
-            assert walks(traverse, graph, paper_ids) == walks(kg_oracle.traverse, expected,
-                                                              paper_ids)
-        uris = list(graph.nodes)
-        repeated = graph.edges[picks[0] % len(graph.edges)]
-        new = (uris[picks[1] % len(uris)], "added", uris[picks[2] % len(uris)])
-        for edge in (repeated, new):
-            graph.add_edge(*edge)
-            expected.add_edge(*edge)
-        assert graph_state(graph) == graph_state(expected)
-        assert [graph.outgoing(uri) for uri in uris] == [expected.outgoing(uri) for uri in uris]
+    for graph, expected in ((graph, expected), (reimported, expected_reimport)):
         assert walks(traverse, graph, paper_ids) == walks(kg_oracle.traverse, expected, paper_ids)
+
+
+#: Each change a list allows, with arguments that a plain list would accept.
+EDGE = ("ncg:s", "p", "ncg:o")
+REFUSED_LIST_CHANGES = {
+    "append": (EDGE,), "extend": ([EDGE],), "insert": (0, EDGE), "pop": (), "remove": (EDGE,),
+    "clear": (), "sort": (), "reverse": (), "__setitem__": (0, EDGE),
+    "__delitem__": (0,), "__iadd__": ([EDGE],), "__imul__": (2,),
+}
+
+
+def refuses_every_change(edges):
+    before = list(edges)
+    for method, args in REFUSED_LIST_CHANGES.items():
+        with pytest.raises(TypeError, match="read-only"):
+            getattr(edges, method)(*args)
+    for index in (slice(0, 0), slice(None)):
+        with pytest.raises(TypeError, match="read-only"):
+            edges[index] = [EDGE]
+        with pytest.raises(TypeError, match="read-only"):
+            del edges[index]
+    return edges == before and repr(edges) == repr(before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ORACLE_PAPERS, st.sampled_from([PER_PAPER, SURFACE_MERGE, "import"]))
+def test_a_built_graph_refuses_every_change(papers, made_by):
+    corpus = oracle_corpus(papers)
+    paper_ids = [paper_id for paper_id, _ in papers]
+    if made_by == "import":
+        graph = import_ntriples(export_ntriples(build_graph(corpus)))
+    else:
+        graph = build_graph(corpus, made_by)
+
+    def outputs(graph):
+        return (walks(traverse, graph, paper_ids), export_ntriples(graph),
+                edge_signature(graph))
+
+    expected = outputs(graph)
+    assert refuses_every_change(graph.edges)
+    for f in fields(graph):
+        with pytest.raises(FrozenInstanceError):
+            setattr(graph, f.name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(graph, f.name)
+    assert outputs(graph) == expected
+
+    # protocols 0 and 1 cannot pickle the slotted GraphNode
+    for clone in [pickle.loads(pickle.dumps(graph, protocol))
+                  for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)] + [
+            copy.copy(graph), copy.deepcopy(graph)]:
+        assert clone == graph and type(clone.edges) is type(graph.edges)
+        assert refuses_every_change(clone.edges)
+        assert outputs(clone) == expected
+    for clone in copy.copy(corpus), copy.deepcopy(corpus), pickle.loads(pickle.dumps(corpus)):
+        assert clone == corpus
+        for paper in clone:
+            for triples in paper.triples.values():
+                assert refuses_every_change(triples)
+
+
+def test_export_refuses_two_edges_that_write_one_line():
+    nodes = {"ncg:s": GraphNode("ncg:s", "s", RESOURCE),
+             "ncg:l1": GraphNode("ncg:l1", "x", LITERAL),
+             "ncg:l2": GraphNode("ncg:l2", "x", LITERAL)}
+    line = '<ncg:s> <ncg:pred/p> "x" .'
+    for edges in ([("ncg:s", "p", "ncg:l1"), ("ncg:s", "p", "ncg:l2")],
+                  [("ncg:s", "p", "ncg:l1"), ("ncg:s", "p", "ncg:l1")]):
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            export_ntriples(Graph(nodes, edges))
+    assert line in export_lines(export_ntriples(Graph(nodes, edges[:1])))
 
 
 #: The N-Triples EOL (LF, CRLF, CR), then the eight other breaks of
@@ -532,34 +594,17 @@ class TestSharing:
             assert any(e is edge for e in graph._adjacency[subject])
         assert not hasattr(GraphNode("u", "l", RESOURCE), "__dict__")
 
-    def test_ensure_node_keeps_the_first_node_and_upgrades_a_literal(self):
-        graph = Graph()
-        node = graph.ensure_node("ncg:x", "x", LITERAL)
-        assert graph.ensure_node("ncg:x", "y", LITERAL) is node
-        assert graph.ensure_node("ncg:x", "y", RESOURCE) is node
-        assert (node.label, node.kind) == ("x", RESOURCE)
-
-    def test_outgoing_lists_predicate_object_pairs(self, results_corpus):
+    def test_the_edge_list_refuses_an_appended_or_replaced_edge(self, results_corpus):
         graph = build_graph(results_corpus)
-        for uri in graph.nodes:
-            assert graph.outgoing(uri) == [(p, o) for s, p, o in graph.edges if s == uri]
-        assert graph.outgoing("ncg:absent") == []
-
-    def test_caches_see_an_edge_appended_to_the_edge_list(self, results_corpus):
-        graph = build_graph(results_corpus)
-        start = next(uri for uri, node in graph.nodes.items() if node.label == "Results")
-        leaf = graph.ensure_node("ncg:leaf", "leaf", LITERAL).uri
-        graph.add_edge(start, "adds", leaf)  # builds the edge set
-        before = [(path, node.label) for path, node in traverse(graph, "wang2018", "Results", 1)]
-        # the traversal built the adjacency; neither cache saw these
-        graph.edges.append((start, "appended", leaf))
-        graph.edges.append((leaf, "from a leaf", start))
-        for uri in graph.nodes:
-            assert graph.outgoing(uri) == [(p, o) for s, p, o in graph.edges if s == uri]
-        after = [(path, node.label) for path, node in traverse(graph, "wang2018", "Results", 1)]
-        assert after == before + [(("appended",), "leaf")]
-        graph.add_edge(start, "appended", leaf)
-        assert graph.edges.count((start, "appended", leaf)) == 1
+        before = traverse(graph, "wang2018", "Results", 1)  # builds the adjacency
+        start, leaf = before[0][1].uri, before[-1][1].uri
+        edges = list(graph.edges)
+        with pytest.raises(TypeError, match="read-only"):
+            graph.edges.append((start, "appended", leaf))
+        with pytest.raises(TypeError, match="read-only"):
+            graph.edges[0] = (start, "replaced", leaf)
+        assert graph.edges == edges
+        assert traverse(graph, "wang2018", "Results", 1) == before
 
     # CPython 3.11, trial corpus: about 610 bytes per edge when every node
     # kept its tree path and a copied label and every edge two tuples,

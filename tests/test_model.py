@@ -42,6 +42,7 @@ from ncgkit import (
     unit_stats,
     validate_paper,
 )
+from ncgkit.model import ReadOnlyList
 from corpusgen import write_chain_corpus
 from tree_oracle import edges_preorder, generated, nodes_preorder, small_trees
 
@@ -600,7 +601,7 @@ class TestUnitOrder:
         paper = PaperAnnotation("p", "t", units=trees, triples={UnitLabel.CODE: stored})
         assert list(paper.units) == [UnitLabel.APPROACH, UnitLabel.RESULTS]
         assert list(paper.triples) == [UnitLabel.APPROACH, UnitLabel.CODE, UnitLabel.RESULTS]
-        assert paper.triples[UnitLabel.CODE] is stored
+        assert paper.triples[UnitLabel.CODE] == stored
         # a map that was None stays None when nothing is added to it
         empty = PaperAnnotation("p", "t", units={})
         assert (empty.units, empty.triples) == ({}, None)
@@ -664,7 +665,7 @@ class TestBuiltPaperIsReadOnly:
         paper = PaperAnnotation("p", "t", units={UnitLabel.RESULTS: tree},
                                 triples={UnitLabel.RESULTS: given})
         assert paper.triples[UnitLabel.RESULTS] == flatten(tree).triples != given
-        assert type(paper.triples[UnitLabel.RESULTS]) is list
+        assert type(paper.triples[UnitLabel.RESULTS]) is ReadOnlyList
 
     def test_maps_and_fields_refuse_every_change(self):
         node = Node("Results")
@@ -685,7 +686,30 @@ class TestBuiltPaperIsReadOnly:
                 setattr(paper, f.name, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(paper, f.name)
-        assert paper.triples[UnitLabel.CODE] is stored
+        # the paper keeps a read-only copy of the list given
+        assert paper.triples[UnitLabel.CODE] == stored
+        assert paper.triples[UnitLabel.CODE] is not stored
+
+    def test_a_units_triples_refuse_a_change(self, comparison_root):
+        corpus, _ = load_corpus(CorpusManifest(root_path=comparison_root))
+        paper = corpus.get("dilated-cnn-2017")
+        results = paper.triples[UnitLabel.RESULTS]
+        extra = Triple.of("Results", "beats", "y")
+        for change in (lambda: results.append(extra), lambda: results.extend([extra]),
+                       lambda: results.insert(0, extra), lambda: results.pop(),
+                       lambda: results.__setitem__(0, extra), lambda: results.clear()):
+            with pytest.raises(TypeError, match="read-only"):
+                change()
+        assert results == flatten(paper.units[UnitLabel.RESULTS]).triples
+        counted = unit_stats(Corpus({paper.task: [paper]})).per_unit[UnitLabel.RESULTS]
+        assert counted.n_triples == len(results) == 6
+
+    def test_contribution_sentence_indices_are_a_frozenset(self):
+        given = {2, 1}
+        paper = PaperAnnotation("p", "t", contribution_sentence_indices=given)
+        assert paper.contribution_sentence_indices == given
+        assert type(paper.contribution_sentence_indices) is frozenset
+        assert PaperAnnotation("p", "t").contribution_sentence_indices is None
 
     def test_loaded_corpora_survive_pickle_and_copy(self, comparison_root, trial_root):
         # protocols 0 and 1 cannot pickle the slotted DocumentLines
@@ -702,6 +726,11 @@ class TestBuiltPaperIsReadOnly:
                         assert list(mapping) == list(getattr(original, name))
                         with pytest.raises(TypeError, match="read-only"):
                             mapping[UnitLabel.CODE] = []
+                    for triples in paper.triples.values():
+                        assert type(triples) is ReadOnlyList
+                        with pytest.raises(TypeError, match="read-only"):
+                            triples.append(None)
+                    assert type(paper.contribution_sentence_indices) in (frozenset, type(None))
 
 
 class TestNodeEqualityAndRepr:
