@@ -8,14 +8,20 @@ merge mode, so a traversal finds it by that URI, in a built graph and in one
 read back from N-Triples alike.  The export is lexicographically sorted,
 making regeneration byte-stable.
 
-A graph stores its nodes and its edges, and nothing else: a node's URI is
-one string, shared by the ``nodes`` key, the node and every edge tuple that
-touches it; each edge is one ``(subject, predicate, object)`` tuple; and a
+A graph stores its nodes and its edges, and nothing else.  Its nodes are
+one dict that maps each URI to a ``(label, kind)`` tuple of two strings, in
+insertion order; :attr:`Graph.nodes` is a read-only view of it that makes
+an immutable :class:`GraphNode` each time a node is read.  Each edge is one
+``(subject, predicate, object)`` tuple of strings.  CPython's cyclic
+collector stops tracking a tuple of strings the first time a collection
+sees it, so a built graph leaves no object per node or edge for every
+later full collection to scan, as a node object would.  The builders share
+one string per URI between its key and the edges that touch it, and a
 label is the unit tree's own string, not a copy.  A graph is read-only once
-built: :func:`build_graph` and :func:`import_ntriples` fill its nodes and
-edges through one node helper and one edge insertion, and its edge list
-refuses every change afterwards.  So the adjacency that :func:`traverse`
-follows, built from ``edges`` on the first traversal, cannot go stale.
+built: :func:`build_graph` and :func:`import_ntriples` add each node and
+edge in their own per-edge loops, and the nodes and the edge list refuse
+every change afterwards.  So the adjacency that :func:`traverse` follows,
+built from ``edges`` on the first traversal, cannot go stale.
 """
 
 from __future__ import annotations
@@ -23,14 +29,23 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter
+from typing import NamedTuple
 from urllib.parse import quote
 
 from .errors import UnknownStartNode
-from .model import CONTRIBUTION, Node, PaperAnnotation, ReadOnlyList, UnitLabel, canonical_text
+from .model import (
+    CONTRIBUTION,
+    Node,
+    PaperAnnotation,
+    ReadOnlyList,
+    UnitLabel,
+    _refuse,
+    canonical_text,
+)
 
 RESOURCE = "Resource"
 LITERAL = "Literal"
@@ -62,12 +77,11 @@ def _root_uri(paper_id: str) -> str:
     return f"ncg:{quote(paper_id, safe='')}/{CONTRIBUTION}"
 
 
-@dataclass(slots=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     """One node: its URI, surface label and kind (RESOURCE or LITERAL).
 
-    ``uri`` is the same string object as the node's key in ``Graph.nodes``
-    and as its place in every edge tuple.
+    A graph stores no node objects: :attr:`Graph.nodes` makes one each
+    time a node is read, with ``uri`` the string the reader looked up.
     """
 
     uri: str
@@ -75,66 +89,85 @@ class GraphNode:
     kind: str
 
 
+class NodeView(Mapping):
+    """The nodes of a graph, read-only: each URI's :class:`GraphNode`, in
+    insertion order.
+
+    It reads the graph's dict of ``(label, kind)`` tuples and makes a node
+    each time one is read.  It equals, prints, pickles and copies as a dict
+    of :class:`GraphNode`, and refuses every change.
+    """
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: dict[str, tuple[str, str]]) -> None:
+        self._store = store
+
+    def __getitem__(self, uri: str) -> GraphNode:
+        return GraphNode(uri, *self._store[uri])
+
+    def __iter__(self):
+        return iter(self._store)
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __contains__(self, uri: object) -> bool:
+        return uri in self._store
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NodeView):
+            return self._store == other._store
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return type(self), (self._store,)
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
 @dataclass(frozen=True)
 class Graph:
     """Nodes plus ordered, de-duplicated labeled edges, read-only once built.
 
-    ``nodes`` maps each URI to its node, in insertion order.  ``edges`` is
-    a :class:`~ncgkit.model.ReadOnlyList` of (subject uri, predicate text,
+    ``nodes`` is a :class:`NodeView` of each URI's node, in insertion
+    order; a dict of :class:`GraphNode` is stored as one.  ``edges`` is a
+    :class:`~ncgkit.model.ReadOnlyList` of (subject uri, predicate text,
     object uri) tuples in insertion order; other sequences are copied into
     one.  A paper's Contribution root is the node at the URI the scheme
     coins for it.  The per-subject adjacency that :func:`traverse` reads is
     a private cache of the same tuples, set on the first traversal.
     """
 
-    nodes: dict[str, GraphNode] = field(default_factory=dict)
+    nodes: Mapping[str, GraphNode] = field(default_factory=dict)
     edges: ReadOnlyList = field(default_factory=ReadOnlyList)
-    _adjacency: dict[str, list[tuple[str, str, str]]] | None = field(
+    _adjacency: dict[str, tuple[tuple[str, str, str], ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.nodes) is not NodeView:
+            object.__setattr__(self, "nodes", NodeView(
+                {uri: (node.label, node.kind) for uri, node in self.nodes.items()}))
         if type(self.edges) is not ReadOnlyList:
             object.__setattr__(self, "edges", ReadOnlyList(self.edges))
 
-    def _adjacent(self) -> dict[str, list[tuple[str, str, str]]]:
-        """The edges leaving each subject, in order, built on first use."""
+    def _adjacent(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
+        """The edges leaving each subject, in order, built on first use.
+
+        Each subject's edges are a tuple, which the collector stops
+        tracking as it does the edges, where a list would stay tracked.
+        """
         if self._adjacency is None:
-            adjacency: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
+            adjacency: dict = defaultdict(list)
             for edge in self.edges:
                 adjacency[edge[0]].append(edge)
+            for subject, out in adjacency.items():
+                adjacency[subject] = tuple(out)
             object.__setattr__(self, "_adjacency", adjacency)
         return self._adjacency
-
-
-def _node(nodes: dict[str, GraphNode], uri: str, label: str, kind: str) -> GraphNode:
-    """The node at ``uri``, added if new; a RESOURCE kind upgrades a LITERAL.
-    Callers use its ``uri``, the graph's own key string, not their own."""
-    node = nodes.get(uri)
-    if node is None:
-        node = nodes[uri] = GraphNode(uri, label, kind)
-    elif kind == RESOURCE and node.kind == LITERAL:
-        node.kind = RESOURCE
-    return node
-
-
-def _link(nodes: dict[str, GraphNode], edges: ReadOnlyList,
-          seen: set[tuple[str, str, str]] | None, subject: str, predicate: str,
-          uri: str, label: str, kind: str) -> str:
-    """Add the edge from ``subject`` to the :func:`_node` at ``uri`` unless
-    the graph has it already, and return the graph's own string for ``uri``.
-
-    ``seen`` holds the edges added so far.  It is None where an object's
-    URI names the whole edge, so that an edge is new exactly when its
-    object node is.
-    """
-    count = len(nodes)
-    uri = _node(nodes, uri, label, kind).uri
-    edge = (subject, predicate, uri)
-    if len(nodes) > count or seen is not None and edge not in seen:
-        if seen is not None:
-            seen.add(edge)
-        list.append(edges, edge)
-    return uri
 
 
 def build_graph(papers: Iterable[PaperAnnotation], merge: str = PER_PAPER) -> Graph:
@@ -154,40 +187,54 @@ def build_graph(papers: Iterable[PaperAnnotation], merge: str = PER_PAPER) -> Gr
     """
     if merge not in (PER_PAPER, SURFACE_MERGE):
         raise ValueError(f"merge must be {PER_PAPER!r} or {SURFACE_MERGE!r}")
-    nodes: dict[str, GraphNode] = {}
+    store: dict[str, tuple[str, str]] = {}
     edges = ReadOnlyList()
+    add_edge = list.append.__get__(edges)  # list's own append, which edges refuses
     # surface mode: the URI of each label, hashed once per call, and the
     # edges added so far
     shared_uris: dict[str, str] = {}
     seen: set[tuple[str, str, str]] | None = set() if merge == SURFACE_MERGE else None
     for paper in papers:
-        root = _node(nodes, _root_uri(paper.paper_id), CONTRIBUTION, RESOURCE)
+        root = _root_uri(paper.paper_id)
+        # no other node has a root's URI, so a root is never a literal
+        store.setdefault(root, (CONTRIBUTION, RESOURCE))
         for unit, tree in (paper.units or {}).items():
             prefix = _uri_prefix(paper.paper_id, unit)
             # (uri, sha256 of the path) of the last node at each depth: a
             # child's path hash extends a copy of its parent's, which gives
             # the _hash_slug of the path in time linear in the depth
-            parents = [(root.uri, hashlib.sha256())]
+            parents = [(root, hashlib.sha256())]
             for depth, _, predicate, child in tree.root.walk_edges():
                 if child is None:
                     continue
-                node_uri, path_hash = parents[depth]
+                subject, path_hash = parents[depth]
                 is_node = isinstance(child, Node)
                 label = child.label if is_node else child
                 if seen is None:
                     path_hash = path_hash.copy()
                     path_hash.update(f"{_SEP if depth else ''}{predicate.text}{_SEP}{label}"
                                      .encode("utf-8"))
-                    child_uri = prefix + path_hash.hexdigest()[:16]
+                    uri = prefix + path_hash.hexdigest()[:16]
                 else:
-                    child_uri = shared_uris.get(label)
-                    if child_uri is None:
-                        child_uri = shared_uris[label] = f"ncg:shared/{_hash_slug((label,))}"
-                child_uri = _link(nodes, edges, seen, node_uri, predicate.text, child_uri,
-                                  label, RESOURCE if is_node else LITERAL)
+                    uri = shared_uris.get(label)
+                    if uri is None:
+                        uri = shared_uris[label] = f"ncg:shared/{_hash_slug((label,))}"
+                entry = store.get(uri)
+                if entry is None:
+                    store[uri] = (label, RESOURCE if is_node else LITERAL)
+                elif is_node and entry[1] == LITERAL:
+                    store[uri] = (entry[0], RESOURCE)
                 if is_node:
-                    parents[depth + 1:] = [(child_uri, path_hash)]
-    return Graph(nodes, edges)
+                    parents[depth + 1:] = [(uri, path_hash)]
+                if seen is None:
+                    if entry is None:
+                        add_edge((subject, predicate.text, uri))
+                else:
+                    edge = (subject, predicate.text, uri)
+                    if edge not in seen:
+                        seen.add(edge)
+                        add_edge(edge)
+    return Graph(NodeView(store), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +297,10 @@ def _unescape_literal(text: str) -> str:
 
 def _edge_lines(graph: Graph, predicate_uris: dict[str, str]):
     """The N-Triples line of each edge, in edge order."""
-    nodes = graph.nodes
+    store = graph.nodes._store
     for subject, predicate, obj in graph.edges:
-        obj_node = nodes[obj]
-        if obj_node.kind == LITERAL:
-            rendered = _escape_literal(obj_node.label)
-        else:
-            rendered = f"<{obj}>"
+        label, kind = store[obj]
+        rendered = f"<{obj}>" if kind == RESOURCE else _escape_literal(label)
         yield f"<{subject}> <{predicate_uris[predicate]}> {rendered} ."
 
 
@@ -278,9 +322,9 @@ def export_ntriples(graph: Graph) -> str:
         return ""
     predicate_uris = _predicate_uris(graph)
     lines = list(_edge_lines(graph, predicate_uris))
-    for node in graph.nodes.values():
-        if node.kind == RESOURCE:
-            lines.append(f"<{node.uri}> <{LABEL_PREDICATE}> {_escape_literal(node.label)} .")
+    for uri, (label, kind) in graph.nodes._store.items():
+        if kind == RESOURCE:
+            lines.append(f"<{uri}> <{LABEL_PREDICATE}> {_escape_literal(label)} .")
     for text, uri in predicate_uris.items():
         lines.append(f"<{uri}> <{LABEL_PREDICATE}> {_escape_literal(text)} .")
     lines.sort()
@@ -299,14 +343,10 @@ def export_ntriples(graph: Graph) -> str:
     return text
 
 
+#: One statement of the export subset.  ``match`` anchors it at ``pos``,
+#: and ``$`` ends it at ``endpos``, so it matches a line of a longer text.
 _LINE_RE = re.compile(
-    r'^<([^>]+)> <([^>]+)> (?:<([^>]+)>|"([^"\\]*(?:\\.[^"\\]*)*)") \.$')
-
-#: One match per line, ended by LF, CR or CRLF (the N-Triples EOL), in
-#: order, plus at most one empty line at the end.
-_LINES_RE = re.compile("([^\r\n]*)(?:\r\n|[\r\n]|\\Z)")
-#: The first character of an N-Triples EOL.
-_EOL_RE = re.compile("[\r\n]")
+    r'<([^>]+)> <([^>]+)> (?:<([^>]+)>|"([^"\\]*(?:\\.[^"\\]*)*)") \.$')
 
 
 def _labels(text: str) -> dict[str, str]:
@@ -315,17 +355,17 @@ def _labels(text: str) -> dict[str, str]:
     Only the lines holding the label predicate are read: ``str.find``
     skips the others.  A line that is no label statement, or a malformed
     one, is left to :func:`import_ntriples`'s statement pass, which refuses
-    bad lines in line order.
+    bad lines in line order.  Each line of ``text`` ends at a LF.
     """
     labels: dict[str, str] = {}
     marker = f"> <{LABEL_PREDICATE}> "
     at = text.find(marker)
     while at >= 0:
-        # the line around ``at``, between N-Triples EOLs
+        # the line around ``at``
         start = text.rfind("\n", 0, at) + 1
-        start = max(start, text.rfind("\r", start, at) + 1)
-        eol = _EOL_RE.search(text, at)
-        end = len(text) if eol is None else eol.start()
+        end = text.find("\n", at)
+        if end < 0:
+            end = len(text)
         match = _LINE_RE.match(text[start:end].strip())
         if match is not None and match.group(2) == LABEL_PREDICATE and match.group(4) is not None:
             try:
@@ -342,8 +382,9 @@ def import_ntriples(text: str) -> Graph:
     Label statements restore node and predicate surface labels; quoted
     objects become literal nodes with minted URIs.  Statement order in the
     rebuilt graph is the file's line order.  A line ends at LF, CR or
-    CRLF, the N-Triples EOL; lines are read one at a time.  The text is
-    read twice, label statements first, so the graph is built as its
+    CRLF, the N-Triples EOL: a text that holds a CR is first copied with
+    each EOL made a LF.  Lines are read one at a time.  The text is read
+    twice, label statements first, so the graph is built as its
     statements are read, with no list of every edge.
 
     Raises:
@@ -352,44 +393,76 @@ def import_ntriples(text: str) -> Graph:
             holding a backslash that starts no ECHAR escape; the message
             starts with ``line <n>:``.
     """
+    if "\r" in text:
+        # one EOL from here on: a CR LF, or a lone CR, becomes a LF
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     labels = _labels(text)
-    nodes: dict[str, GraphNode] = {}
+    store: dict[str, tuple[str, str]] = {}
     edges = ReadOnlyList()
+    add_edge = list.append.__get__(edges)  # list's own append, which edges refuses
     seen: set[tuple[str, str, str]] = set()
-    for lineno, raw in enumerate(_LINES_RE.finditer(text), 1):
-        line = raw.group(1).strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _LINE_RE.match(line)
+    # one string per resource URI, which its node and every edge share
+    uris: dict[str, str] = {}
+    lineno, end = 0, -1
+    while end < len(text):
+        start = end + 1
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        lineno += 1
+        # a line the pattern matches starts with "<" and ends with ".", so
+        # only a line it does not match can change when stripped
+        match = _LINE_RE.match(text, start, end)
         if match is None:
-            raise ValueError(f"line {lineno}: not an N-Triples statement: {line!r}")
-        subject, predicate, obj_uri, obj_literal = match.groups()
+            line = text[start:end].strip()
+            if not line or line.startswith("#"):
+                continue
+            match = _LINE_RE.match(line)
+            if match is None:
+                raise ValueError(f"line {lineno}: not an N-Triples statement: {line!r}")
+        subject, predicate, obj, obj_literal = match.groups()
         if obj_literal is not None:
             try:
                 obj_literal = _unescape_literal(obj_literal)
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}: {line!r}") from None
+                raise ValueError(f"line {lineno}: {exc}: {match.group()!r}") from None
         if predicate == LABEL_PREDICATE:
-            if obj_uri is not None:
+            if obj is not None:
                 raise ValueError(f"line {lineno}: a label statement's object is not a literal: "
-                                 f"{line!r}")
+                                 f"{match.group()!r}")
             continue
         # one string per predicate, which every edge shares
-        pred_text = labels.setdefault(predicate, predicate)
-        subject = _node(nodes, subject, labels.get(subject, subject), RESOURCE).uri
-        if obj_uri is not None:
-            _link(nodes, edges, seen, subject, pred_text, obj_uri,
-                  labels.get(obj_uri, obj_uri), RESOURCE)
+        predicate = labels.setdefault(predicate, predicate)
+        subject = uris.setdefault(subject, subject)
+        entry = store.get(subject)
+        if entry is None:
+            store[subject] = (labels.get(subject, subject), RESOURCE)
+        elif entry[1] == LITERAL:
+            store[subject] = (entry[0], RESOURCE)
+        if obj is None:
+            # the _hash_slug of (subject, predicate, literal), written out
+            obj = "ncg:lit/" + hashlib.sha256(
+                f"{subject}{_SEP}{predicate}{_SEP}{obj_literal}".encode("utf-8")).hexdigest()[:16]
+            if obj not in store:
+                store[obj] = (obj_literal, LITERAL)
         else:
-            _link(nodes, edges, seen, subject, pred_text,
-                  f"ncg:lit/{_hash_slug((subject, pred_text, obj_literal))}", obj_literal, LITERAL)
-    return Graph(nodes, edges)
+            obj = uris.setdefault(obj, obj)
+            entry = store.get(obj)
+            if entry is None:
+                store[obj] = (labels.get(obj, obj), RESOURCE)
+            elif entry[1] == LITERAL:
+                store[obj] = (entry[0], RESOURCE)
+        edge = (subject, predicate, obj)
+        if edge not in seen:
+            seen.add(edge)
+            add_edge(edge)
+    return Graph(NodeView(store), edges)
 
 
 def edge_signature(graph: Graph) -> list[tuple[str, str, str, str]]:
     """Label-level view of the edges, for isomorphism comparisons."""
-    nodes = graph.nodes
-    return sorted((nodes[subject].label, predicate, nodes[obj].label, nodes[obj].kind)
+    store = graph.nodes._store
+    return sorted((store[subject][0], predicate, *store[obj])
                   for subject, predicate, obj in graph.edges)
 
 
@@ -407,18 +480,18 @@ def traverse(graph: Graph, paper_id: str, start_label: str,
     Raises:
         UnknownStartNode: the paper or the label cannot be resolved.
     """
-    root = graph.nodes.get(_root_uri(paper_id))
-    if root is None:
+    root = _root_uri(paper_id)
+    store = graph.nodes._store
+    if root not in store:
         raise UnknownStartNode(f"no paper {paper_id!r} in graph")
     target = canonical_text(start_label)
-    nodes, adjacency = graph.nodes, graph._adjacent()
+    adjacency = graph._adjacent()
     start = None
-    queue = [root.uri]
-    seen = {root.uri}
+    queue = [root]
+    seen = {root}
     for uri in queue:  # the loop also visits what it appends
-        node = nodes[uri]
-        if node.label == target:
-            start = node
+        if store[uri][0] == target:
+            start = uri
             break
         for _, _, obj in adjacency.get(uri, ()):
             if obj not in seen:
@@ -429,14 +502,14 @@ def traverse(graph: Graph, paper_id: str, start_label: str,
             f"label {start_label!r} not reachable in paper {paper_id!r}")
 
     # each depth's entries follow the previous depth's in ``results``
-    results: list[tuple[tuple[str, ...], GraphNode]] = [((), start)]
+    results: list[tuple[tuple[str, ...], GraphNode]] = [((), GraphNode(start, *store[start]))]
     level = 0
     for _ in range(max_depth):
         next_level = len(results)
         for i in range(level, next_level):
             path, node = results[i]
             for _, predicate, obj in adjacency.get(node.uri, ()):
-                results.append((path + (predicate,), nodes[obj]))
+                results.append((path + (predicate,), GraphNode(obj, *store[obj])))
         if len(results) == next_level:
             break
         level = next_level

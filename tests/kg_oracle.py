@@ -2,11 +2,12 @@
 and adjacency, as a reference for ``tests/test_kg.py``.
 
 ``build_graph``, ``export_ntriples``, ``import_ntriples`` and ``traverse``
-are copied with the ``Graph`` they fill: that graph keeps an edge set
-and per-subject adjacency lists beside its edges from the first edge on,
-``build_graph`` checks every edge against the set, and ``import_ntriples``
-lists every statement before it builds anything.  The package must give
-the same nodes, edges, export bytes and traversals.
+are copied with the ``Graph`` and the mutable ``GraphNode`` they fill:
+that graph keeps an edge set and per-subject adjacency lists beside its
+edges from the first edge on, ``build_graph`` checks every edge against
+the set, and ``import_ntriples`` lists every statement before it builds
+anything.  The package must give the same nodes, edges, export bytes and
+traversals.
 
 The copy reads only export text in the tests.  It keeps two import bugs
 the package has since fixed, neither of which an export can hold: a label
@@ -29,7 +30,6 @@ from ncgkit.kg import (
     PER_PAPER,
     RESOURCE,
     SURFACE_MERGE,
-    GraphNode,
 )
 
 #: The separator of the parts :func:`_hash_slug` hashes.
@@ -50,6 +50,19 @@ def _uri_prefix(paper_id: str, unit: UnitLabel) -> str:
 
 def _root_uri(paper_id: str) -> str:
     return f"ncg:{quote(paper_id, safe='')}/{CONTRIBUTION}"
+
+
+@dataclass(slots=True)
+class GraphNode:
+    """One node: its URI, surface label and kind (RESOURCE or LITERAL).
+
+    A mutable object, unlike the package's ``GraphNode``: ``ensure_node``
+    upgrades a LITERAL node's kind in place.
+    """
+
+    uri: str
+    label: str
+    kind: str
 
 
 @dataclass
