@@ -8,8 +8,8 @@ corpus load writes each load issue to stderr as ``<side>: <issue line>``,
 where the side is ``gold`` or ``pred`` for score and ``corpus`` otherwise,
 once the corpus is read; a ``--check`` file is read before the corpus.
 Every corpus command reads the papers as one stream, one at a time, and
-keeps only what it needs: score both whole corpora, traverse and compare
-the papers they name, the others their output.  ``score``
+keeps only what it needs: score the whole gold corpus, traverse and
+compare the papers they name, the others their output.  ``score``
 without ``--granularity`` scores each granularity both corpora have files
 for.  Outputs are byte-identical across runs.  Exit codes: 0 success, 1
 validation errors or ``--check`` mismatch, 2 usage or format error.
@@ -39,7 +39,7 @@ from .corpus_io import (
     write_unit_file,
 )
 from .codec import flatten, nest
-from .errors import FormatError, NcgError
+from .errors import FormatError, GranularityUnavailable, NcgError
 from .issues import ERROR
 from .kg import PER_PAPER, SURFACE_MERGE, build_graph, export_ntriples, traverse
 from .metrics import (
@@ -47,9 +47,8 @@ from .metrics import (
     PHRASE_MATCHES,
     TRIPLE_SCOPES,
     MatchConfig,
+    _score_pass,
     corpus_stats,
-    score,
-    score_all,
     unit_stats,
 )
 from .model import Corpus, PaperAnnotation, UnitLabel, normalize_unit_label
@@ -361,17 +360,17 @@ def _table(args, first: str, rows: list[tuple[str, dict]], payload: dict,
 
 def cmd_score(args) -> int:
     gold = _load(args.gold, args.strict, use=Corpus.of, side="gold")[0]
-    pred = _load(args.pred, args.strict, use=Corpus.of, side="pred")[0]
     config = MatchConfig(
         phrase_match=args.phrase_match,
         triple_scope=args.triple_scope,
         text_fold=None if args.fold == "none" else args.fold)
-    if args.granularity:
-        reports = [score(gold, pred, args.granularity, config)]
-    else:
-        reports = list(score_all(gold, pred, config).values())
-        if not reports:
-            raise NcgError("no granularity has files in both corpora")
+    granularities = (args.granularity,) if args.granularity else GRANULARITIES
+    # the pass returns an unavailable granularity, so pred's load issues come first
+    results = _load(args.pred, args.strict, side="pred",
+                    use=lambda pred: _score_pass(gold, pred, granularities, config))[0]
+    reports = [r for r in results.values() if not isinstance(r, GranularityUnavailable)]
+    if not reports:
+        raise results.get(args.granularity) or NcgError("no granularity has files in both corpora")
     # every report lists the same tasks in the same order
     rows = [(task, [r.per_task[task] for r in reports]) for task in reports[0].per_task]
     rows += [("micro", [r.micro for r in reports]), ("macro", [r.macro for r in reports])]

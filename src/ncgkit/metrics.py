@@ -10,8 +10,9 @@ macro as the harmonic F1 of task-averaged P and R.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from .errors import GranularityUnavailable, MissingTotals
 from .model import Corpus, PaperAnnotation, PhraseColumns, UnitLabel
@@ -289,76 +290,87 @@ def _augment(root: int, candidates: list[list[int]], owner: list[int | None],
     return False
 
 
-def _check_layer(corpus: Corpus, granularity: str, side: str) -> None:
-    papers = list(corpus.papers())
-    if papers and not any(_layer_present(p, granularity) for p in papers):
-        raise GranularityUnavailable(
-            f"{side} corpus has no {granularity} files")
+def _score_pass(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation],
+                granularities: tuple[str, ...], config: MatchConfig | None = None) -> dict:
+    """Each granularity's report, or the error of the side, gold first, with
+    papers but no files for it, from one pass that pairs papers by id."""
+    config = config or MatchConfig()
+    rows: dict[str, list[list[int]]] = {}  # task -> tp, fp, fn per granularity
+    lacking: dict[str, set[str]] = {}  # side -> granularities none of its papers has
+    pred_ids: set[str] = set()
+
+    def read(papers: Iterable[PaperAnnotation], side: str, ids: set[str]) -> Iterator:
+        left = set(granularities)
+        for task in papers.tasks if isinstance(papers, Corpus) else ():
+            rows.setdefault(task, [[0, 0, 0] for _ in granularities])
+        for paper in papers:
+            if paper.paper_id in ids:
+                raise ValueError(f"paper {paper.paper_id!r} repeated in {side}")
+            ids.add(paper.paper_id)
+            if left:
+                left -= {g for g in left if _layer_present(paper, g)}
+            if paper.task not in rows:
+                rows[paper.task] = [[0, 0, 0] for _ in granularities]
+            yield paper
+        lacking[side] = left if ids else set()  # a side with no papers lacks nothing
+
+    by_id = {paper.paper_id: paper for paper in read(gold, "gold", set())}
+    # each pred paper with gold's of its id, then each gold paper pred lacks
+    for g, p in chain(((by_id.get(p.paper_id), p) for p in read(pred, "pred", pred_ids)),
+                      ((g, None) for g in by_id.values() if g.paper_id not in pred_ids)):
+        for tally, granularity in zip(rows[(g or p).task], granularities):
+            if granularity in lacking["gold"]:
+                continue  # unavailable whatever pred holds
+            g_items = _items(g, granularity, config) if g else frozenset()
+            p_items = _items(p, granularity, config) if p else frozenset()
+            overlap = granularity == "phrases" and config.phrase_match == "partial-overlap"
+            tp = _max_matching(g_items, p_items) if overlap else len(g_items & p_items)
+            tally[0] += tp
+            tally[1] += len(p_items) - tp
+            tally[2] += len(g_items) - tp
+
+    out: dict[str, AgreementReport | GranularityUnavailable] = {}
+    for i, granularity in enumerate(granularities):
+        per_task = {task: prf(*tally[i]) for task, tally in rows.items()}
+        totals = [sum(tally[i][k] for tally in rows.values()) for k in range(3)]
+        # macro averages the tasks with items on either side: a task with
+        # none would drag it to 0 through the zero-denominator convention
+        active = [v for v in per_task.values() if v.tp + v.fp + v.fn] or [PRF(0.0, 0.0, 0.0)]
+        precision = sum(v.precision for v in active) / len(active)
+        recall = sum(v.recall for v in active) / len(active)
+        macro = PRF(precision, recall, f1_from_percent(precision, recall), *totals)
+        out[granularity] = AgreementReport(granularity, per_task, prf(*totals), macro)
+    for side in ("pred", "gold"):  # gold's error stands
+        for granularity in lacking[side]:
+            out[granularity] = GranularityUnavailable(f"{side} corpus has no {granularity} files")
+    return out
 
 
-def score(gold: Corpus, pred: Corpus, granularity: str,
-          config: MatchConfig | None = None) -> AgreementReport:
+def score(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation],
+          granularity: str, config: MatchConfig | None = None) -> AgreementReport:
     """Compare two corpora at one granularity.
 
-    Items are matched per paper: as sets, or for partial-overlap phrases
-    one to one, as many spans as can be matched.  Papers present on only
-    one side count fully as false positives or negatives.  Counts pool per
-    task, micro pools across tasks, and macro averages per-task P and R
-    before taking their harmonic-mean F1.
+    Papers pair by id: gold's are indexed, and pred is read once, so it
+    may be a stream.  Items are matched per pair: as sets, or for
+    partial-overlap phrases one to one, as many spans as can be matched.
+    Papers present on only one side count fully as false positives or
+    negatives.  Counts pool per task, micro pools across tasks, and macro
+    averages per-task P and R before taking their harmonic-mean F1.
 
     Raises:
         GranularityUnavailable: one side has no files for the granularity.
+        ValueError: a paper id repeats on one side.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity: {granularity!r}")
-    config = config or MatchConfig()
-    _check_layer(gold, granularity, "gold")
-    _check_layer(pred, granularity, "pred")
-    overlap = granularity == "phrases" and config.phrase_match == "partial-overlap"
-
-    gold_papers = {p.paper_id: p for p in gold.papers()}
-    pred_papers = {p.paper_id: p for p in pred.papers()}
-    # tasks in first-seen order: gold's, then pred's, then any a paper adds
-    counts = {task: [0, 0, 0] for corpus in (gold, pred) for task in corpus.tasks}
-    for paper_id in sorted(set(gold_papers) | set(pred_papers)):
-        g = gold_papers.get(paper_id)
-        p = pred_papers.get(paper_id)
-        g_items = _items(g, granularity, config) if g else ()
-        p_items = _items(p, granularity, config) if p else ()
-        if g and p:
-            tp = _max_matching(g_items, p_items) if overlap else len(g_items & p_items)
-        else:
-            tp = 0
-        row = counts.setdefault((g or p).task, [0, 0, 0])
-        row[0] += tp
-        row[1] += len(p_items) - tp
-        row[2] += len(g_items) - tp
-
-    per_task = {task: prf(*row) for task, row in counts.items()}
-    totals = [sum(row[i] for row in counts.values()) for i in range(3)]
-    return AgreementReport(granularity, per_task, prf(*totals), _macro(per_task, totals))
+    report = _score_pass(gold, pred, (granularity,), config)[granularity]
+    if isinstance(report, GranularityUnavailable):
+        raise report
+    return report
 
 
-def _macro(per_task: dict[str, PRF], totals: list[int]) -> PRF:
-    # Tasks with no items on either side carry no signal and would drag the
-    # average to 0 through the zero-denominator convention; skip them so
-    # self-agreement stays at 100 everywhere.
-    active = [v for v in per_task.values() if v.tp + v.fp + v.fn > 0]
-    if not active:
-        return PRF(0.0, 0.0, 0.0)
-    n = len(active)
-    p = sum(v.precision for v in active) / n
-    r = sum(v.recall for v in active) / n
-    return PRF(p, r, f1_from_percent(p, r), *totals)
-
-
-def score_all(gold: Corpus, pred: Corpus,
+def score_all(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation],
               config: MatchConfig | None = None) -> dict[str, AgreementReport]:
-    """Score every granularity both sides carry files for."""
-    out = {}
-    for granularity in GRANULARITIES:
-        try:
-            out[granularity] = score(gold, pred, granularity, config)
-        except GranularityUnavailable:
-            continue
-    return out
+    """Score every granularity both sides carry files for, in one pass."""
+    reports = _score_pass(gold, pred, GRANULARITIES, config)
+    return {g: r for g, r in reports.items() if isinstance(r, AgreementReport)}

@@ -590,6 +590,40 @@ class TestScore:
             "error: papers/dilated-cnn-2017/sentences.txt: "
             "not valid UTF-8 (invalid start byte 0xff)"]
 
+    @pytest.mark.parametrize("lacking", ["gold", "pred"])
+    def test_a_lacking_layer_is_one_error_after_every_load_issue(
+            self, comparison_root, trial_root, tmp_path, capsys, lacking):
+        # the comparison corpus has no phrase files, the trial corpus has
+        without, with_phrases = comparison_root, trial_root
+        gold, pred = (without, with_phrases) if lacking == "gold" else (with_phrases, without)
+        broken = tmp_path / "pred"
+        shutil.copytree(pred, broken)
+        target = sorted(broken.rglob("sentences.txt"))[0]
+        target.write_bytes(b"\xff" + target.read_bytes())
+        assert run(["score", "--granularity", "phrases", "--gold", str(gold),
+                    "--pred", str(broken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = [f"{side}: {issue.as_line()}"
+                    for side, root in (("gold", gold), ("pred", broken))
+                    for issue in load_corpus(CorpusManifest(root_path=root))[1]]
+        assert any("format-error" in line for line in expected if line.startswith("pred: "))
+        assert captured.err.splitlines() == [
+            *expected, f"error: {lacking} corpus has no phrases files"]
+
+    def test_strict_gold_error_is_the_one_line(self, comparison_root, tmp_path, capsys):
+        for side in ("gold", "pred"):
+            shutil.copytree(comparison_root, tmp_path / side)
+            target = tmp_path / side / "papers" / "dilated-cnn-2017" / "sentences.txt"
+            target.write_bytes(b"\xff" + target.read_bytes())
+        args = ["score", "--gold", str(tmp_path / "gold"), "--pred", str(tmp_path / "pred")]
+        assert run(args) == 0
+        assert "\npred: " in capsys.readouterr().err
+        assert run(args + ["--strict"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: papers/dilated-cnn-2017/sentences.txt: "
+                "not valid UTF-8 (invalid start byte 0xff)\n")
+
 
 def make_replicated_trial_corpus(root, copies):
     """The trial corpus, each paper under ``copies`` ids."""
@@ -612,8 +646,8 @@ NAMED = {
 
 
 class TestStreaming:
-    """Every corpus command but score holds one paper at a time, and
-    traverse and compare also the papers they name."""
+    """Every corpus command holds one paper at a time, besides the papers
+    traverse and compare name and the gold corpus score keeps."""
 
     @pytest.fixture(scope="class")
     def replicated_roots(self, tmp_path_factory):
@@ -682,6 +716,24 @@ class TestStreaming:
         assert run([command, "--manifest", str(comparison_root), *extra,
                     "--out", str(tmp_path / "out")]) in (0, 1)
         assert len(given) == 4
+
+    def test_score_drops_each_pred_paper_once_the_next_is_read(
+            self, comparison_root, tmp_path, monkeypatch):
+        given = []  # per load, a weak reference to each paper it gave
+
+        def watched(manifest, issues):
+            refs = []
+            given.append(refs)
+            for paper in iter_papers(manifest, issues):
+                if len(given) == 2:  # pred; gold's papers are all kept
+                    assert all(ref() is None for ref in refs[:-1])
+                refs.append(weakref.ref(paper))
+                yield paper
+
+        monkeypatch.setattr(cli, "iter_papers", watched)
+        assert run(["score", "--gold", str(comparison_root), "--pred", str(comparison_root),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert [len(refs) for refs in given] == [4, 4]
 
     @pytest.mark.parametrize("command, extra, message", [
         ("traverse", ["--paper", "no-such-id", "--start", "Results"],

@@ -24,10 +24,11 @@ from ncgkit import (
     prf,
     render,
     score,
+    score_all,
     unit_stats,
     validate_corpus,
 )
-from ncgkit.metrics import PHRASE_MATCHES, StatsRow
+from ncgkit.metrics import GRANULARITIES, PHRASE_MATCHES, TRIPLE_SCOPES, StatsRow
 from scoring_oracle import oracle_counts, random_corpus
 
 
@@ -388,3 +389,89 @@ class TestScoreAgainstOracle:
                            if oracle_counts(gold, pred, granularity, config) != default}
         assert differ >= {("phrases", 1), ("phrases", 2), ("phrases", 3),
                           ("triples", 1), ("triples", 3)}
+
+
+#: the fields whose files carry each granularity
+LAYER_FIELDS = {"units": ("units", "triples"), "sentences": ("contribution_sentence_indices",),
+                "phrases": ("phrases",), "triples": ("units", "triples")}
+
+
+def scoring_side(rng):
+    """A random corpus whose papers sometimes move to another task, and
+    which sometimes lacks one layer in every paper."""
+    papers = [replace(p, task=rng.choice(["task0", "task1", "task2"]))
+              if rng.random() < 0.3 else p for p in random_corpus(rng)]
+    if rng.random() < 0.3:
+        dropped = dict.fromkeys(LAYER_FIELDS[rng.choice(GRANULARITIES)])
+        papers = [replace(p, **dropped) for p in papers]
+    return Corpus.of(papers)
+
+
+class TestScorePass:
+    """score and score_all pair the papers by id in one pass that reads
+    pred once, so pred may be a stream."""
+
+    CONFIGS = [MatchConfig(match, scope, fold) for match in PHRASE_MATCHES
+               for scope in TRIPLE_SCOPES for fold in (None, "casefold")]
+
+    @given(st.randoms(use_true_random=False))
+    def test_a_pred_stream_scores_as_the_corpus_and_the_oracle(self, rng):
+        gold, pred = scoring_side(rng), scoring_side(rng)
+        # gold's tasks, then pred's, a pred paper's own task included
+        tasks = list(dict.fromkeys([*gold.tasks, *pred.tasks]))
+        for config in self.CONFIGS:
+            available = {}
+            for granularity in GRANULARITIES:
+                try:
+                    report = score(gold, pred, granularity, config)
+                except GranularityUnavailable as whole:
+                    with pytest.raises(GranularityUnavailable) as streamed:
+                        score(gold, (p for p in pred), granularity, config)
+                    assert str(streamed.value) == str(whole)
+                    continue
+                assert score(gold, (p for p in pred), granularity, config) == report
+                assert list(report.per_task) == tasks
+                per_task, totals = oracle_counts(gold, pred, granularity, config)
+                assert (report.micro.tp, report.micro.fp, report.micro.fn) == totals
+                assert {task: [v.tp, v.fp, v.fn] for task, v in report.per_task.items()} == {
+                    task: per_task.get(task, [0, 0, 0]) for task in tasks}
+                available[granularity] = report
+            assert score_all(gold, pred, config) == available
+            assert score_all(gold, (p for p in pred), config) == available
+
+    def test_a_side_lacking_a_layer_is_named_gold_first(self):
+        with_phrases = Corpus({"t": [sentence_paper("p", "t", {1})]})
+        without = Corpus({"t": [replace(sentence_paper("p", "t", {1}), phrases=None)]})
+        for gold, pred, side in ((without, with_phrases, "gold"),
+                                 (with_phrases, without, "pred"), (without, without, "gold")):
+            with pytest.raises(GranularityUnavailable) as info:
+                score(gold, iter(pred), "phrases")
+            assert str(info.value) == f"{side} corpus has no phrases files"
+            assert list(score_all(gold, iter(pred))) == ["units", "sentences", "triples"]
+        # a side with no papers lacks nothing
+        assert score(Corpus(), without, "sentences").micro == prf(0, 1, 0)
+        assert score(with_phrases, iter([]), "sentences").micro == prf(0, 0, 1)
+        assert score(Corpus(), iter([]), "phrases").micro == prf(0, 0, 0)
+
+    def test_a_corpus_keeps_a_row_for_an_empty_task(self):
+        gold = Corpus({"t0": [], "t1": [sentence_paper("a", "t1", {1, 2})]})
+        pred = Corpus({"t2": [], "t1": [sentence_paper("a", "t1", {1})]})
+        whole = score(gold, pred, "sentences")
+        assert list(whole.per_task) == ["t0", "t1", "t2"]
+        assert whole.per_task["t0"] == whole.per_task["t2"] == prf(0, 0, 0)
+        streamed = score(gold, iter(pred), "sentences")
+        assert list(streamed.per_task) == ["t0", "t1"]
+        assert streamed.micro == whole.micro == prf(1, 0, 1)
+
+    def test_a_repeated_paper_id_is_a_value_error(self):
+        # the last paper of an id used to win: tp 0, fp 2, fn 1 under t2
+        gold = Corpus({"t1": [sentence_paper("p", "t1", {1, 2})],
+                       "t2": [sentence_paper("p", "t2", {3})]})
+        pred = Corpus({"t1": [sentence_paper("p", "t1", {1, 2})]})
+        for call, side in ((lambda: score(gold, pred, "sentences"), "gold"),
+                           (lambda: score_all(gold, pred), "gold"),
+                           (lambda: score(pred, iter(gold), "sentences"), "pred"),
+                           (lambda: score_all(pred, gold), "pred")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"paper 'p' repeated in {side}"
