@@ -368,9 +368,11 @@ def cmd_score(args) -> int:
     # the pass returns an unavailable granularity, so pred's load issues come first
     results = _load(args.pred, args.strict, side="pred",
                     use=lambda pred: _score_pass(gold, pred, granularities, config))[0]
-    reports = [r for r in results.values() if not isinstance(r, GranularityUnavailable)]
+    reports = [r for r in results.values() if not isinstance(r, str)]  # str: an error's message
+    if args.granularity and not reports:
+        raise GranularityUnavailable(results[args.granularity])
     if not reports:
-        raise results.get(args.granularity) or NcgError("no granularity has files in both corpora")
+        raise NcgError("no granularity has files in both corpora")
     # every report lists the same tasks in the same order
     rows = [(task, [r.per_task[task] for r in reports]) for task in reports[0].per_task]
     rows += [("micro", [r.micro for r in reports]), ("macro", [r.macro for r in reports])]

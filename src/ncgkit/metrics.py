@@ -292,8 +292,9 @@ def _augment(root: int, candidates: list[list[int]], owner: list[int | None],
 
 def _score_pass(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation],
                 granularities: tuple[str, ...], config: MatchConfig | None = None) -> dict:
-    """Each granularity's report, or the error of the side, gold first, with
-    papers but no files for it, from one pass that pairs papers by id."""
+    """Each granularity's report, or the message of the error of the side,
+    gold first, with papers but no files for it, from one pass that pairs
+    papers by id."""
     config = config or MatchConfig()
     rows: dict[str, list[list[int]]] = {}  # task -> tp, fp, fn per granularity
     lacking: dict[str, set[str]] = {}  # side -> granularities none of its papers has
@@ -319,8 +320,9 @@ def _score_pass(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation]
     for g, p in chain(((by_id.get(p.paper_id), p) for p in read(pred, "pred", pred_ids)),
                       ((g, None) for g in by_id.values() if g.paper_id not in pred_ids)):
         for tally, granularity in zip(rows[(g or p).task], granularities):
-            if granularity in lacking["gold"]:
-                continue  # unavailable whatever pred holds
+            # unavailable whatever pred holds; or, once pred is read, for lack of pred
+            if granularity in lacking["gold"] or p is None and granularity in lacking["pred"]:
+                continue
             g_items = _items(g, granularity, config) if g else frozenset()
             p_items = _items(p, granularity, config) if p else frozenset()
             overlap = granularity == "phrases" and config.phrase_match == "partial-overlap"
@@ -329,7 +331,7 @@ def _score_pass(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation]
             tally[1] += len(p_items) - tp
             tally[2] += len(g_items) - tp
 
-    out: dict[str, AgreementReport | GranularityUnavailable] = {}
+    out: dict[str, AgreementReport | str] = {}
     for i, granularity in enumerate(granularities):
         per_task = {task: prf(*tally[i]) for task, tally in rows.items()}
         totals = [sum(tally[i][k] for tally in rows.values()) for k in range(3)]
@@ -342,7 +344,7 @@ def _score_pass(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation]
         out[granularity] = AgreementReport(granularity, per_task, prf(*totals), macro)
     for side in ("pred", "gold"):  # gold's error stands
         for granularity in lacking[side]:
-            out[granularity] = GranularityUnavailable(f"{side} corpus has no {granularity} files")
+            out[granularity] = f"{side} corpus has no {granularity} files"
     return out
 
 
@@ -364,8 +366,10 @@ def score(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation],
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity: {granularity!r}")
     report = _score_pass(gold, pred, (granularity,), config)[granularity]
-    if isinstance(report, GranularityUnavailable):
-        raise report
+    if isinstance(report, str):
+        # raised as built: a local holding the error would keep this frame,
+        # and the caller's, alive in a cycle through its traceback
+        raise GranularityUnavailable(report)
     return report
 
 

@@ -3,6 +3,9 @@
 All findings are data (ValidationIssue), never raised: a report ``passes``
 when it contains no Error-severity issues.  Checks are deterministic and
 per-paper, so a paper's report does not depend on the rest of the corpus.
+A paper builds one record per distinct cause of a finding and lists it
+wherever the cause recurs; records are frozen, so a shared one reads as
+equal copies would.
 """
 
 from __future__ import annotations
@@ -63,6 +66,14 @@ class ValidationPolicy:
 
 @dataclass
 class ValidationReport:
+    """One paper's findings in the order the checks make them.
+
+    A finding whose cause recurs in the paper, such as an ungrounded
+    subject on several triples, is listed at each place as one shared
+    :class:`ValidationIssue`; it is frozen, so it prints, compares and
+    serialises as equal copies would.
+    """
+
     paper_id: str
     issues: list[ValidationIssue] = field(default_factory=list)
 
@@ -75,24 +86,23 @@ class ValidationReport:
                        for i in self.issues)
 
 
-def _read_tree(unit: UnitLabel, tree: UnitTree, pool: list[str]):
+def _read_tree(tree: UnitTree, units_of: _Memo, pool: list[str]):
     """One ``tree.nodes()`` pass: add the canonical provenance to ``pool``,
     and return the ``(node, unit)`` of each node below the unit node that
-    names a unit, and a filler-placement issue for each name/hasAcronym edge
-    of a node other than Approach or Model, which they are meant to name."""
+    names a unit, and the ``(label, predicate text)`` of each name/hasAcronym
+    edge of a node other than Approach or Model, which they are meant to
+    name.  ``units_of`` gives the unit a label names."""
     nested, misplaced = [], []
     top = tree.unit_node
     for node in tree.nodes():
         pool.extend(map(canonical_text, node.provenance))
-        named = lookup_unit_label(node.label)
+        named = units_of[node.label]
         if named is not None and node is not tree.root and node is not top:
             nested.append((node, named))
         for predicate, _child in node.edges:
             if (predicate.kind in (PredicateKind.FILLER_NAME, PredicateKind.FILLER_HAS_ACRONYM)
                     and named not in (UnitLabel.APPROACH, UnitLabel.MODEL)):
-                misplaced.append(ValidationIssue(
-                    "filler-placement", f"{unit.identifier}/{node.label}",
-                    f"{predicate.text!r} used on a node other than Approach/Model"))
+                misplaced.append((node.label, predicate.text))
     return nested, misplaced
 
 
@@ -108,42 +118,46 @@ def validate_paper(paper: PaperAnnotation,
     text-grounding checks look a surface up in the paper's provenance
     strings and its contribution sentences; they are skipped when the
     paper carries neither.  Each distinct surface is looked up, and
-    checked for the subject/object exemption, once per paper.  They see
+    checked for the subject/object exemption, once per paper, and each
+    node label's unit is decided once per paper.  They see
     each distinct triple of a unit once, so a repeated triple gets its
     findings once, next to its ``duplicate-triple`` error.  Unit
     presence and the triple checks cover every unit of ``paper.triples``,
     which lists each unit, tree or not, in identifier order; encapsulation,
-    filler placement and nested Results read the trees.
+    filler placement and nested Results read the trees.  The triple and
+    placement findings share one record per distinct cause.
     """
     policy = policy or ValidationPolicy()
     report = ValidationReport(paper.paper_id)
     issues = report.issues
     by_unit = paper.triples or {}
+    units_of = _Memo(lookup_unit_label)
     provenance: list[str] = []
     nested, misplaced = {}, {}
     for unit, tree in (paper.units or {}).items():  # one pass per tree
-        nested[unit], misplaced[unit] = _read_tree(unit, tree, provenance)
+        nested[unit], misplaced[unit] = _read_tree(tree, units_of, provenance)
     sources = _Sources(provenance, paper)
 
     _check_mandatory(paper, by_unit, nested, issues)
     _check_encapsulation(nested, issues)
+    findings = _Findings(issues, policy)
     grounded = _Memo(sources.__contains__)
     # a subject or object naming the root or a unit needs no grounding
     placed = _Memo(lambda surface: surface == CONTRIBUTION
-                   or lookup_unit_label(surface) is not None or grounded[surface])
+                   or units_of[surface] is not None or grounded[surface])
     for unit, triples in by_unit.items():
+        name = unit.identifier
         distinct = {}
         for triple in triples:
             key = triple.key()
             if key in distinct:
-                issues.append(ValidationIssue(
-                    "duplicate-triple", f"{unit.identifier}/{triple.subject}",
-                    f"duplicate triple {key}"))
+                findings.add("duplicate-triple", name, triple.subject, "triple", key)
             else:
                 distinct[key] = triple
         if sources:
-            _check_surfaces(unit, distinct.values(), grounded, placed, policy, issues)
-        issues.extend(misplaced.get(unit, ()))
+            _check_surfaces(name, distinct.values(), grounded, placed, policy, findings)
+        for label, text in misplaced.get(unit, ()):
+            findings.add("filler-placement", name, label, "predicate", text)
     _check_sentence_bounds(paper, issues)
     _check_phrase_length(paper, policy, issues)
     return report
@@ -226,31 +240,65 @@ class _Memo(dict):
         return value
 
 
-def _check_surfaces(unit: UnitLabel, triples, grounded: _Memo, placed: _Memo,
-                    policy: ValidationPolicy, issues: list[ValidationIssue]) -> None:
-    """Filler whitelist for predicates, provenance grounding for all parts.
+class _Findings:
+    """One paper's cause-keyed findings, appended to ``issues`` in the order
+    they are found.  A cause is a code, a unit identifier, the label of the
+    node the finding is on, and a role and a surface; the record of a cause
+    and the location of a (unit, label) are built on its first finding, and
+    a repeat appends the record already built.  The tables live as long as
+    the paper's check: papers never share a record."""
+
+    #: Each code's message, from the role and surface of its cause.
+    MESSAGES = {
+        "duplicate-triple": lambda role, surface: f"duplicate triple {surface}",
+        "filler-whitelist": lambda role, surface: (
+            f"{role} {surface!r} not found in any annotated sentence and not a filler"),
+        "filler-placement": lambda role, surface: (
+            f"{surface!r} used on a node other than Approach/Model"),
+        "provenance-missing": lambda role, surface: (
+            f"{role} {surface!r} not found in any source sentence"),
+    }
+
+    def __init__(self, issues: list[ValidationIssue], policy: ValidationPolicy) -> None:
+        self.issues = issues
+        # the one code whose severity the policy sets; the rest keep their own
+        self.severity = ({"provenance-missing": ERROR}
+                         if policy.provenance_check == PROVENANCE_ERROR else {})
+        self.records: dict[tuple, ValidationIssue] = {}
+        self.locations: dict[tuple[str, str], str] = {}
+
+    def add(self, code: str, unit: str, label: str, role: str, surface) -> None:
+        cause = (code, unit, label, role, surface)
+        issue = self.records.get(cause)
+        if issue is None:
+            location = self.locations.get((unit, label))
+            if location is None:
+                location = self.locations[unit, label] = f"{unit}/{label}"
+            issue = self.records[cause] = ValidationIssue(
+                code, location, self.MESSAGES[code](role, surface),
+                severity=self.severity.get(code))
+        self.issues.append(issue)
+
+
+def _check_surfaces(unit: str, triples, grounded: _Memo, placed: _Memo,
+                    policy: ValidationPolicy, findings: _Findings) -> None:
+    """Filler whitelist for predicates, provenance grounding for all parts,
+    of the triples of the unit with identifier ``unit``.
 
     ``grounded`` says whether a text occurs in the paper's sources, and
     ``placed`` whether a subject or object is exempt or grounded.  The two
     are kept apart because the exemption is by role: a predicate and a node
     may share a text."""
-    # the one code whose severity the policy sets; None keeps the code's own
-    severity = ERROR if policy.provenance_check == PROVENANCE_ERROR else None
     for triple in triples:
         if (triple.predicate.kind is PredicateKind.TEXTUAL
                 and not grounded[triple.predicate.text]):
-            issues.append(ValidationIssue(
-                "filler-whitelist", f"{unit.identifier}/{triple.subject}",
-                f"predicate {triple.predicate.text!r} not found in any "
-                f"annotated sentence and not a filler"))
+            findings.add("filler-whitelist", unit, triple.subject, "predicate",
+                         triple.predicate.text)
         if policy.provenance_check == PROVENANCE_OFF:
             continue
         for role, surface in (("subject", triple.subject), ("object", triple.object)):
             if not placed[surface]:
-                issues.append(ValidationIssue(
-                    "provenance-missing", f"{unit.identifier}/{triple.subject}",
-                    f"{role} {surface!r} not found in any source sentence",
-                    severity=severity))
+                findings.add("provenance-missing", unit, triple.subject, role, surface)
 
 
 def _check_sentence_bounds(paper: PaperAnnotation,

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import weakref
 
 import pytest
 
-from ncgkit import CorpusManifest, UnitLabel, compare, iter_papers, load_corpus
+from ncgkit import CorpusManifest, NcgError, UnitLabel, compare, iter_papers, load_corpus
 from ncgkit import cli
 from ncgkit.cli import build_parser, run
 from corpusgen import write_chain_corpus, write_trial_corpus
@@ -610,6 +611,24 @@ class TestScore:
         assert any("format-error" in line for line in expected if line.startswith("pred: "))
         assert captured.err.splitlines() == [
             *expected, f"error: {lacking} corpus has no phrases files"]
+
+    def test_a_raised_score_error_leaves_no_cyclic_garbage(self, comparison_root, capsys):
+        # the comparison corpus lacks phrases; a local holding the raised
+        # error kept the command's frame alive in a cycle through its traceback
+        root = str(comparison_root)
+        args = build_parser().parse_args(
+            ["score", "--granularity", "phrases", "--gold", root, "--pred", root])
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(NcgError, match="^gold corpus has no phrases files$"):
+                cli.cmd_score(args)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert capsys.readouterr().out == ""
 
     def test_strict_gold_error_is_the_one_line(self, comparison_root, tmp_path, capsys):
         for side in ("gold", "pred"):

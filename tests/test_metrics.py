@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ncgkit import (
     Corpus,
+    CorpusManifest,
     GranularityUnavailable,
     MatchConfig,
     MissingTotals,
@@ -21,6 +23,7 @@ from ncgkit import (
     compare,
     corpus_stats,
     f1_from_percent,
+    load_corpus,
     prf,
     render,
     score,
@@ -28,6 +31,7 @@ from ncgkit import (
     unit_stats,
     validate_corpus,
 )
+from ncgkit import metrics
 from ncgkit.metrics import GRANULARITIES, PHRASE_MATCHES, TRIPLE_SCOPES, StatsRow
 from scoring_oracle import oracle_counts, random_corpus
 
@@ -475,3 +479,35 @@ class TestScorePass:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == f"paper 'p' repeated in {side}"
+
+    def test_gold_papers_pred_lacks_build_no_items_of_a_layer_pred_lacks(self, monkeypatch):
+        gold = Corpus({"t": [sentence_paper(pid, "t", {1}) for pid in ("a", "b", "c")]})
+        pred = Corpus({"t": [replace(sentence_paper("a", "t", {1}), phrases=None)]})
+        calls, items = [], metrics._items
+        monkeypatch.setattr(metrics, "_items", lambda paper, granularity, config: (
+            calls.append((paper.paper_id, granularity)) or items(paper, granularity, config)))
+        with pytest.raises(GranularityUnavailable) as info:
+            score(gold, pred, "phrases")
+        assert str(info.value) == "pred corpus has no phrases files"
+        assert calls == [("a", "phrases"), ("a", "phrases")]
+        calls.clear()
+        assert list(score_all(gold, pred)) == ["units", "sentences", "triples"]
+        assert [call for call in calls if call[0] == "b"] == [
+            ("b", "units"), ("b", "sentences"), ("b", "triples")]
+
+    def test_a_raised_unavailable_granularity_leaves_no_cyclic_garbage(self, comparison_root):
+        # a local holding the raised error kept it, its traceback and the
+        # frames it passed alive in a cycle until the next collection
+        corpus = load_corpus(CorpusManifest(root_path=comparison_root))[0]
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            try:
+                score(corpus, corpus, "phrases")
+            except GranularityUnavailable as error:
+                assert str(error) == "gold corpus has no phrases files"
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

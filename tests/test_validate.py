@@ -2,12 +2,15 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncgkit import (
     CorpusManifest,
     PaperAnnotation,
     PhraseSpan,
     Sentence,
+    Triple,
     UnitLabel,
     ValidationPolicy,
     load_corpus,
@@ -19,6 +22,8 @@ from ncgkit import (
 )
 from ncgkit.issues import ERROR, ISSUE_CODES, WARNING, ValidationIssue
 from ncgkit.model import Corpus
+from ncgkit.validate import PROVENANCE_CHECKS
+import validate_oracle
 
 
 def build_paper(units_json: dict[str, dict], lines: list[str],
@@ -378,3 +383,60 @@ class TestIssueCodes:
     def test_refuses_an_unregistered_code_or_severity(self, code, severity):
         with pytest.raises(ValueError):
             ValidationIssue(code, "where", "what", severity=severity)
+
+
+#: Small pools, so that papers repeat subjects, predicates, objects and
+#: whole triples.  The sentences ground some texts and not others; the
+#: labels name units, the root or nothing; ``name``, ``hasAcronym`` and
+#: ``has`` are fillers.
+WORDS = ["alpha", "beta", "gamma delta", "zeta"]
+LABELS = ["alpha", "zeta", "Model", "Approach", "Results", "Contribution"]
+PREDICATES = ["name", "hasAcronym", "has", "improves", "zzqq", "alpha"]
+TREE_UNITS = ["ResearchProblem", "Approach", "Model", "Results", "Experiments", "Baselines"]
+
+
+@st.composite
+def unit_bodies(draw, depth: int = 2) -> dict:
+    """The JSON object of a node: predicates to a leaf, a list of leaves
+    that may repeat, or child nodes; sometimes a provenance sentence."""
+    body = {}
+    if draw(st.booleans()):
+        body["from sentence"] = draw(st.sampled_from(WORDS))
+    for predicate in draw(st.lists(st.sampled_from(PREDICATES), max_size=3, unique=True)):
+        if depth and draw(st.booleans()):
+            body[predicate] = {label: draw(unit_bodies(depth - 1)) for label in draw(
+                st.lists(st.sampled_from(LABELS[:-1]), min_size=1, max_size=2, unique=True))}
+        else:
+            body[predicate] = draw(st.lists(st.sampled_from(WORDS + LABELS), min_size=1,
+                                            max_size=3))
+    return body
+
+
+@st.composite
+def random_papers(draw) -> PaperAnnotation:
+    units = {name: {"has": {name: draw(unit_bodies())}}
+             for name in draw(st.lists(st.sampled_from(TREE_UNITS), max_size=4, unique=True))}
+    lines = draw(st.lists(st.sampled_from(["we use alpha", "improves gamma delta",
+                                           "the zzqq of beta"]), max_size=3))
+    # a unit without a tree, whose triples repeat
+    triples = draw(st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(PREDICATES),
+                                      st.sampled_from(WORDS + LABELS)), max_size=4))
+    triples += draw(st.lists(st.sampled_from(triples), max_size=3)) if triples else []
+    return build_paper(units, lines, triples={UnitLabel.TASKS: [Triple.of(*t) for t in triples]}
+                       if triples else None)
+
+
+#: The codes whose records are shared by cause.
+SHARED = {"duplicate-triple", "filler-whitelist", "filler-placement", "provenance-missing"}
+
+
+@given(random_papers(), st.sampled_from(PROVENANCE_CHECKS))
+def test_findings_are_the_oracles_with_one_record_per_cause(paper, check):
+    policy = ValidationPolicy(provenance_check=check)
+    report, expected = validate_paper(paper, policy), validate_oracle.validate_paper(paper, policy)
+    assert report.as_lines() == expected.as_lines()
+    assert [vars(i) for i in report.issues] == [vars(i) for i in expected.issues]
+    first = {}
+    for issue in report.issues:
+        if issue.code in SHARED:
+            assert first.setdefault(tuple(vars(issue).values()), issue) is issue
