@@ -7,9 +7,10 @@ directory passed as manifest means "default layout rooted here".  Every
 corpus load writes each load issue to stderr as ``<side>: <issue line>``,
 where the side is ``gold`` or ``pred`` for score and ``corpus`` otherwise,
 once the corpus is read; a ``--check`` file is read before the corpus.
-Every corpus command reads the papers as one stream, one at a time, and
-keeps only what it needs: score the whole gold corpus, traverse and
-compare the papers they name, the others their output.  ``score``
+``flatten`` and ``nest`` write each parser warning to stderr as ``input:
+<issue line>``.  Every corpus command reads the papers as one stream, one
+at a time, and keeps only what it needs: score the whole gold corpus,
+traverse and compare the papers they name, the others their output.  ``score``
 without ``--granularity`` scores each granularity both corpora have files
 for.  Outputs are byte-identical across runs.  Exit codes: 0 success, 1
 validation errors or ``--check`` mismatch, 2 usage or format error.
@@ -51,7 +52,7 @@ from .metrics import (
     corpus_stats,
     unit_stats,
 )
-from .model import Corpus, PaperAnnotation, UnitLabel, normalize_unit_label
+from .model import PaperAnnotation, UnitLabel, normalize_unit_label
 from .validate import PROVENANCE_CHECKS, ValidationPolicy, summarize_reports, validate_corpus
 
 
@@ -359,7 +360,7 @@ def _table(args, first: str, rows: list[tuple[str, dict]], payload: dict,
 
 
 def cmd_score(args) -> int:
-    gold = _load(args.gold, args.strict, use=Corpus.of, side="gold")[0]
+    gold = _load(args.gold, args.strict, use=list, side="gold")[0]
     config = MatchConfig(
         phrase_match=args.phrase_match,
         triple_scope=args.triple_scope,
@@ -385,28 +386,42 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _resolve_unit_path(path: Path, unit: UnitLabel, role: str) -> Path:
-    """``path``, or a paper directory's ``role`` file of ``unit`` in the default layout."""
-    if not path.is_dir():
-        return path
-    candidate = path / DEFAULT_LAYOUT[role].format(task=".", paper=".", Unit=unit.identifier)
-    if not candidate.is_file():
-        raise NcgError(f"no {role} file for {unit.identifier} under {path}")
-    return candidate
+def _parse_input(given: str, unit: UnitLabel, role: str, parse: Callable, *parse_args):
+    """What ``parse`` makes of the file ``given``, or of a paper directory's
+    ``role`` file of ``unit`` in the default layout.  Each parser warning is
+    then written to stderr as ``input: <issue line>``, located as a load
+    issue is, relative to the directory given or holding the file given; an
+    error names the file by its whole path."""
+    path = Path(given)
+    location = path.name
+    if path.is_dir():
+        location = Path(DEFAULT_LAYOUT[role].format(task=".", paper=".",
+                                                    Unit=unit.identifier)).as_posix()
+        path /= location
+        if not path.is_file():
+            raise NcgError(f"no {role} file for {unit.identifier} under {given}")
+    text = _read_file(path, str(path))
+    issues = []
+    try:
+        result = parse(text, *parse_args, issues=issues, location=location)
+    except FormatError as exc:
+        exc.path = str(path)  # as a read error does
+        raise
+    for issue in issues:
+        print(f"input: {issue.as_line()}", file=sys.stderr)
+    return result
 
 
 def cmd_flatten(args) -> int:
     unit = normalize_unit_label(args.unit)
-    path = _resolve_unit_path(Path(args.path), unit, "units")
-    tree = parse_unit_file(_read_file(path, str(path)), unit, location=str(path))
+    tree = _parse_input(args.path, unit, "units", parse_unit_file, unit)
     _emit(args, write_triple_lines(flatten(tree).triples))
     return 0
 
 
 def cmd_nest(args) -> int:
     unit = normalize_unit_label(args.unit)
-    path = _resolve_unit_path(Path(args.path), unit, "triples")
-    triples = parse_triple_lines(_read_file(path, str(path)), location=str(path))
+    triples = _parse_input(args.path, unit, "triples", parse_triple_lines)
     tree = nest(triples, unit)
     _emit(args, write_unit_file(tree))
     return 0
@@ -432,10 +447,17 @@ def cmd_traverse(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    titles: dict[str, str] = {}
+    for paper_id, title in args.title:
+        if paper_id not in args.papers:
+            raise NcgError(f"--title names {paper_id!r}, which --papers does not list")
+        if paper_id in titles:
+            raise NcgError(f"--title names {paper_id!r} twice")
+        titles[paper_id] = title
     papers = _load(args.manifest, args.strict,
                    use=lambda papers: [p for p in papers if p.paper_id in args.papers])[0]
     unit = normalize_unit_label(args.unit)
-    table = compare(papers, unit, args.papers, depth=args.depth, titles=dict(args.title))
+    table = compare(papers, unit, args.papers, depth=args.depth, titles=titles)
     if args.format == "json":
         _emit(args, json.dumps(table_to_dict(table), indent=2,
                                ensure_ascii=False) + "\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 from .errors import GranularityUnavailable, MissingTotals
-from .model import Corpus, PaperAnnotation, PhraseColumns, UnitLabel
+from .model import PaperAnnotation, UnitLabel
 
 
 def _ratio(num: float, den: float) -> float:
@@ -97,16 +97,15 @@ class CorpusStats:
 def corpus_stats(papers: Iterable[PaperAnnotation]) -> CorpusStats:
     """Count annotation elements per task and overall.
 
-    ``papers`` is a :class:`Corpus` or any iterable of papers, such as the
+    ``papers`` is any iterable of papers, such as a :class:`Corpus` or the
     stream of :func:`~ncgkit.corpus_io.iter_papers`; each paper is read
-    once and not kept.  A paper counts under its ``task``.  Tasks come in
-    the order of their first paper, and a Corpus keeps a row for each of
-    its tasks, an empty one included.
+    once and not kept.  A paper counts under its ``task``, and tasks come
+    in the order of their first paper.
 
     Raises:
         MissingTotals: a paper lacks sentence or token totals.
     """
-    per_task = {task: StatsRow() for task in papers.tasks} if isinstance(papers, Corpus) else {}
+    per_task: dict[str, StatsRow] = {}
     for paper in papers:
         if paper.total_sentence_count is None or paper.total_token_count is None:
             raise MissingTotals(f"paper {paper.paper_id} lacks totals")
@@ -119,9 +118,9 @@ def corpus_stats(papers: Iterable[PaperAnnotation]) -> CorpusStats:
         row.total_tokens += paper.total_token_count
         if paper.contribution_sentence_indices:
             row.ann_sentences += len(paper.contribution_sentence_indices)
-        phrases = PhraseColumns.of(paper.phrases or [])
-        row.ann_phrases += len(phrases)
-        row.phrase_tokens += sum(phrases.end_toks) - sum(phrases.start_toks)
+        if paper.phrases:
+            row.ann_phrases += len(paper.phrases)
+            row.phrase_tokens += sum(paper.phrases.end_toks) - sum(paper.phrases.start_toks)
         row.ann_triples += sum(map(len, by_unit.values()))
     overall = StatsRow()
     for row in per_task.values():
@@ -219,7 +218,9 @@ def _items(paper: PaperAnnotation, granularity: str, config: MatchConfig) -> set
     if granularity == "sentences":
         return set(paper.contribution_sentence_indices or ())
     if granularity == "phrases":
-        spans = PhraseColumns.of(paper.phrases or [])
+        spans = paper.phrases
+        if not spans:
+            return set()
         if config.phrase_match != "exact-text":
             keys = zip(spans.sentence_indices, spans.start_toks, spans.end_toks)
             return list(keys) if config.phrase_match == "partial-overlap" else set(keys)
@@ -302,8 +303,6 @@ def _score_pass(gold: Iterable[PaperAnnotation], pred: Iterable[PaperAnnotation]
 
     def read(papers: Iterable[PaperAnnotation], side: str, ids: set[str]) -> Iterator:
         left = set(granularities)
-        for task in papers.tasks if isinstance(papers, Corpus) else ():
-            rows.setdefault(task, [[0, 0, 0] for _ in granularities])
         for paper in papers:
             if paper.paper_id in ids:
                 raise ValueError(f"paper {paper.paper_id!r} repeated in {side}")

@@ -26,9 +26,9 @@ that :class:`DocumentLines` tokenized, a text that :class:`PhraseColumns`
 stored and a flattened tree's labels.  They give values equal to the
 public constructor's, and check nothing.
 
-A loaded paper holds its text as :class:`DocumentLines` and its phrases as
-:class:`PhraseColumns`, sequences equal to the eager lists, which work the
-same; consumers read phrases as columns, through :meth:`PhraseColumns.of`.
+A built paper holds its phrases as :class:`PhraseColumns` and its text as
+:class:`DocumentLines` or a :class:`ReadOnlyList`, whatever sequence it
+was given; each equals the eager list, and consumers read both as stored.
 """
 
 from __future__ import annotations
@@ -615,9 +615,9 @@ class PaperAnnotation:
     Layer fields are ``None`` when the corresponding file was absent on
     disk, as opposed to present-but-empty.  ``sentences`` is the full
     document when the plaintext was loaded, one entry per line: a
-    :class:`DocumentLines` when loaded, or a list of ``Sentence | None``.
-    ``phrases`` is a :class:`PhraseColumns` when loaded, or any sequence of
-    spans.  Validators ground surface forms in the contribution sentences.
+    :class:`DocumentLines` when loaded, else a :class:`ReadOnlyList`, and
+    ``phrases`` is a :class:`PhraseColumns`, whatever sequence was given.
+    Validators ground surface forms in the contribution sentences.
     Both unit maps are in :attr:`UnitLabel.identifier` order, and
     ``triples`` holds every unit of either.  The tree wins: a unit with a
     tree has ``triples[u] == flatten(units[u]).triples``, and a list given
@@ -659,9 +659,9 @@ class PaperAnnotation:
         return paper
 
     def _settle(self) -> None:
-        """Order both unit maps and make them, each unit's triples and the
-        contribution sentence indices read-only; a map that was None stays
-        None when nothing is added."""
+        """Order both unit maps, hold the phrases as columns, and make the
+        maps, the triple lists, the contribution indices and the sentences
+        read-only; a None layer stays None, save triples when units exist."""
         units, stored = self.units or {}, self.triples or {}
         listed = sorted(units.keys() | stored.keys(), key=lambda unit: unit.identifier)
         if self.units is not None:
@@ -673,6 +673,10 @@ class PaperAnnotation:
         if self.contribution_sentence_indices is not None:
             object.__setattr__(self, "contribution_sentence_indices",
                                frozenset(self.contribution_sentence_indices))
+        if self.phrases is not None:
+            object.__setattr__(self, "phrases", PhraseColumns.of(self.phrases))
+        if not isinstance(self.sentences, (DocumentLines, ReadOnlyList, type(None))):
+            object.__setattr__(self, "sentences", ReadOnlyList(self.sentences))
 
     def sentence(self, index: int) -> Sentence | None:
         if self.sentences is None or not 1 <= index <= len(self.sentences):

@@ -19,7 +19,6 @@ from .issues import ERROR, ValidationIssue
 from .model import (
     CONTRIBUTION,
     PaperAnnotation,
-    PhraseColumns,
     PredicateKind,
     UnitLabel,
     UnitTree,
@@ -71,7 +70,8 @@ class ValidationReport:
     A finding whose cause recurs in the paper, such as an ungrounded
     subject on several triples, is listed at each place as one shared
     :class:`ValidationIssue`; it is frozen, so it prints, compares and
-    serialises as equal copies would.
+    serialises as equal copies would.  A finding is located at its node,
+    ``<paper id>/<Unit>/<label>``, its phrase, ``<paper id>:<sentence>``, or its paper.
     """
 
     paper_id: str
@@ -82,8 +82,7 @@ class ValidationReport:
         return not any(i.severity == ERROR for i in self.issues)
 
     def as_lines(self) -> str:
-        return "".join(f"{self.paper_id}\t{i.code}\t{i.severity}\t{i.message}\n"
-                       for i in self.issues)
+        return "".join(issue.as_line() + "\n" for issue in self.issues)
 
 
 def _read_tree(tree: UnitTree, units_of: _Memo, pool: list[str]):
@@ -124,8 +123,8 @@ def validate_paper(paper: PaperAnnotation,
     findings once, next to its ``duplicate-triple`` error.  Unit
     presence and the triple checks cover every unit of ``paper.triples``,
     which lists each unit, tree or not, in identifier order; encapsulation,
-    filler placement and nested Results read the trees.  The triple and
-    placement findings share one record per distinct cause.
+    filler placement and nested Results read the trees.  The findings on a
+    node share one record per distinct cause.
     """
     policy = policy or ValidationPolicy()
     report = ValidationReport(paper.paper_id)
@@ -139,8 +138,8 @@ def validate_paper(paper: PaperAnnotation,
     sources = _Sources(provenance, paper)
 
     _check_mandatory(paper, by_unit, nested, issues)
-    _check_encapsulation(nested, issues)
-    findings = _Findings(issues, policy)
+    findings = _Findings(report, policy)
+    _check_encapsulation(nested, findings)
     grounded = _Memo(sources.__contains__)
     # a subject or object naming the root or a unit needs no grounding
     placed = _Memo(lambda surface: surface == CONTRIBUTION
@@ -189,17 +188,14 @@ def _check_mandatory(paper: PaperAnnotation, present, nested_units: dict[UnitLab
                                       "no Results unit, top-level or encapsulated"))
 
 
-def _check_encapsulation(nested_units: dict[UnitLabel, list],
-                         issues: list[ValidationIssue]) -> None:
+def _check_encapsulation(nested_units: dict[UnitLabel, list], findings: _Findings) -> None:
     for unit, units_below in nested_units.items():
         if unit in ENCAPSULATING_UNITS:
             continue
         for node, nested in units_below:
             if nested in SUB_UNIT_LABELS:
-                issues.append(ValidationIssue(
-                    "encapsulation-violation", f"{unit.identifier}/{node.label}",
-                    f"{nested.identifier} node may only appear inside "
-                    f"Experiments or Tasks"))
+                findings.add("encapsulation-violation", unit.identifier, node.label, "node",
+                             nested.identifier)
 
 
 class _Sources:
@@ -241,15 +237,17 @@ class _Memo(dict):
 
 
 class _Findings:
-    """One paper's cause-keyed findings, appended to ``issues`` in the order
-    they are found.  A cause is a code, a unit identifier, the label of the
-    node the finding is on, and a role and a surface; the record of a cause
-    and the location of a (unit, label) are built on its first finding, and
-    a repeat appends the record already built.  The tables live as long as
-    the paper's check: papers never share a record."""
+    """One paper's cause-keyed findings, appended to its report's issues in
+    the order they are found.  A cause is a code, a unit identifier, the
+    label of the node the finding is on, and a role and a surface; the
+    record of a cause and the location of a (unit, label) are built on its
+    first finding, and a repeat appends the record already built.  The
+    tables live as long as the paper's check: papers never share a record."""
 
     #: Each code's message, from the role and surface of its cause.
     MESSAGES = {
+        "encapsulation-violation": lambda role, surface: (
+            f"{surface} node may only appear inside Experiments or Tasks"),
         "duplicate-triple": lambda role, surface: f"duplicate triple {surface}",
         "filler-whitelist": lambda role, surface: (
             f"{role} {surface!r} not found in any annotated sentence and not a filler"),
@@ -259,8 +257,8 @@ class _Findings:
             f"{role} {surface!r} not found in any source sentence"),
     }
 
-    def __init__(self, issues: list[ValidationIssue], policy: ValidationPolicy) -> None:
-        self.issues = issues
+    def __init__(self, report: ValidationReport, policy: ValidationPolicy) -> None:
+        self.paper_id, self.issues = report.paper_id, report.issues
         # the one code whose severity the policy sets; the rest keep their own
         self.severity = ({"provenance-missing": ERROR}
                          if policy.provenance_check == PROVENANCE_ERROR else {})
@@ -273,7 +271,7 @@ class _Findings:
         if issue is None:
             location = self.locations.get((unit, label))
             if location is None:
-                location = self.locations[unit, label] = f"{unit}/{label}"
+                location = self.locations[unit, label] = f"{self.paper_id}/{unit}/{label}"
             issue = self.records[cause] = ValidationIssue(
                 code, location, self.MESSAGES[code](role, surface),
                 severity=self.severity.get(code))
@@ -316,10 +314,9 @@ def _check_phrase_length(paper: PaperAnnotation, policy: ValidationPolicy,
                          issues: list[ValidationIssue]) -> None:
     if policy.max_phrase_tokens <= 0 or not paper.phrases:
         return
-    phrases = PhraseColumns.of(paper.phrases)
-    for i, (start, end) in enumerate(zip(phrases.start_toks, phrases.end_toks)):
+    for i, (start, end) in enumerate(zip(paper.phrases.start_toks, paper.phrases.end_toks)):
         if end - start > policy.max_phrase_tokens:
-            span = phrases[i]
+            span = paper.phrases[i]
             issues.append(ValidationIssue(
                 "phrase-too-long", f"{paper.paper_id}:{span.sentence_index}",
                 f"phrase of {span.token_count()} tokens exceeds "

@@ -317,7 +317,8 @@ class TestValidate:
         lines = [line for line in out.read_text().splitlines()
                  if "\tduplicate-triple\t" in line]
         assert len(lines) == 1
-        assert lines[0].startswith("dilated-cnn-2017\tduplicate-triple\tError\t")
+        assert lines[0].startswith(
+            "dilated-cnn-2017/ResearchProblem/Research Problem\tduplicate-triple\tError\t")
 
 
 class TestInvalidUtf8:
@@ -849,6 +850,31 @@ class TestFlattenNest:
         assert run(["flatten", "--unit", "Objective",
                     os.path.join(DATA, "nested_results_unit.json")]) == 2
 
+    def test_parser_warnings_go_to_stderr_located_below_the_input(self, tiny_root, capsys):
+        assert run(["flatten", "--unit", "Model",
+                    os.path.join(DATA, "stack_lstm_fragment.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("(Contribution||employ||Stack - LSTM)\n")
+        assert captured.err.splitlines()[:2] == [
+            "input: stack_lstm_fragment.json\tdangling-predicate\tWarning\tpredicate "
+            "'to represent' of 'Stack - LSTM' has no value",
+            "input: stack_lstm_fragment.json\tdangling-predicate\tWarning\tpredicate "
+            "'has' of 'Stack - LSTM' has no value"]
+        assert run(["nest", "--unit", "Results",
+                    os.path.join(DATA, "results_triple_lines.txt")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split("\t")[:2] for line in err] == [
+            [f"input: results_triple_lines.txt:{n}", "single-pipe-delimiter"]
+            for n in (1, 2, 7, 12)]
+        # a paper directory's file is located below the directory
+        paper = tiny_root / "parsing" / "p1"
+        (paper / "info-units" / "Results.json").write_text(
+            '{"has": {"Results": {"on": null}}}', encoding="utf-8")
+        assert run(["flatten", "--unit", "Results", str(paper)]) == 0
+        assert capsys.readouterr().err == (
+            "input: info-units/Results.json\tdangling-predicate\tWarning\t"
+            "predicate 'on' of 'Results' has no value\n")
+
 
 class TestKgCommands:
     def test_build_kg_byte_stable_across_processes(self, tiny_root, tmp_path):
@@ -948,6 +974,18 @@ class TestCompareCommand:
                     "--title", "dilated-cnn-2017=a=b", "--title",
                     "machine-reading-2016="]) == 0
         assert capsys.readouterr().out.startswith("| Properties | a=b |  |\n")
+
+    @pytest.mark.parametrize("titles, message", [
+        (["nosuch=X"], "--title names 'nosuch', which --papers does not list"),
+        (["dilated-cnn-2017=X", "dilated-cnn-2017=Y"], "--title names 'dilated-cnn-2017' twice"),
+    ])
+    def test_a_title_for_no_listed_paper_or_a_second_title_exits_2(
+            self, comparison_root, capsys, titles, message):
+        argv = ["compare", "--manifest", str(comparison_root), "--unit", "Results",
+                "--papers", "dilated-cnn-2017"]
+        assert run(argv + [arg for t in titles for arg in ("--title", t)]) == 2
+        # one error line, before any load issue
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.fixture(scope="module")

@@ -151,6 +151,13 @@ CASES: dict[str, list[str]] = {
         "--title", "dilated-cnn-2017=Dilated CNN"],
     "compare-comparison-unknown-paper": ["compare", "--manifest", _C, "--unit", "Results",
                                          "--papers", "dilated-cnn-2017,nosuch"],
+    "compare-comparison-title-unlisted": ["compare", "--manifest", _C, "--unit", "Results",
+                                          "--papers", "dilated-cnn-2017",
+                                          "--title", "nosuch=X"],
+    "compare-comparison-title-twice": ["compare", "--manifest", _C, "--unit", "Results",
+                                       "--papers", "dilated-cnn-2017",
+                                       "--title", "dilated-cnn-2017=X",
+                                       "--title", "dilated-cnn-2017=Y"],
     "compare-trial": ["compare", "--manifest", _T, "--unit", "Results",
                       "--papers", "mt-01,ner-01,qa-01", "--format", "csv"],
 }

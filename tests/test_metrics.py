@@ -32,7 +32,7 @@ from ncgkit import (
     validate_corpus,
 )
 from ncgkit import metrics
-from ncgkit.metrics import GRANULARITIES, PHRASE_MATCHES, TRIPLE_SCOPES, StatsRow
+from ncgkit.metrics import GRANULARITIES, PHRASE_MATCHES, TRIPLE_SCOPES
 from scoring_oracle import oracle_counts, random_corpus
 
 
@@ -120,12 +120,8 @@ class TestCorpusStats:
         corpus = Corpus({"t0": [], "t2": [a, c], "t1": [b]})
         assert list(corpus) == [a, c, b]
         streamed = corpus_stats(iter(corpus))
-        # a Corpus keeps a row for each of its tasks, the empty one included
-        whole = corpus_stats(corpus)
-        assert list(whole.per_task) == ["t0", "t2", "t1"]
-        assert whole.per_task["t0"] == StatsRow()
-        del whole.per_task["t0"]
-        assert streamed == whole
+        # a Corpus reads as its stream: an empty task has no row
+        assert corpus_stats(corpus) == streamed
         assert list(streamed.per_task) == ["t2", "t1"]
         assert streamed.overall.total_sentences == 30
         assert unit_stats(iter(corpus)) == unit_stats(corpus)
@@ -457,15 +453,14 @@ class TestScorePass:
         assert score(with_phrases, iter([]), "sentences").micro == prf(0, 0, 1)
         assert score(Corpus(), iter([]), "phrases").micro == prf(0, 0, 0)
 
-    def test_a_corpus_keeps_a_row_for_an_empty_task(self):
+    def test_a_corpus_scores_as_its_stream(self):
         gold = Corpus({"t0": [], "t1": [sentence_paper("a", "t1", {1, 2})]})
         pred = Corpus({"t2": [], "t1": [sentence_paper("a", "t1", {1})]})
         whole = score(gold, pred, "sentences")
-        assert list(whole.per_task) == ["t0", "t1", "t2"]
-        assert whole.per_task["t0"] == whole.per_task["t2"] == prf(0, 0, 0)
-        streamed = score(gold, iter(pred), "sentences")
-        assert list(streamed.per_task) == ["t0", "t1"]
-        assert streamed.micro == whole.micro == prf(1, 0, 1)
+        # an empty task has no row
+        assert list(whole.per_task) == ["t1"]
+        assert score(iter(gold), iter(pred), "sentences") == whole
+        assert whole.micro == prf(1, 0, 1)
 
     def test_a_repeated_paper_id_is_a_value_error(self):
         # the last paper of an id used to win: tp 0, fp 2, fn 1 under t2
@@ -511,3 +506,26 @@ class TestScorePass:
         finally:
             if enabled:
                 gc.enable()
+
+
+@st.composite
+def corpora_with_empty_tasks(draw) -> Corpus:
+    """A random corpus with empty task lists put among its tasks, under new
+    names or under the names of a task another corpus has papers in."""
+    tasks = list(random_corpus(random.Random(draw(st.integers(0, 2**32)))).tasks.items())
+    for name in draw(st.lists(st.sampled_from(["task0", "task1", "task2", "empty"]),
+                              unique=True)):
+        if name not in dict(tasks):
+            tasks.insert(draw(st.integers(0, len(tasks))), (name, []))
+    return Corpus(dict(tasks))
+
+
+@given(corpora_with_empty_tasks(), corpora_with_empty_tasks())
+def test_a_corpus_with_empty_tasks_counts_and_scores_as_its_stream(gold, pred):
+    whole, streamed = corpus_stats(gold), corpus_stats(iter(gold))
+    assert whole == streamed and list(whole.per_task) == list(streamed.per_task)
+    for granularity in GRANULARITIES:
+        report = score(gold, pred, granularity)
+        assert score(iter(gold), iter(pred), granularity) == report
+        assert list(report.per_task) == list(dict.fromkeys(
+            p.task for p in [*gold, *pred]))

@@ -732,6 +732,26 @@ class TestBuiltPaperIsReadOnly:
                             triples.append(None)
                     assert type(paper.contribution_sentence_indices) in (frozenset, type(None))
 
+    @pytest.mark.parametrize("sequence", [list, tuple])
+    def test_given_phrases_are_columns_and_given_sentences_a_read_only_list(self, sequence):
+        sentences = [Sentence("p", 1, ("a", "b", "c")), None]
+        spans = [PhraseSpan(1, 0, 2, "a b"), PhraseSpan(1, 1, 3, "b c")]
+        paper = PaperAnnotation("p", "t", phrases=sequence(spans),
+                                sentences=sequence(sentences))
+        clones = [pickle.loads(pickle.dumps(paper, protocol))
+                  for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in [paper, *clones, copy.copy(paper), copy.deepcopy(paper)]:
+            assert clone == paper
+            assert type(clone.phrases) is PhraseColumns and clone.phrases == spans
+            assert type(clone.sentences) is ReadOnlyList and clone.sentences == sentences
+            with pytest.raises(TypeError):
+                clone.phrases[0] = spans[1]
+            for change in (lambda: clone.sentences.append(None),
+                           lambda: clone.sentences.__setitem__(0, None)):
+                with pytest.raises(TypeError, match="read-only"):
+                    change()
+            assert clone.phrases == spans and clone.sentences == sentences
+
 
 class TestNodeEqualityAndRepr:
     """Node compares and prints as the dataclass methods did, in one walk."""

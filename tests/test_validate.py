@@ -106,12 +106,12 @@ class TestMandatoryUnits:
                 "".join(line + "\n" for line in lines), encoding="utf-8")
         corpus, issues = load_corpus(CorpusManifest(root_path=tmp_path))
         assert "nest-failed" in {i.code for i in issues}
-        per_triple = ("p1\tfiller-whitelist\tError\tpredicate 'zzqq' not found in any "
-                      "annotated sentence and not a filler\n"
-                      "p1\tprovenance-missing\tWarning\tobject 'Y' not found in any "
-                      "source sentence\n")
+        per_triple = ("p1/Model/X\tfiller-whitelist\tError\tpredicate 'zzqq' not found "
+                      "in any annotated sentence and not a filler\n"
+                      "p1/Model/X\tprovenance-missing\tWarning\tobject 'Y' not found in "
+                      "any source sentence\n")
         # the repeated triple's surface findings come once, not once per copy
-        expected = ("p1\tduplicate-triple\tError\tduplicate triple ('X', 'zzqq', 'Y')\n"
+        expected = ("p1/Model/X\tduplicate-triple\tError\tduplicate triple ('X', 'zzqq', 'Y')\n"
                     + per_triple)
         assert validate_corpus(corpus)[0].as_lines() == expected
         # no unit is read from a tree when there are none
@@ -219,10 +219,10 @@ class TestProvenance:
         units = {**GOOD_UNITS, "Results": {"has": {"Results": results}}}
         report = validate_paper(build_paper(units, lines))
         assert report.as_lines() == ("" if where != "neither" else (
-            "p1\tfiller-whitelist\tError\tpredicate 'reports' not found in any "
-            "annotated sentence and not a filler\n"
-            "p1\tprovenance-missing\tWarning\tobject 'an invented phrase' not found "
-            "in any source sentence\n"))
+            "p1/Results/Results\tfiller-whitelist\tError\tpredicate 'reports' not found "
+            "in any annotated sentence and not a filler\n"
+            "p1/Results/Results\tprovenance-missing\tWarning\tobject 'an invented phrase' "
+            "not found in any source sentence\n"))
 
     def test_a_blank_provenance_string_still_turns_grounding_on(self):
         results = {"reports": "an invented phrase"}
@@ -264,10 +264,11 @@ class TestDuplicatesAndBounds:
         units["Results"] = {"has": {"Results": {"zzqq": ["Y", "Y"]}}}
         report = validate_paper(build_paper(units, GOOD_LINES))
         assert report.as_lines() == (
-            "p1\tduplicate-triple\tError\tduplicate triple ('Results', 'zzqq', 'Y')\n"
-            "p1\tfiller-whitelist\tError\tpredicate 'zzqq' not found in any "
-            "annotated sentence and not a filler\n"
-            "p1\tprovenance-missing\tWarning\tobject 'Y' not found in any "
+            "p1/Results/Results\tduplicate-triple\tError\tduplicate triple "
+            "('Results', 'zzqq', 'Y')\n"
+            "p1/Results/Results\tfiller-whitelist\tError\tpredicate 'zzqq' not found in "
+            "any annotated sentence and not a filler\n"
+            "p1/Results/Results\tprovenance-missing\tWarning\tobject 'Y' not found in any "
             "source sentence\n")
 
     def test_unit_name_exemption_does_not_ground_a_predicate_of_that_text(self):
@@ -427,7 +428,8 @@ def random_papers(draw) -> PaperAnnotation:
 
 
 #: The codes whose records are shared by cause.
-SHARED = {"duplicate-triple", "filler-whitelist", "filler-placement", "provenance-missing"}
+SHARED = {"duplicate-triple", "filler-whitelist", "filler-placement", "provenance-missing",
+          "encapsulation-violation"}
 
 
 @given(random_papers(), st.sampled_from(PROVENANCE_CHECKS))
@@ -440,3 +442,14 @@ def test_findings_are_the_oracles_with_one_record_per_cause(paper, check):
     for issue in report.issues:
         if issue.code in SHARED:
             assert first.setdefault(tuple(vars(issue).values()), issue) is issue
+
+
+@given(random_papers(), st.sampled_from(PROVENANCE_CHECKS))
+def test_a_report_writes_each_issue_line_and_locates_a_node_finding_at_its_node(paper, check):
+    report = validate_paper(paper, ValidationPolicy(provenance_check=check))
+    assert report.as_lines() == "".join(i.as_line() + "\n" for i in report.issues)
+    units = {unit.identifier for unit in UnitLabel}
+    for issue in report.issues:
+        if issue.code in SHARED:
+            paper_id, unit, label = issue.location.split("/", 2)
+            assert paper_id == paper.paper_id and unit in units and label
